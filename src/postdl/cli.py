@@ -192,7 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
         )
         dp.add_argument("--witness", action="store_true")
         dp.add_argument("--json", action="store_true")
-        dp.add_argument("--seed", type=int, default=0, help="accepted for interface stability")
 
     ip = sub.add_parser("imp", help="premises (W:) entail the goal?")
     ip.add_argument("theory")

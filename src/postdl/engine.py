@@ -5,12 +5,13 @@ The generic engine enumerates candidate extensions and doubles as the
 brute-force oracle: by the generating-defaults characterization, every
 stable extension is axiomatized by the facts plus a subset of the distinct
 rule consequents, so enumeration runs over consequent subsets (ascending
-popcount, then index), not over raw rule subsets.  The specialized engines
-implement the polynomial and iterative procedures the clone analysis
-licenses: the monotone fixpoint computation, the justification-free
-iteration for 1-reproducing signatures, subset enumeration with fragment
-implication for affine signatures, and graph reachability for
-projection-like signatures.
+popcount, then index), not over raw rule subsets.  Affine signatures (the
+NP case) use the same guess-and-check enumeration: the case fixes the
+complexity of the problem, not how a guess is checked.  The other
+specialized engines implement the procedures the clone analysis licenses:
+one rule-firing fixpoint for monotone and 1-reproducing signatures, with
+fragment implication where the signature allows it, and graph
+reachability for projection-like signatures.
 
 Justification tests ("not beta" must stay out of the extension) are always
 evaluated semantically: against a consistent candidate they reduce to
@@ -21,7 +22,7 @@ when negation is not in the signature.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .clones import CloneReport, dispatch_case, subset_of_clone
 from .errors import (
@@ -32,13 +33,7 @@ from .errors import (
     TooManyVariables,
 )
 from .formula import VAR_CAP, Formula, Var, table_int, variables
-from .implication import (
-    affine_implies,
-    conjunctive_implies,
-    disjunctive_implies,
-    select_engine,
-    truth_table_implies,
-)
+from .implication import implies, select_engine
 from .theory import DefaultTheory
 
 PROBLEMS = ("ext", "cred", "skep")
@@ -63,6 +58,18 @@ _SOUNDNESS = {
 
 @dataclass
 class Stats:
+    """Work counters of one decision.
+
+    subsets_checked: consequent subsets whose stability was checked.
+    implication_calls: entailment and consistency tests actually made, one
+    count per test: a rule's justification against a candidate extension,
+    a rule's prerequisite or a goal against the formulas derived so far,
+    and the closing test of each stability check that the derived formulas
+    have the candidate's models.  Satisfiability checks of the facts or of
+    a candidate on its own, the all-ones evaluations of the fixpoint engine
+    and the reachability engine's graph search are not counted.
+    """
+
     subsets_checked: int = 0
     implication_calls: int = 0
 
@@ -141,29 +148,6 @@ class TableContext:
         return bits
 
 
-class _Implier:
-    """Implication callable bound to one engine run; oracle mode shares the
-    run's truth-table context, fragment modes go formula-level."""
-
-    def __init__(self, stats: Stats, mode: str, ctx: TableContext | None):
-        self.mode = mode
-        self.stats = stats
-        self.ctx = ctx
-
-    def __call__(self, premises: Sequence[Formula], goal: Formula) -> bool:
-        self.stats.implication_calls += 1
-        if self.mode == "oracle":
-            prem = self.ctx.and_of(premises)
-            return prem & ~self.ctx.table(goal) & self.ctx.full == 0
-        if self.mode == "affine":
-            return affine_implies(premises, goal)
-        if self.mode == "conjunctive":
-            return conjunctive_implies(premises, goal)
-        if self.mode == "disjunctive":
-            return disjunctive_implies(premises, goal)
-        return truth_table_implies(premises, goal)
-
-
 def _ones(phi: Formula) -> int:
     """Value of phi under the all-ones assignment; for monotone formulas
     this decides equivalence to the constant 0."""
@@ -182,54 +166,23 @@ def is_consistent_W(theory: DefaultTheory) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# stable-extension checking
+# stable-extension checking and enumeration
 
 
 def _stable_via_tables(
     ctx: TableContext,
     theory: DefaultTheory,
-    ehat_forms: Sequence[Formula],
+    w_models: int,
+    ehat: int,
     stats: Stats,
 ) -> tuple[bool, tuple[int, ...]]:
-    """Oracle-side stability of Th(W + candidate consequents)."""
-    w_and = ctx.and_of(theory.W)
-    ehat = ctx.and_of(ehat_forms)
+    """Is the candidate with model set ehat a stable extension, and which
+    rules generate it?  The extension iteration starts from the facts'
+    models w_models and fires every rule whose justification is consistent
+    with the candidate and whose prerequisite the derived formulas entail."""
     if ehat == 0:
-        return w_and == 0, ()
-    gens = w_and
-    applied: set[int] = set()
-    changed = True
-    while changed:
-        changed = False
-        for i, d in enumerate(theory.D):
-            if i in applied:
-                continue
-            stats.implication_calls += 2
-            if ehat & ctx.table(d.justification) == 0:
-                continue
-            if gens & ~ctx.table(d.prerequisite) & ctx.full:
-                continue
-            applied.add(i)
-            gens &= ctx.table(d.consequent)
-            changed = True
-    stats.implication_calls += 2
-    return gens == ehat, tuple(sorted(applied))
-
-
-def _stable_via_fragments(
-    ctx: TableContext,
-    theory: DefaultTheory,
-    ehat_conseqs: Sequence[Formula],
-    implier: _Implier,
-    stats: Stats,
-) -> tuple[bool, tuple[int, ...]]:
-    """Stability with fragment implication on the prerequisite side; the
-    justification side stays on truth tables."""
-    ehat_forms = list(theory.W) + list(ehat_conseqs)
-    ehat = ctx.and_of(ehat_forms)
-    if ehat == 0:
-        return ctx.and_of(theory.W) == 0, ()
-    gens = list(theory.W)
+        return w_models == 0, ()
+    gens = w_models
     applied: set[int] = set()
     changed = True
     while changed:
@@ -240,21 +193,17 @@ def _stable_via_fragments(
             stats.implication_calls += 1
             if ehat & ctx.table(d.justification) == 0:
                 continue
-            if not implier(gens, d.prerequisite):
+            stats.implication_calls += 1
+            if gens & ~ctx.table(d.prerequisite) & ctx.full:
                 continue
             applied.add(i)
-            gens.append(d.consequent)
+            gens &= ctx.table(d.consequent)
             changed = True
-    f_conseqs = [theory.D[i].consequent for i in sorted(applied)]
-    if set(f_conseqs) == set(ehat_conseqs):
-        return True, tuple(sorted(applied))
-    both = all(implier(gens, e) for e in ehat_conseqs) and all(
-        implier(ehat_forms, f) for f in f_conseqs
-    )
-    return both, tuple(sorted(applied))
+    stats.implication_calls += 1
+    return gens == ehat, tuple(sorted(applied))
 
 
-def check_stable(theory: DefaultTheory, generating: Iterable[int], use_fragments: bool = False) -> bool:
+def check_stable(theory: DefaultTheory, generating: Iterable[int]) -> bool:
     """Does the rule subset G generate a stable extension, i.e. is
     Th(W + concl(G)) a fixed point of the extension iteration?
 
@@ -264,16 +213,10 @@ def check_stable(theory: DefaultTheory, generating: Iterable[int], use_fragments
     idx = sorted(set(generating))
     if any(i < 0 or i >= len(theory.D) for i in idx):
         raise InputError("generating-default index out of range")
-    conseqs = [theory.D[i].consequent for i in idx]
-    stats = Stats()
     ctx = TableContext(theory)
-    if use_fragments:
-        mode = select_engine(theory.signature)
-        implier = _Implier(stats, mode, ctx)
-        ok, _ = _stable_via_fragments(ctx, theory, conseqs, implier, stats)
-        return ok
-    ok, _ = _stable_via_tables(ctx, theory, list(theory.W) + conseqs, stats)
-    return ok
+    w_models = ctx.and_of(theory.W)
+    ehat = w_models & ctx.and_of(theory.D[i].consequent for i in idx)
+    return _stable_via_tables(ctx, theory, w_models, ehat, Stats())[0]
 
 
 @dataclass(frozen=True)
@@ -287,31 +230,56 @@ class ExtensionInfo:
     models: int
 
 
-def _distinct_consequents(theory: DefaultTheory) -> list[Formula]:
-    seen: dict[Formula, None] = {}
-    for d in theory.D:
-        seen.setdefault(d.consequent)
-    return list(seen)
-
-
-def enumerate_extensions(theory: DefaultTheory, goal: Formula | None = None) -> tuple[list[ExtensionInfo], TableContext]:
-    """All stable extensions by consequent-subset enumeration (oracle side)."""
-    conseqs = _distinct_consequents(theory)
+def _enumeration_context(
+    theory: DefaultTheory, goal: Formula | None
+) -> tuple[list[Formula], TableContext]:
+    """The distinct rule consequents, checked against the enumeration cap
+    before any truth table is built, and the instance's table context."""
+    conseqs = list(dict.fromkeys(d.consequent for d in theory.D))
     if len(conseqs) > GENERIC_CONSEQUENT_CAP:
         raise DefaultCountTooLarge(
             f"{len(conseqs)} distinct consequents exceed the enumeration cap "
             f"of {GENERIC_CONSEQUENT_CAP}"
         )
-    ctx = TableContext(theory, [goal] if goal is not None else [])
-    stats = Stats()
-    out: list[ExtensionInfo] = []
-    k = len(conseqs)
-    for mask in sorted(range(1 << k), key=lambda m: (bin(m).count("1"), m)):
-        chosen = [conseqs[j] for j in range(k) if (mask >> j) & 1]
-        stable, applied = _stable_via_tables(ctx, theory, list(theory.W) + chosen, stats)
+    return conseqs, TableContext(theory, [goal] if goal is not None else [])
+
+
+def _masks(k: int) -> Iterator[int]:
+    """All k-bit masks by ascending popcount, then value (Gosper's hack
+    steps to the next larger mask of the same popcount)."""
+    yield 0
+    for ones in range(1, k + 1):
+        mask = (1 << ones) - 1
+        while mask < 1 << k:
+            yield mask
+            low = mask & -mask
+            ripple = mask + low
+            mask = (((ripple ^ mask) >> 2) // low) | ripple
+
+
+def _stable_extensions(
+    ctx: TableContext,
+    theory: DefaultTheory,
+    conseqs: Sequence[Formula],
+    stats: Stats,
+) -> Iterator[tuple[int, int, tuple[int, ...]]]:
+    """Stable extensions in enumeration order, lazily: for each consequent
+    subset that axiomatizes one (with the facts), its mask, the model set
+    of the facts plus the chosen consequents, and the generating rules."""
+    w_models = ctx.and_of(theory.W)
+    for mask in _masks(len(conseqs)):
+        ehat = w_models & ctx.and_of(c for j, c in enumerate(conseqs) if (mask >> j) & 1)
+        stats.subsets_checked += 1
+        stable, applied = _stable_via_tables(ctx, theory, w_models, ehat, stats)
         if stable:
-            out.append(ExtensionInfo(mask, applied, ctx.and_of(list(theory.W) + chosen)))
-    return out, ctx
+            yield mask, ehat, applied
+
+
+def enumerate_extensions(theory: DefaultTheory, goal: Formula | None = None) -> tuple[list[ExtensionInfo], TableContext]:
+    """All stable extensions by consequent-subset enumeration (oracle side)."""
+    conseqs, ctx = _enumeration_context(theory, goal)
+    found = _stable_extensions(ctx, theory, conseqs, Stats())
+    return [ExtensionInfo(mask, applied, models) for mask, models, applied in found], ctx
 
 
 # ---------------------------------------------------------------------------
@@ -323,78 +291,55 @@ def _enumerate_engine(
     theory: DefaultTheory,
     goal: Formula | None,
     stats: Stats,
-    want_witness: bool,
-    fragments: bool,
 ) -> tuple[bool, ExtensionWitness | None]:
-    conseqs = _distinct_consequents(theory)
-    if len(conseqs) > GENERIC_CONSEQUENT_CAP:
-        raise DefaultCountTooLarge(
-            f"{len(conseqs)} distinct consequents exceed the enumeration cap "
-            f"of {GENERIC_CONSEQUENT_CAP}"
-        )
-    ctx = TableContext(theory, [goal] if goal is not None else [])
-    implier = _Implier(stats, select_engine(theory.signature) if fragments else "oracle", ctx)
-    w_unsat = ctx.and_of(theory.W) == 0
-    k = len(conseqs)
-    masks = sorted(range(1 << k), key=lambda m: (bin(m).count("1"), m))
-
-    def stable_for(mask: int) -> tuple[bool, tuple[int, ...], list[Formula]]:
-        chosen = [conseqs[j] for j in range(k) if (mask >> j) & 1]
-        stats.subsets_checked += 1
-        if fragments:
-            ok, applied = _stable_via_fragments(ctx, theory, chosen, implier, stats)
-        else:
-            ok, applied = _stable_via_tables(ctx, theory, list(theory.W) + chosen, stats)
-        return ok, applied, chosen
-
-    def goal_holds(chosen: list[Formula]) -> bool:
-        if w_unsat:
-            return True
-        return implier(list(theory.W) + chosen, goal)
-
-    if problem == "ext":
-        for mask in masks:
-            ok, applied, _ = stable_for(mask)
-            if ok:
-                return True, ExtensionWitness(applied, inconsistent=w_unsat)
-        return False, None
-
-    if problem == "cred":
-        for mask in masks:
-            ok, applied, chosen = stable_for(mask)
-            if ok and goal_holds(chosen):
-                return True, ExtensionWitness(applied, inconsistent=w_unsat)
-        return False, None
-
-    # skep: vacuously true when no extension exists
-    for mask in masks:
-        ok, applied, chosen = stable_for(mask)
-        if ok and not goal_holds(chosen):
-            return False, ExtensionWitness(applied, inconsistent=w_unsat)
-    return True, None
+    """Guess and check over consequent subsets (generic and affine_guess):
+    the first stable extension answers ext, and the first one that entails
+    (cred) or fails (skep) the goal is the witness."""
+    conseqs, ctx = _enumeration_context(theory, goal)
+    for _, models, applied in _stable_extensions(ctx, theory, conseqs, stats):
+        # only an inconsistent W makes an unsatisfiable candidate stable
+        witness = ExtensionWitness(applied, inconsistent=models == 0)
+        if problem == "ext":
+            return True, witness
+        stats.implication_calls += 1
+        holds = models & ~ctx.table(goal) & ctx.full == 0
+        if problem == "cred" and holds:
+            return True, witness
+        if problem == "skep" and not holds:
+            return False, witness
+    # skep is vacuously true when no extension exists
+    return problem == "skep", None
 
 
-def _monotone_engine(
+def _fixpoint_engine(
     problem: str,
     theory: DefaultTheory,
     goal: Formula | None,
     stats: Stats,
-    want_witness: bool,
 ) -> tuple[bool, ExtensionWitness | None]:
-    """Iterative fixpoint for monotone signatures: a rule fires when its
-    prerequisite is implied and its justification is not equivalent to 0;
-    an applicable rule concluding 0 refutes extension existence.  The
-    not-equivalent-to-0 tests are the all-ones evaluations, exact for
-    monotone formulas.  Inconsistent facts short-circuit: the theory then
-    has the trivial extension."""
+    """Rule firing to a fixpoint for monotone or 1-reproducing signatures
+    (monotone_iterative, r1_unique and poly_fragment): a rule fires when
+    its prerequisite is implied and its justification is not equivalent
+    to 0; an applicable rule concluding 0 refutes extension existence.
+    The not-equivalent-to-0 tests are the all-ones evaluations, exact for
+    monotone formulas.  Under a 1-reproducing signature every formula is 1
+    at all-ones, so these tests never fire and the iteration is
+    justification-free; it yields the unique stable extension.
+    Inconsistent facts short-circuit: the theory then has the trivial
+    extension."""
     if len(theory.D) > POLY_RULE_CAP:
         raise RuleCountTooLarge(f"more than {POLY_RULE_CAP} rules")
     if any(_ones(w) == 0 for w in theory.W):
-        witness = ExtensionWitness((), inconsistent=True)
-        return (True, witness) if problem != "skep" else (True, None)
+        return True, None if problem == "skep" else ExtensionWitness((), inconsistent=True)
     mode = select_engine(theory.signature)
     ctx = TableContext(theory, [goal] if goal is not None else []) if mode == "oracle" else None
-    implier = _Implier(stats, mode, ctx)
+
+    def entails(premises: Sequence[Formula], phi: Formula) -> bool:
+        stats.implication_calls += 1
+        if ctx is None:
+            return implies(premises, phi, engine=mode)
+        return ctx.and_of(premises) & ~ctx.table(phi) & ctx.full == 0
+
     gens = list(theory.W)
     applied: set[int] = set()
     dead = [_ones(d.justification) == 0 for d in theory.D]
@@ -402,58 +347,17 @@ def _monotone_engine(
     while changed:
         changed = False
         for i, d in enumerate(theory.D):
-            if i in applied or dead[i]:
-                continue
-            if not implier(gens, d.prerequisite):
+            if i in applied or dead[i] or not entails(gens, d.prerequisite):
                 continue
             if _ones(d.consequent) == 0:
-                if problem == "ext":
-                    return False, None
-                if problem == "cred":
-                    return False, None
-                return True, None
+                return problem == "skep", None
             applied.add(i)
             gens.append(d.consequent)
             changed = True
     witness = ExtensionWitness(tuple(sorted(applied)))
     if problem == "ext":
         return True, witness
-    holds = implier(gens, goal)
-    if problem == "cred":
-        return holds, witness if holds else None
-    return holds, None if holds else witness
-
-
-def _r1_engine(
-    problem: str,
-    theory: DefaultTheory,
-    goal: Formula | None,
-    stats: Stats,
-    want_witness: bool,
-) -> tuple[bool, ExtensionWitness | None]:
-    """Justification-free iteration for 1-reproducing signatures, which
-    always yields the unique stable extension."""
-    if len(theory.D) > POLY_RULE_CAP:
-        raise RuleCountTooLarge(f"more than {POLY_RULE_CAP} rules")
-    mode = select_engine(theory.signature)
-    ctx = TableContext(theory, [goal] if goal is not None else []) if mode == "oracle" else None
-    implier = _Implier(stats, mode, ctx)
-    gens = list(theory.W)
-    applied: set[int] = set()
-    changed = True
-    while changed:
-        changed = False
-        for i, d in enumerate(theory.D):
-            if i in applied:
-                continue
-            if implier(gens, d.prerequisite):
-                applied.add(i)
-                gens.append(d.consequent)
-                changed = True
-    witness = ExtensionWitness(tuple(sorted(applied)))
-    if problem == "ext":
-        return True, witness
-    holds = implier(gens, goal)
+    holds = entails(gens, goal)
     if problem == "cred":
         return holds, witness if holds else None
     return holds, None if holds else witness
@@ -464,8 +368,7 @@ def unique_extension_r1(theory: DefaultTheory) -> ExtensionWitness:
     a 1-reproducing signature."""
     if not subset_of_clone(theory.signature, "R1"):
         raise EngineCloneMismatch("signature is not contained in the 1-reproducing clone")
-    _, witness = _r1_engine("ext", theory, None, Stats(), True)
-    return witness
+    return _fixpoint_engine("ext", theory, None, Stats())[1]
 
 
 def _norm_projection(phi: Formula) -> str:
@@ -490,8 +393,6 @@ def _reachability_engine(
     problem: str,
     theory: DefaultTheory,
     goal: Formula | None,
-    stats: Stats,
-    want_witness: bool,
 ) -> tuple[bool, ExtensionWitness | None]:
     """Graph search for projection-like signatures: facts hang off the
     true-node, a rule with live justification is an edge from its
@@ -542,19 +443,6 @@ def _reachability_engine(
     return holds, None if holds else witness_now()
 
 
-def _trivial_engine(
-    problem: str,
-    theory: DefaultTheory,
-    goal: Formula | None,
-    stats: Stats,
-    want_witness: bool,
-) -> tuple[bool, ExtensionWitness | None]:
-    if want_witness:
-        _, witness = _r1_engine("ext", theory, None, stats, True)
-        return True, witness
-    return True, None
-
-
 def _run_engine(
     label: str,
     problem: str,
@@ -563,22 +451,16 @@ def _run_engine(
     stats: Stats,
     want_witness: bool,
 ) -> tuple[bool, ExtensionWitness | None]:
-    if label == "generic":
-        return _enumerate_engine(problem, theory, goal, stats, want_witness, fragments=False)
-    if label == "affine_guess":
-        return _enumerate_engine(problem, theory, goal, stats, want_witness, fragments=True)
-    if label == "monotone_iterative":
-        return _monotone_engine(problem, theory, goal, stats, want_witness)
-    if label == "r1_unique":
-        return _r1_engine(problem, theory, goal, stats, want_witness)
-    if label == "poly_fragment":
-        if subset_of_clone(theory.signature, "M"):
-            return _monotone_engine(problem, theory, goal, stats, want_witness)
-        return _r1_engine(problem, theory, goal, stats, want_witness)
+    if label in ("generic", "affine_guess"):
+        return _enumerate_engine(problem, theory, goal, stats)
+    if label in ("monotone_iterative", "r1_unique", "poly_fragment"):
+        return _fixpoint_engine(problem, theory, goal, stats)
     if label == "reachability":
-        return _reachability_engine(problem, theory, goal, stats, want_witness)
+        return _reachability_engine(problem, theory, goal)
     if label == "trivial_yes":
-        return _trivial_engine(problem, theory, goal, stats, want_witness)
+        # every theory over a 1-reproducing signature has an extension; the
+        # fixpoint is run only to name its generating defaults
+        return True, _fixpoint_engine("ext", theory, None, stats)[1] if want_witness else None
     raise ValueError(f"unknown engine label {label!r}")
 
 

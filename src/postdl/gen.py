@@ -73,7 +73,7 @@ def random_cnf3(rng: random.Random, max_vars: int = 3, max_clauses: int = 3) -> 
 def small_3cnf_corpus(limit: int = 600) -> list[CnfFormula]:
     """A deterministic, deduplicated corpus of 3CNF formulas over at most
     three variables and three clauses: all one- and two-clause formulas
-    plus an evenly strided sample of the three-clause ones."""
+    plus `limit` evenly strided three-clause ones."""
     lits = [1, -1, 2, -2, 3, -3]
     clause_pool = sorted(
         {tuple(sorted(c)) for c in combinations(lits, 3)}
@@ -83,10 +83,8 @@ def small_3cnf_corpus(limit: int = 600) -> list[CnfFormula]:
     formulas.extend((c,) for c in clause_pool)
     formulas.extend((a, b) for a, b in combinations(clause_pool, 2))
     triples = list(combinations(clause_pool, 3))
-    budget = max(0, limit - len(formulas))
-    if budget and triples:
-        stride = max(1, len(triples) // budget)
-        formulas.extend(triples[::stride][:budget])
+    if limit > 0:
+        formulas.extend(triples[:: max(1, len(triples) // limit)][:limit])
     return [CnfFormula(3, f) for f in formulas]
 
 

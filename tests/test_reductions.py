@@ -1,6 +1,7 @@
 import math
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -8,7 +9,7 @@ from postdl.boolfun import BUILTINS
 from postdl.engine import cred, ext, skep
 from postdl.errors import EmptyDisjunction, InputError, MalformedChain, NotThreeCnf
 from postdl.formula import connectives, variables
-from postdl.gen import random_digraph, random_hypergraph, random_snsat
+from postdl.gen import random_digraph, random_hypergraph, random_snsat, small_3cnf_corpus
 from postdl.reductions import (
     CnfFormula,
     Digraph,
@@ -101,6 +102,13 @@ def test_threesat_small_corpus():
         assert ext(th).answer == want
         th, goal = threesat_to_default(cnf, "skep")
         assert skep(th, goal).answer == (not want)
+
+
+def test_small_3cnf_corpus_clause_lengths():
+    # all one- and two-clause formulas plus `limit` three-clause ones
+    for limit in (450, 0):
+        lengths = Counter(len(cnf.clauses) for cnf in small_3cnf_corpus(limit))
+        assert lengths == Counter({1: 56, 2: 1540, 3: limit})
 
 
 # -- SNSAT ------------------------------------------------------------------------
