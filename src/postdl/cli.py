@@ -80,8 +80,6 @@ def _emit(payload: dict, as_json: bool) -> None:
         print("contains:", ", ".join(payload["contains"]) or "(none)")
         print("cases:", " ".join(f"{k}={v}" for k, v in payload["cases"].items()))
         print("engines:", " ".join(f"{k}={v}" for k, v in payload["engines"].items()))
-        for w in payload.get("warnings", []):
-            print("warning:", w)
 
 
 def _cmd_classify(args) -> int:

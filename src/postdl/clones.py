@@ -3,8 +3,18 @@
 The connective set B generates a function clone [B].  Everything the
 decision problems need to know about [B] is captured by (a) which of the
 property-defined clones contain [B] (subset flags, computed per function)
-and (b) which small named clones are contained in [B] (contains flags,
-decided on the arity-3 slice of [B], a subset of the 256 ternary tables).
+and (b) which small named clones are contained in [B] (contains flags).
+
+Contains flags follow from Post's lattice, where every clone is an
+intersection of property-defined clones (Böhler, Creignou, Reith,
+Vollmer, "Playing with Boolean Blocks, Part I", SIGACT News 2003): a
+named clone X lies in [B] exactly when every clone of ``FAMILY_CLONES``
+that contains B also contains X's base.  Each connective is tested
+once on its own truth table, so any arity up to
+``PROPERTY_ARITY_CAP`` is classified.  The arity-3 slice closure
+(``slice3_closure`` with ``contains_clone``) decides the same flags
+from the generated ternary tables; it is kept as the reference oracle
+for connectives of arity at most 3 and needs numpy.
 
 ``dispatch_case`` evaluates the complexity-case conditions for
 extension existence, credulous and skeptical reasoning, hardest cases
@@ -14,13 +24,16 @@ first, and selects an engine per problem.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-
-import numpy as np
+from functools import lru_cache, reduce
+from operator import and_
+from typing import TYPE_CHECKING
 
 from .boolfun import BUILTINS, BoolFun, signature_map
 from .errors import ArityUnsupported, UnknownClone
 from .properties import FunSignature, function_signature
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # ternary projections as 8-bit tables (bit i = value at assignment i)
 _PROJ = (0xAA, 0xCC, 0xF0)
@@ -59,6 +72,8 @@ def ternary_lift(f: BoolFun) -> int:
 
 def _apply_bitwise(f: BoolFun, args: list[np.ndarray]) -> np.ndarray:
     """Apply f pointwise to ternary tables packed as uint8 arrays."""
+    import numpy as np
+
     shape = np.broadcast_shapes(*(a.shape for a in args)) if args else ()
     res = np.zeros(shape, dtype=np.uint8)
     for r in range(f.n_points):
@@ -71,38 +86,43 @@ def _apply_bitwise(f: BoolFun, args: list[np.ndarray]) -> np.ndarray:
     return res
 
 
-@lru_cache(maxsize=256)
-def _closure_cached(conns: frozenset[BoolFun]) -> frozenset[int]:
+def _closure(conns: frozenset[BoolFun]) -> frozenset[int]:
     for f in conns:
         if f.arity > 3:
             raise ArityUnsupported(
                 f"connective {f.name!r} has arity {f.arity} > 3; slice closure unsupported"
             )
+    import numpy as np
+
     current: set[int] = set(_PROJ)
     frontier: set[int] = set(current)
     while frontier and len(current) < 256:
         full = np.array(sorted(current), dtype=np.uint8)
         new = np.array(sorted(frontier), dtype=np.uint8)
         seen = np.zeros(256, dtype=bool)
+        seen[full] = True
 
-        def add(arr: np.ndarray) -> None:
+        def applications():
+            for f in conns:
+                if f.arity == 0:
+                    yield np.array([0xFF if f.bits & 1 else 0x00], dtype=np.uint8)
+                elif f.arity == 1:
+                    yield _apply_bitwise(f, [new])
+                elif f.arity == 2:
+                    a, b = new[:, None], full[None, :]
+                    yield _apply_bitwise(f, [a, b])
+                    yield _apply_bitwise(f, [b, a])
+                else:
+                    n1, f1 = new[:, None, None], full[:, None, None]
+                    n2, f2 = new[None, :, None], full[None, :, None]
+                    n3, f3 = new[None, None, :], full[None, None, :]
+                    for combo in ([n1, f2, f3], [f1, n2, f3], [f1, f2, n3]):
+                        yield _apply_bitwise(f, combo)
+
+        for arr in applications():
             seen[arr.ravel()] = True
-
-        for f in conns:
-            if f.arity == 0:
-                seen[0xFF if f.bits & 1 else 0x00] = True
-            elif f.arity == 1:
-                add(_apply_bitwise(f, [new]))
-            elif f.arity == 2:
-                a, b = new[:, None], full[None, :]
-                add(_apply_bitwise(f, [a, b]))
-                add(_apply_bitwise(f, [b, a]))
-            else:
-                n1, f1 = new[:, None, None], full[:, None, None]
-                n2, f2 = new[None, :, None], full[None, :, None]
-                n3, f3 = new[None, None, :], full[None, None, :]
-                for combo in ([n1, f2, f3], [f1, n2, f3], [f1, f2, n3]):
-                    add(_apply_bitwise(f, combo))
+            if seen.all():  # all 256 tables reached: the rest of the round adds nothing
+                break
         produced = set(np.flatnonzero(seen).tolist())
         frontier = produced - current
         current |= frontier
@@ -113,11 +133,12 @@ def slice3_closure(signature) -> Slice3:
     """Least set of ternary tables containing the projections and closed
     under applying every connective of the signature."""
     sig = signature_map(signature)
-    return Slice3(_closure_cached(frozenset(sig.values())))
+    return Slice3(_closure(frozenset(sig.values())))
 
 
 # Bases of the named clones used in contains tests, from the standard
-# clone table; 0-ary base members are checked via the constant ternary table.
+# clone table; 0-ary base members are checked via the constant ternary
+# table by the slice oracle and as unary constants by the property route.
 _CONTAINS_BASES: dict[str, tuple[BoolFun, ...]] = {
     "S1": (BUILTINS["nimp"],),
     "D": (BUILTINS["dbase"],),
@@ -141,6 +162,78 @@ def contains_clone(slice3: Slice3, clone: str) -> bool:
     if base is None:
         raise UnknownClone(f"no contains-test for clone {clone!r}")
     return all(ternary_lift(f) in slice3 for f in base)
+
+
+# Property clones whose intersections give every clone of Post's lattice
+# that the contains tests tell apart.  Sc^k holds the functions whose
+# c-points share, k at a time, a coordinate equal to c.  The bases in
+# _CONTAINS_BASES have arity at most 3, and a function of arity m in
+# Sc^m lies in Sc; so for them Sc^k with k > 3 means Sc, and the chain
+# Sc^2, Sc^3, Sc is the part of the Sc^k chain that can separate them.
+# Degree 3 is needed from arity 4 on: without it every member containing
+# S1^3 = [nimp, at least 3 of 4] also contains maj, which S1^3 misses.
+FAMILY_CLONES = (
+    "R0", "R1", "M", "D", "L", "V", "E", "N",
+    "S0", "S1", "S0^2", "S1^2", "S0^3", "S1^3",
+)
+
+def _empty_meet_counts(f: BoolFun, c: int) -> tuple[int, int]:
+    """Numbers of ordered pairs and triples of c-points of f (repeats
+    allowed) that have no coordinate equal to c in common.
+
+    With C(a) the coordinates of a equal to c and u(S) the number of
+    c-points a with S inside C(a), inclusion-exclusion gives the number
+    of k-tuples with empty common part as the sum over S of
+    (-1)^|S| u(S)^k, in O(n 2^n) steps for arity n.
+    """
+    full = f.n_points - 1
+    # u[a] starts as 1 when a is C of a c-point: for c = 0 that point is ~a
+    table = f.table if c else f.table[::-1]
+    u = [int(v == str(c)) for v in table]
+    for j in range(f.arity):  # superset sums
+        bit = 1 << j
+        for a in range(full + 1):
+            if not a & bit:
+                u[a] += u[a | bit]
+    sign = [1]  # sign[a] = (-1)^|a|
+    for _ in range(f.arity):
+        sign += [-s for s in sign]
+    pairs, triples = (sum(s * x**k for s, x in zip(sign, u)) for k in (2, 3))
+    return pairs, triples
+
+
+@lru_cache(maxsize=1024)
+def _family(f: BoolFun) -> frozenset[str]:
+    """The members of FAMILY_CLONES that contain f; a 0-ary constant is tested
+    as the unary constant function, so that top lies in S0 and bot in S1."""
+    if f.arity == 0:
+        f = BoolFun(f.name, 1, f.table * 2)
+    s = function_signature(f)
+    flags = {
+        "R0": s.reproducing0,
+        "R1": s.reproducing1,
+        "M": s.monotone,
+        "D": s.self_dual,
+        "L": s.linear,
+        "V": s.is_or_shape,
+        "E": s.is_and_shape,
+        "N": len(s.depends_on) <= 1,
+        "S0": s.separating0,
+        "S1": s.separating1,
+    }
+    for c in (0, 1):
+        pairs, triples = _empty_meet_counts(f, c)
+        flags[f"S{c}^2"] = pairs == 0
+        flags[f"S{c}^3"] = triples == 0
+    return frozenset(name for name, ok in flags.items() if ok)
+
+
+def _common_family(conns) -> frozenset[str]:
+    """The members of FAMILY_CLONES that contain every connective of conns."""
+    return reduce(and_, map(_family, conns), frozenset(FAMILY_CLONES))
+
+
+_CONTAINS_FAMILIES = {clone: _common_family(base) for clone, base in _CONTAINS_BASES.items()}
 
 
 def _satisfies(sig: FunSignature, clone: str) -> bool:
@@ -182,7 +275,6 @@ class CloneReport:
     cred_case: str
     skep_case: str
     engines: dict[str, str]
-    warnings: tuple[str, ...] = ()
 
     def to_json(self) -> dict:
         return {
@@ -191,7 +283,6 @@ class CloneReport:
             "contains": sorted(self.contains),
             "cases": {"ext": self.ext_case, "cred": self.cred_case, "skep": self.skep_case},
             "engines": dict(self.engines),
-            "warnings": list(self.warnings),
         }
 
 
@@ -211,31 +302,12 @@ def dispatch_case(signature) -> CloneReport:
     Case conditions are checked from hardest to easiest; the derived
     predicates are pairwise disjoint and a loud assertion fires if the
     analysis ever matches zero or two cases.
-    Connectives of arity above 3 make containment tests unavailable: the
-    report then carries exact subset flags, no contains flags, case labels
-    "unknown" and the always-sound generic engine, plus a warning.
     """
     sig = signature_map(signature)
     props = {name: function_signature(f) for name, f in sig.items()}
     subset = frozenset(c for c in SUBSET_CLONES if all(_satisfies(props[n], c) for n in sig))
-
-    if any(f.arity > 3 for f in sig.values()):
-        return CloneReport(
-            properties=props,
-            subset=subset,
-            contains=frozenset(),
-            ext_case="unknown",
-            cred_case="unknown",
-            skep_case="unknown",
-            engines={"ext": "generic", "cred": "generic", "skep": "generic"},
-            warnings=(
-                "signature has connectives of arity > 3; clone containment "
-                "is undecided and the generic engine is used",
-            ),
-        )
-
-    sl = slice3_closure(sig)
-    contains = frozenset(c for c in CONTAINS_CLONES if contains_clone(sl, c))
+    family = _common_family(sig.values())
+    contains = frozenset(c for c in CONTAINS_CLONES if family <= _CONTAINS_FAMILIES[c])
 
     def sub(c: str) -> bool:
         return c in subset

@@ -179,3 +179,20 @@ GOLDEN_ROWS = {
         ("trivial_yes", "reachability", "reachability"),
     ),
 }
+
+# Arity-4 bases: row -> (base, expected), where a base entry is a builtin
+# name or a (name, arity, table) connective and expected has the shape of
+# a GOLDEN_ROWS value without its base.  With Tk = "at least k of 4",
+# S1^3 = [nimp, T3] and S0^3 = [imp, T2] lie strictly between S1 and S1^2
+# (S0 and S0^2): they miss maj, which S1^2 and S0^2 contain, so the named
+# clones inside them are those inside S1 (S0) and the rows are the S1 and
+# S0 rows.  G4 lies in none of the property clones, so it generates BF.
+T3_OF_4 = ("t3of4", 4, "0000000100010111")
+T2_OF_4 = ("t2of4", 4, "0001011101111111")
+G4 = ("g4", 4, "1101001110010100")
+
+GOLDEN_ROWS_ARITY4 = {
+    "S1^3": (("nimp", T3_OF_4), GOLDEN_ROWS["S1"][1:]),
+    "S0^3": (("imp", T2_OF_4), GOLDEN_ROWS["S0"][1:]),
+    "BF4": ((G4,), GOLDEN_ROWS["BF"][1:]),
+}

@@ -1,4 +1,9 @@
+import os
 import random
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -6,6 +11,8 @@ from postdl.boolfun import BUILTINS, BoolFun
 from postdl.clones import (
     CONTAINS_CLONES,
     SUBSET_CLONES,
+    _empty_meet_counts,
+    _family,
     contains_clone,
     dispatch_case,
     slice3_closure,
@@ -14,11 +21,15 @@ from postdl.clones import (
 )
 from postdl.errors import ArityUnsupported, UnknownClone
 
-from golden import GOLDEN_ROWS
+from golden import GOLDEN_ROWS, GOLDEN_ROWS_ARITY4
 
 
 def conns(*names):
     return [BUILTINS[n] for n in names]
+
+
+def table(bits, arity):
+    return "".join("1" if (bits >> i) & 1 else "0" for i in range(1 << arity))
 
 
 # -- slice closure -----------------------------------------------------------
@@ -119,6 +130,16 @@ def test_golden_row(row):
     assert (rep.engines["ext"], rep.engines["cred"], rep.engines["skep"]) == engines
 
 
+@pytest.mark.parametrize("row", sorted(GOLDEN_ROWS_ARITY4))
+def test_golden_row_arity4(row):
+    base, (subset, contains, cases, engines) = GOLDEN_ROWS_ARITY4[row]
+    rep = dispatch_case([BUILTINS[b] if isinstance(b, str) else BoolFun(*b) for b in base])
+    assert rep.subset == frozenset(subset), f"{row} subset"
+    assert rep.contains == frozenset(contains), f"{row} contains"
+    assert (rep.ext_case, rep.cred_case, rep.skep_case) == cases, f"{row} cases"
+    assert (rep.engines["ext"], rep.engines["cred"], rep.engines["skep"]) == engines
+
+
 def test_golden_s00_vs_s10_distinguished():
     rep = dispatch_case(conns("s00"))
     assert "S00" in rep.contains and "S10" not in rep.contains
@@ -189,20 +210,97 @@ def test_dispatch_total_on_random_signatures():
             assert "R1" in rep.subset
 
 
-def test_dispatch_high_arity_falls_back():
-    f4 = BoolFun("f4", 4, "0110100110010110")
-    rep = dispatch_case([f4])
-    assert rep.ext_case == "unknown"
-    assert rep.engines == {"ext": "generic", "cred": "generic", "skep": "generic"}
-    assert rep.warnings
-    # subset flags still exact: this function is linear and 0-reproducing
-    assert "L" in rep.subset and "R1" not in rep.subset
+def test_dispatch_high_arity_parity_is_l0():
+    # the 4-ary parity generates L0 = [xor], so it classifies like the L0 row
+    rep = dispatch_case([BoolFun("f4", 4, "0110100110010110")])
+    assert rep.subset == frozenset({"L"})
+    assert rep.contains == frozenset({"I2", "L0", "L2"})
+    assert (rep.ext_case, rep.cred_case, rep.skep_case) == ("NP", "NP", "coNP")
+    assert rep.engines == {"ext": "affine_guess", "cred": "affine_guess", "skep": "affine_guess"}
+
+
+def test_dispatch_arity16_within_bound():
+    rng = random.Random(16)
+    f = BoolFun("f16", 16, table(rng.getrandbits(1 << 16), 16))
+    start = time.perf_counter()
+    rep = dispatch_case([f])
+    assert time.perf_counter() - start < 2.0
+    assert rep.ext_case in {"SigmaP2", "DeltaP2", "NP", "P", "NL", "trivial"}
+
+
+# -- property route against the slice oracle -----------------------------------
+
+
+def slice_contains(signature):
+    sl = slice3_closure(signature)
+    return frozenset(c for c in CONTAINS_CLONES if contains_clone(sl, c))
+
+
+def test_property_route_matches_slice_oracle():
+    signatures = [[BoolFun("g", 3, table(bits, 3))] for bits in range(256)]
+    signatures += [[f] for f in BUILTINS.values()]
+    rng = random.Random(44)
+    pool = sorted(BUILTINS)
+    for _ in range(500):
+        sig = []
+        for i in range(rng.randint(2, 3)):
+            if rng.random() < 0.5:
+                sig.append(BUILTINS[rng.choice(pool)])
+            else:
+                arity = rng.randint(0, 3)
+                sig.append(BoolFun(f"c{i}", arity, table(rng.getrandbits(1 << arity), arity)))
+        signatures.append(sig)
+    mismatches = [s for s in signatures if dispatch_case(s).contains != slice_contains(s)]
+    assert not mismatches
+
+
+def test_property_family_hand_cases():
+    # nimp's 0-points include 11, which has no coordinate equal to 0
+    assert "S0^2" not in _family(BUILTINS["nimp"])
+    # s00 = x or (y and z) is 0 only where x is 0
+    assert "S0" in _family(BUILTINS["s00"])
+    # constants are tested as unary functions: top has no 0-point, bot no 1-point
+    assert "S0" in _family(BUILTINS["top"])
+    assert "S1" in _family(BUILTINS["bot"])
+    # maj: every two 1-points share a 1, but 110, 101, 011 do not
+    assert {"S1^2", "S0^2"} <= _family(BUILTINS["maj"])
+    assert not {"S1^3", "S0^3", "S1", "S0"} & _family(BUILTINS["maj"])
+
+
+def test_empty_meet_counts_match_enumeration():
+    # the inclusion-exclusion counts against enumerating pairs and triples
+    rng = random.Random(45)
+    for _ in range(60):
+        arity = rng.randint(1, 5)
+        f = BoolFun("f", arity, table(rng.getrandbits(1 << arity), arity))
+        full = (1 << arity) - 1
+        for c in (0, 1):
+            sets = [a if c else full ^ a for a in range(1 << arity) if f.value_at(a) == c]
+            pairs = sum(1 for a in sets for b in sets if not a & b)
+            triples = sum(1 for a in sets for b in sets for d in sets if not a & b & d)
+            assert _empty_meet_counts(f, c) == (pairs, triples), (f.table, c)
+
+
+def test_import_leaves_numpy_out():
+    # numpy is a test-only dependency: the slice oracle imports it lazily
+    import postdl
+
+    src = str(Path(postdl.__file__).resolve().parents[1])
+    code = "import sys, postdl; print('numpy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    ).stdout
+    assert out.strip() == "False"
 
 
 def test_report_json_schema():
     rep = dispatch_case(conns("or", "top"))
     js = rep.to_json()
-    assert set(js) == {"properties", "subset", "contains", "cases", "engines", "warnings"}
+    assert set(js) == {"properties", "subset", "contains", "cases", "engines"}
     assert set(js["cases"]) == {"ext", "cred", "skep"}
     assert all(c in CONTAINS_CLONES for c in js["contains"])
     assert all(c in SUBSET_CLONES for c in js["subset"])

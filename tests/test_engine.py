@@ -382,19 +382,39 @@ def test_fresh_goal_variable_across_engines():
             assert decide("skep", t, fresh).answer == want_s
 
 
-def test_high_arity_signature_uses_generic():
+def test_high_arity_signature_dispatches_like_l0():
+    # the 4-ary parity generates L0, so its theories go to affine_guess and
+    # must answer like the generic oracle, with stable witnesses
     from postdl.boolfun import BoolFun
     from postdl.formula import App, Var
 
     f4 = BoolFun("f4", 4, "0110100110010110")
-    t = DefaultTheory.make(
-        [App(f4, (Var("a"), Var("b"), Var("c"), Var("d")))],
-        [rule("a", "b", "c")],
-        [f4],
-    )
-    d = ext(t)
-    assert d.engine == "generic" and d.case == "unknown"
-    assert d.answer == ext(t, engine="generic").answer
+    rng = random.Random(4)
+
+    def formula():
+        if rng.random() < 0.3:
+            return Var(rng.choice("abcd"))
+        return App(f4, tuple(Var(rng.choice("abcd")) for _ in range(4)))
+
+    for _ in range(30):
+        t = DefaultTheory.make(
+            [formula() for _ in range(rng.randint(0, 2))],
+            [DefaultRule(formula(), formula(), formula()) for _ in range(rng.randint(1, 4))],
+            [f4],
+        )
+        goal = formula()
+        for problem, case in (("ext", "NP"), ("cred", "NP"), ("skep", "coNP")):
+            g = None if problem == "ext" else goal
+            auto = decide(problem, t, g, want_witness=True)
+            assert (auto.engine, auto.case) == ("affine_guess", case)
+            assert auto.answer == decide(problem, t, g, engine="generic").answer, (problem, t)
+            if auto.witness is None:
+                continue
+            gen = auto.witness.generating
+            assert check_stable(t, gen), (problem, t)
+            if problem != "ext":
+                extension = list(t.W) + [t.D[i].consequent for i in gen]
+                assert truth_table_implies(extension, goal) == (problem == "cred")
 
 
 def test_every_licensed_engine_agrees_with_generic():
