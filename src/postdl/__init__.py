@@ -42,7 +42,6 @@ from .formula import (
 )
 from .implication import (
     AffineSystem,
-    ImplicationQuery,
     affine_implies,
     conjunctive_implies,
     disjunctive_implies,
@@ -84,7 +83,6 @@ __all__ = [
     "truth_table_of",
     "variables",
     "AffineSystem",
-    "ImplicationQuery",
     "affine_implies",
     "conjunctive_implies",
     "disjunctive_implies",

@@ -49,11 +49,12 @@ class BoolFun:
         idx = 0
         for j, a in enumerate(args):
             idx |= (a & 1) << j
-        return (self.bits >> idx) & 1
+        return self.value_at(idx)
 
     def value_at(self, idx: int) -> int:
-        """Table bit at assignment index idx."""
-        return (self.bits >> idx) & 1
+        """Table bit at assignment index idx, read from the table string in
+        constant time (shifting ``bits`` would copy 2**arity bits)."""
+        return 1 if self.table[idx] == "1" else 0
 
     @property
     def n_points(self) -> int:

@@ -236,31 +236,21 @@ def _common_family(conns) -> frozenset[str]:
 _CONTAINS_FAMILIES = {clone: _common_family(base) for clone, base in _CONTAINS_BASES.items()}
 
 
-def _satisfies(sig: FunSignature, clone: str) -> bool:
-    if clone == "R1":
-        return sig.reproducing1
-    if clone == "M":
-        return sig.monotone
-    if clone == "L":
-        return sig.linear
-    if clone == "L1":
-        return sig.linear and sig.reproducing1
-    if clone == "V":
-        return sig.is_or_shape
-    if clone == "E":
-        return sig.is_and_shape
-    if clone == "N":
-        return len(sig.depends_on) <= 1
-    if clone == "I":
-        return sig.is_projection or sig.is_constant
-    raise UnknownClone(f"no property test for clone {clone!r}")
+# the members of FAMILY_CLONES whose intersection is each subset clone:
+# L1 = L n R1, I = N n M (constants and projections), the rest by name
+_SUBSET_FAMILIES = {c: frozenset({c}) for c in SUBSET_CLONES} | {
+    "L1": frozenset({"L", "R1"}),
+    "I": frozenset({"N", "M"}),
+}
 
 
 def subset_of_clone(signature, clone: str) -> bool:
     """True iff [B] is contained in the property-defined clone, i.e. every
     connective satisfies the clone's defining property."""
-    sig = signature_map(signature)
-    return all(_satisfies(function_signature(f), clone) for f in sig.values())
+    need = _SUBSET_FAMILIES.get(clone)
+    if need is None:
+        raise UnknownClone(f"no property test for clone {clone!r}")
+    return need <= _common_family(signature_map(signature).values())
 
 
 @dataclass(frozen=True)
@@ -305,8 +295,8 @@ def dispatch_case(signature) -> CloneReport:
     """
     sig = signature_map(signature)
     props = {name: function_signature(f) for name, f in sig.items()}
-    subset = frozenset(c for c in SUBSET_CLONES if all(_satisfies(props[n], c) for n in sig))
     family = _common_family(sig.values())
+    subset = frozenset(c for c, need in _SUBSET_FAMILIES.items() if need <= family)
     contains = frozenset(c for c in CONTAINS_CLONES if family <= _CONTAINS_FAMILIES[c])
 
     def sub(c: str) -> bool:

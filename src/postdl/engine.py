@@ -32,8 +32,8 @@ from .errors import (
     RuleCountTooLarge,
     TooManyVariables,
 )
-from .formula import VAR_CAP, Formula, Var, table_int, variables
-from .implication import implies, select_engine
+from .formula import VAR_CAP, App, Formula, Var, subformulas, table_int, variables
+from .implication import implies, normal_form, select_engine
 from .theory import DefaultTheory
 
 PROBLEMS = ("ext", "cred", "skep")
@@ -374,19 +374,13 @@ def unique_extension_r1(theory: DefaultTheory) -> ExtensionWitness:
 def _norm_projection(phi: Formula) -> str:
     """Normalize a formula over a projection-or-constant signature to
     '1', '0', or a variable name."""
-    if isinstance(phi, Var):
-        return phi.name
-    conn = phi.conn
-    if conn.bits == 0:
-        return "0"
-    if conn.bits == (1 << conn.n_points) - 1:
-        return "1"
-    for j in range(conn.arity):
-        if all(conn.value_at(i) == ((i >> j) & 1) for i in range(conn.n_points)):
-            return _norm_projection(phi.args[j])
-    raise EngineCloneMismatch(
-        f"connective {conn.name!r} is neither constant nor a projection"
-    )
+    for node in subformulas(phi):
+        if isinstance(node, App) and not subset_of_clone([node.conn], "I"):
+            raise EngineCloneMismatch(
+                f"connective {node.conn.name!r} is neither constant nor a projection"
+            )
+    c, support = normal_form(phi, "and")
+    return next(iter(support)) if support else str(c)
 
 
 def _reachability_engine(

@@ -1,12 +1,16 @@
 """Entailment A |= phi for formula sets, with polynomial fragment engines.
 
-The truth-table check is the reference oracle.  When every connective is
-linear the premises become GF(2) equations and entailment is Gaussian
-elimination; when every connective is conjunction-like (or
-disjunction-like) each formula normalizes to bottom, top, or a set of
-variables and entailment is containment bookkeeping.  Engine "auto"
-selects the cheapest sound engine from the signature; premises that mix
-conjunction and disjunction stay on the oracle.
+The truth-table check is the reference oracle.  The fragment engines read
+each formula off its connectives instead, in one walk over the formula
+(``normal_form``), with no truth table and no variable cap: over the
+affine clone L a formula is c xor (xor of a variable set), so the premises
+become GF(2) equations and entailment is Gaussian elimination; over the
+conjunctive clone E (or the disjunctive clone V) a formula is bottom, top,
+or the conjunction (disjunction) of a variable set, and entailment is
+containment bookkeeping.  Engine "auto" selects the cheapest sound engine
+from the signature; premises that mix conjunction and disjunction stay on
+the oracle.  An explicit fragment engine refuses a formula with a
+connective outside its clone.
 
 Entailment is classical: inconsistent premises imply everything.
 """
@@ -14,24 +18,24 @@ Entailment is classical: inconsistent premises imply everything.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from operator import and_, or_, xor
 from typing import Iterable, Sequence
 
 from .boolfun import BoolFun, signature_map
 from .clones import subset_of_clone
-from .errors import NotAffine, ShapeMismatch, TooManyVariables
-from .formula import Formula, connectives, table_int, variables
+from .errors import NotAffine, ShapeMismatch
+from .formula import Formula, Var, connectives, table_int, variables
 
 _ENGINES = ("auto", "oracle", "affine", "conjunctive", "disjunctive")
 
-
-@dataclass(frozen=True)
-class ImplicationQuery:
-    premises: tuple[Formula, ...]
-    goal: Formula
-    signature: frozenset[BoolFun]
-
-    def decide(self, engine: str = "auto") -> bool:
-        return implies(list(self.premises), self.goal, self.signature, engine)
+# shape: the fragment clone, the shape's operation on constants, and the
+# error for a connective outside the clone
+_SHAPES = {
+    "and": ("E", and_, ShapeMismatch),
+    "or": ("V", or_, ShapeMismatch),
+    "xor": ("L", xor, NotAffine),
+}
 
 
 def joint_variables(premises: Iterable[Formula], goal: Formula | None = None) -> list[str]:
@@ -57,29 +61,61 @@ def truth_table_implies(premises: Sequence[Formula], goal: Formula) -> bool:
     return prem & ~table_int(goal, order) & full == 0
 
 
+@lru_cache(maxsize=1024)
+def _connective_form(f: BoolFun, shape: str) -> tuple[int, tuple[int, ...]]:
+    """f as c op (op of its arguments at the returned indices), for f in
+    the shape's clone.  c is f at the shape's base point (all ones for
+    "and", all zeros otherwise), and an argument counts exactly when
+    flipping it there changes f."""
+    clone, _, mismatch = _SHAPES[shape]
+    if not subset_of_clone([f], clone):
+        raise mismatch(f"connective {f.name!r} is outside the clone {clone}")
+    base = f.n_points - 1 if shape == "and" else 0
+    c = f.value_at(base)
+    return c, tuple(j for j in range(f.arity) if f.value_at(base ^ 1 << j) != c)
+
+
+def normal_form(phi: Formula, shape: str) -> tuple[int, frozenset[str]]:
+    """(c, S) with phi = c op (op of the variables in S), op being the
+    shape's connective: "and", "or" or "xor".
+
+    Read off the connectives in one walk, linear in the size of phi: the
+    constants combine by op, the variable sets by union ("and", "or") or
+    symmetric difference ("xor").  S is empty when c absorbs ("and" with
+    0, "or" with 1), so S holds exactly the essential variables of phi.
+    A connective outside the shape's clone raises ShapeMismatch ("and",
+    "or") or NotAffine ("xor").
+    """
+    _, op, _ = _SHAPES[shape]
+    identity = int(shape == "and")
+    support: set[str] = set()
+
+    def walk(node: Formula) -> int:
+        if isinstance(node, Var):
+            if shape == "xor" and node.name in support:
+                support.remove(node.name)  # x xor x = 0
+            else:
+                support.add(node.name)
+            return identity
+        c, essential = _connective_form(node.conn, shape)
+        for j in essential:
+            c = op(c, walk(node.args[j]))
+        return c
+
+    c = walk(phi)
+    if shape != "xor" and c != identity:
+        return c, frozenset()
+    return c, frozenset(support)
+
+
 def linear_row(phi: Formula, index: dict[str, int]) -> tuple[int, int]:
     """Encode a linear formula as the GF(2) equation (mask, rhs):
     xor of the masked variables equals rhs.  Asserting phi means asserting
     phi = 1, i.e. xor(S) = 1 xor c for phi = c xor xor(S)."""
-    order = sorted(variables(phi))
-    if len(order) > 20:
-        raise TooManyVariables(f"formula has {len(order)} variables")
-    bits = table_int(phi, order)
-    c = bits & 1
-    mask_local = 0
-    for j in range(len(order)):
-        if ((bits >> (1 << j)) & 1) ^ c:
-            mask_local |= 1 << j
-    # verify linearity at every point
-    rows = 1 << len(order)
-    for i in range(rows):
-        acc = c ^ (bin(i & mask_local).count("1") & 1)
-        if acc != ((bits >> i) & 1):
-            raise NotAffine("formula is not a linear (xor/constant) function")
+    c, support = normal_form(phi, "xor")
     mask = 0
-    for j, name in enumerate(order):
-        if (mask_local >> j) & 1:
-            mask |= 1 << index[name]
+    for name in support:
+        mask |= 1 << index[name]
     return mask, c ^ 1
 
 
@@ -135,39 +171,11 @@ def affine_implies(premises: Sequence[Formula], goal: Formula) -> bool:
 
 def normalize_flat(phi: Formula, shape: str):
     """Normalize an E-formula (shape="and") or V-formula (shape="or") to
-    "top", "bot", or the frozenset of its essential variables.
-
-    Computed from the truth table, not syntax, so redundant nesting like
-    or(x, x) collapses.
-    """
-    order = sorted(variables(phi))
-    if len(order) > 20:
-        raise TooManyVariables(f"formula has {len(order)} variables")
-    bits = table_int(phi, order)
-    rows = 1 << len(order)
-    full = (1 << rows) - 1
-    if bits == 0:
-        return "bot"
-    if bits == full:
-        return "top"
-    ess: set[str] = set()
-    for j, name in enumerate(order):
-        half = 0
-        for i in range(rows):
-            if not (i >> j) & 1 and ((bits >> i) & 1) != ((bits >> (i | 1 << j)) & 1):
-                half = 1
-                break
-        if half:
-            ess.add(name)
-    index = {name: j for j, name in enumerate(order)}
-    for i in range(rows):
-        if shape == "and":
-            expect = all((i >> index[v]) & 1 for v in ess)
-        else:
-            expect = any((i >> index[v]) & 1 for v in ess)
-        if bool((bits >> i) & 1) != expect:
-            raise ShapeMismatch(f"formula is not a pure {shape}-of-variables shape")
-    return frozenset(ess)
+    "top", "bot", or the frozenset of its essential variables."""
+    c, support = normal_form(phi, shape)
+    if support:
+        return support
+    return "top" if c else "bot"
 
 
 def conjunctive_implies(premises: Sequence[Formula], goal: Formula) -> bool:
@@ -226,7 +234,7 @@ def implies(
 
     With engine="auto" the signature (derived from the formulas when not
     given) picks the fragment engine; explicit engines skip the analysis
-    but still verify their shape preconditions.
+    and refuse a connective outside their clone (ShapeMismatch, NotAffine).
     """
     if engine not in _ENGINES:
         raise ValueError(f"unknown implication engine {engine!r}")

@@ -180,8 +180,7 @@ def test_subset_and_contains_flags_cohere():
     # if [B] lies inside property clone C and clone X lies inside [B],
     # then X's base functions must satisfy C's property; checked through
     # the per-function property route, independent of the slice closure
-    from postdl.clones import _CONTAINS_BASES, _satisfies
-    from postdl.properties import function_signature
+    from postdl.clones import _CONTAINS_BASES
 
     rng = random.Random(43)
     pool = sorted(BUILTINS)
@@ -192,7 +191,7 @@ def test_subset_and_contains_flags_cohere():
         for c in rep.subset:
             for x in rep.contains:
                 for member in _CONTAINS_BASES[x]:
-                    assert _satisfies(function_signature(member), c), (base, c, x)
+                    assert subset_of_clone([member], c), (base, c, x)
 
 
 def test_dispatch_total_on_random_signatures():

@@ -2,15 +2,17 @@ import random
 
 import pytest
 
-from postdl.boolfun import BUILTINS
+from postdl.boolfun import BUILTINS, BoolFun
+from postdl.clones import subset_of_clone
 from postdl.errors import NotAffine, ShapeMismatch
-from postdl.formula import parse
+from postdl.formula import Var, balanced_composition, evaluate, parse
 from postdl.gen import random_formula, random_fragment_formula
 from postdl.implication import (
     affine_implies,
     conjunctive_implies,
     disjunctive_implies,
     implies,
+    normal_form,
     normalize_flat,
     select_engine,
     truth_table_implies,
@@ -94,11 +96,36 @@ def test_normalize_collapses_redundancy():
     assert normalize_flat(f("(and x (top))"), "and") == frozenset({"x"})
     assert normalize_flat(f("(or x (top))"), "or") == "top"
     assert normalize_flat(f("(and x (bot))"), "and") == "bot"
+    assert normal_form(f("(xor x (xor y x))"), "xor") == (0, frozenset({"y"}))
+    assert normal_form(f("(eq x (not y))"), "xor") == (0, frozenset({"x", "y"}))
 
 
 def test_normalize_shape_mismatch():
     with pytest.raises(ShapeMismatch):
         normalize_flat(f("(xor x y)"), "or")
+
+
+def test_explicit_engine_refuses_foreign_connective():
+    # the refusal is per connective, not by semantics: (and x x) is x
+    with pytest.raises(ShapeMismatch):
+        implies([f("(and x x)")], f("x"), engine="disjunctive")
+    with pytest.raises(ShapeMismatch):
+        implies([f("x")], f("(or x x)"), engine="conjunctive")
+    with pytest.raises(NotAffine):
+        implies([f("(or x x)")], f("x"), engine="affine")
+
+
+def test_fragments_beyond_truth_table_cap():
+    # 30 variables, over the truth tables' 20: the fragment engines build none
+    v = [Var(f"v{i}") for i in range(30)]
+    big_and = balanced_composition(SIG["and"], v)
+    assert implies([big_and], balanced_composition(SIG["and"], v[5:25]))
+    assert not implies([big_and], balanced_composition(SIG["and"], v[5:] + [Var("w")]))
+    # the parity of all 30 and v1..v29 force v0 = 0
+    prems = [balanced_composition(SIG["xor"], v)] + v[1:]
+    assert implies(prems, f("(xor v0 (top))"), engine="affine")
+    assert implies(prems, f("(xor v0 v1)"), engine="affine")
+    assert not implies(prems[:-1], f("(xor v0 (top))"), engine="affine")
 
 
 # -- dispatch ------------------------------------------------------------------
@@ -126,11 +153,37 @@ def test_implies_auto_infers_signature():
     ("disj", disjunctive_implies),
 ])
 def test_fragments_agree_with_oracle(kind, frag):
-    rng = random.Random(hash(kind) & 0xFFFF)
+    rng = random.Random(f"fragments:{kind}")
     for _ in range(250):
         prems = [random_fragment_formula(rng, kind, max_vars=8) for _ in range(rng.randint(0, 5))]
         goal = random_fragment_formula(rng, kind, max_vars=8)
         assert frag(prems, goal) == truth_table_implies(prems, goal)
+
+
+@pytest.mark.parametrize("shape,clone", [("and", "E"), ("or", "V"), ("xor", "L")])
+def test_normal_form_matches_truth_table(shape, clone):
+    # every connective of arity <= 3 in the clone, inessential arguments
+    # included: phi = c op (op of S), and S is phi's essential variables
+    conns = [
+        BoolFun(f"g{n}_{bits}", n, format(bits, f"0{1 << n}b")[::-1])
+        for n in range(4)
+        for bits in range(1 << (1 << n))
+    ]
+    conns = [g for g in conns if subset_of_clone([g], clone)]
+    order = ["a", "b", "c", "d"]
+    rng = random.Random(f"normal_form:{shape}")
+    for _ in range(200):
+        phi = random_formula(rng, conns, order, 3)
+        c, support = normal_form(phi, shape)
+        values = []
+        for i in range(16):
+            env = {v: (i >> j) & 1 for j, v in enumerate(order)}
+            picked = [env[v] for v in support]
+            want = {"and": c & all(picked), "or": c | any(picked), "xor": c ^ sum(picked) & 1}
+            assert evaluate(phi, env) == want[shape]
+            values.append(want[shape])
+        essential = {v for j, v in enumerate(order) if any(values[i] != values[i ^ 1 << j] for i in range(16))}
+        assert support == essential
 
 
 def _random_general(rng, n_prems):
@@ -156,11 +209,9 @@ def test_entailment_axioms():
             assert truth_table_implies(prems, goal)
 
 
-def test_implication_query_and_affine_system():
-    from postdl.implication import AffineSystem, ImplicationQuery, linear_row
+def test_affine_system():
+    from postdl.implication import AffineSystem, linear_row
 
-    q = ImplicationQuery((f("(xor x y)"),), f("(xor y x)"), frozenset({SIG["xor"]}))
-    assert q.decide() and q.decide("oracle")
     order = ["x", "y"]
     system = AffineSystem.from_formulas([f("(eq x y)"), f("x")], order)
     index = {n: j for j, n in enumerate(order)}

@@ -237,6 +237,18 @@ def test_hgap_random_cross_check():
         done += 1
 
 
+def test_hgap_disjunctive_reversed_chain_past_variable_cap():
+    # 30 nodes give 30 variables: the image is decided by the fragment
+    # engine, with no truth table; the last edge turned around cuts the path
+    nodes = tuple(f"n{i}" for i in range(30))
+    path = [((nodes[i],), nodes[i + 1]) for i in range(29)]
+    for edges in (path, path[:-1] + [((nodes[29],), nodes[28])]):
+        h = Hypergraph(nodes, tuple(reversed(edges)))
+        d = ext(hgap_to_ext(h, [nodes[0]], nodes[29], "disjunctive"))
+        assert d.engine == "poly_fragment"
+        assert d.answer == (not hgap_reach(h, [nodes[0]], nodes[29]))
+
+
 # -- GAP -------------------------------------------------------------------------
 
 
