@@ -45,6 +45,7 @@ from .implication import (
     affine_implies,
     conjunctive_implies,
     disjunctive_implies,
+    fragment_state,
     implies,
     truth_table_implies,
 )
@@ -86,6 +87,7 @@ __all__ = [
     "affine_implies",
     "conjunctive_implies",
     "disjunctive_implies",
+    "fragment_state",
     "implies",
     "truth_table_implies",
     "FunSignature",

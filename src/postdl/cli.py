@@ -16,7 +16,6 @@ from .boolfun import BUILTINS, BoolFun
 from .clones import dispatch_case
 from .engine import decide
 from .errors import CapExceeded, InputError, ReasonerError
-from .theory import DefaultTheory
 from .formats import (
     read_digraph,
     read_dimacs,
@@ -99,9 +98,6 @@ def _cmd_decide(problem: str, args) -> int:
     theory, goal = _load_theory(args.theory)
     if args.goal is not None:
         goal = parse(args.goal, {f.name: f for f in theory.signature} | BUILTINS, allow_reserved=True)
-        extra = connectives(goal) - set(theory.signature)
-        if extra:
-            theory = DefaultTheory(theory.W, theory.D, theory.signature | extra)
     if problem in ("cred", "skep") and goal is None:
         raise InputError(f"{problem} needs a goal: line in the file or --goal")
     decision = decide(

@@ -9,9 +9,12 @@ popcount, then index), not over raw rule subsets.  Affine signatures (the
 NP case) use the same guess-and-check enumeration: the case fixes the
 complexity of the problem, not how a guess is checked.  The other
 specialized engines implement the procedures the clone analysis licenses:
-one rule-firing fixpoint for monotone and 1-reproducing signatures, with
-fragment implication where the signature allows it, and graph
-reachability for projection-like signatures.
+one rule-firing least fixpoint for monotone and 1-reproducing signatures,
+and graph reachability for projection-like signatures.  The fixpoint is a
+worklist over one incremental entailment state per decision (a fragment
+state of ``implication`` where the signature allows it, otherwise a
+running AND of truth tables), so a rule is re-tested only when an asserted
+formula changes what its prerequisite waits on.
 
 Justification tests ("not beta" must stay out of the extension) are always
 evaluated semantically: against a consistent candidate they reduce to
@@ -24,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .clones import CloneReport, dispatch_case, subset_of_clone
+from .clones import dispatch_case, subset_of_clone
 from .errors import (
     DefaultCountTooLarge,
     EngineCloneMismatch,
@@ -32,8 +35,8 @@ from .errors import (
     RuleCountTooLarge,
     TooManyVariables,
 )
-from .formula import VAR_CAP, App, Formula, Var, subformulas, table_int, variables
-from .implication import implies, normal_form, select_engine
+from .formula import VAR_CAP, App, Formula, Var, connectives, subformulas, table_int, variables
+from .implication import EntailmentState, fragment_state, normal_form, select_engine
 from .theory import DefaultTheory
 
 PROBLEMS = ("ext", "cred", "skep")
@@ -62,12 +65,16 @@ class Stats:
 
     subsets_checked: consequent subsets whose stability was checked.
     implication_calls: entailment and consistency tests actually made, one
-    count per test: a rule's justification against a candidate extension,
-    a rule's prerequisite or a goal against the formulas derived so far,
-    and the closing test of each stability check that the derived formulas
-    have the candidate's models.  Satisfiability checks of the facts or of
-    a candidate on its own, the all-ones evaluations of the fixpoint engine
-    and the reachability engine's graph search are not counted.
+    count per test.  The enumerating engines count a rule's justification
+    against a candidate extension, a rule's prerequisite against the
+    formulas derived so far, a goal against an extension, and the closing
+    test of each stability check that the derived formulas have the
+    candidate's models.  The fixpoint engine counts one test per
+    prerequisite test its entailment state makes, when the rule registers
+    and each time an asserted formula wakes it, plus the goal test.
+    Satisfiability checks of the facts or of a candidate on its own, the
+    all-ones evaluations of the fixpoint engine and the reachability
+    engine's graph search are not counted.
     """
 
     subsets_checked: int = 0
@@ -311,53 +318,93 @@ def _enumerate_engine(
     return problem == "skep", None
 
 
+class _TableState(EntailmentState):
+    """The oracle mode's entailment state: the premises as a running AND of
+    the context's truth tables.  Every change of it re-tests every waiting
+    goal."""
+
+    def __init__(self, ctx: TableContext):
+        super().__init__()
+        self._ctx = ctx
+        self._models = ctx.full
+
+    def _norm(self, phi: Formula) -> int:
+        return self._ctx.table(phi)  # the context memoizes the tables
+
+    def _holds(self, table: int) -> bool:
+        return self._models & ~table & self._ctx.full == 0
+
+    def _wait(self, key, table: int) -> None:
+        self._waiting[key] = table
+
+    def add(self, phi: Formula) -> list:
+        models = self._models & self._ctx.table(phi)
+        if models == self._models:
+            return []
+        self._models = models
+        if models == 0:
+            return self._refute()
+        self.tests += len(self._waiting)
+        woken = [key for key, table in self._waiting.items() if self._holds(table)]
+        for key in woken:
+            del self._waiting[key]
+        return woken
+
+
 def _fixpoint_engine(
     problem: str,
     theory: DefaultTheory,
     goal: Formula | None,
     stats: Stats,
 ) -> tuple[bool, ExtensionWitness | None]:
-    """Rule firing to a fixpoint for monotone or 1-reproducing signatures
-    (monotone_iterative, r1_unique and poly_fragment): a rule fires when
-    its prerequisite is implied and its justification is not equivalent
-    to 0; an applicable rule concluding 0 refutes extension existence.
-    The not-equivalent-to-0 tests are the all-ones evaluations, exact for
-    monotone formulas.  Under a 1-reproducing signature every formula is 1
-    at all-ones, so these tests never fire and the iteration is
-    justification-free; it yields the unique stable extension.
-    Inconsistent facts short-circuit: the theory then has the trivial
-    extension."""
+    """Least fixpoint of rule firing for monotone or 1-reproducing
+    signatures (monotone_iterative, r1_unique and poly_fragment): a rule
+    fires when its prerequisite is implied and its justification is not
+    equivalent to 0; an applicable rule concluding 0 refutes extension
+    existence.  The not-equivalent-to-0 tests are the all-ones
+    evaluations, exact for monotone formulas.  Under a 1-reproducing
+    signature every formula is 1 at all-ones, so these tests never fire
+    and the iteration is justification-free; it yields the unique stable
+    extension.  Inconsistent facts short-circuit: the theory then has the
+    trivial extension.
+
+    The iteration is a worklist over one entailment state of the
+    signature's implication mode (a fragment state, or the truth tables):
+    the facts are asserted, every rule with a live justification watches
+    its prerequisite, and a fired rule asserts its consequent, which wakes
+    only the rules whose watched prerequisite it makes entailed.  Each
+    formula is normalized once.  The fixpoint is least, so the answer and
+    the generating rules do not depend on the firing order.
+    """
     if len(theory.D) > POLY_RULE_CAP:
         raise RuleCountTooLarge(f"more than {POLY_RULE_CAP} rules")
     if any(_ones(w) == 0 for w in theory.W):
         return True, None if problem == "skep" else ExtensionWitness((), inconsistent=True)
     mode = select_engine(theory.signature)
-    ctx = TableContext(theory, [goal] if goal is not None else []) if mode == "oracle" else None
-
-    def entails(premises: Sequence[Formula], phi: Formula) -> bool:
-        stats.implication_calls += 1
-        if ctx is None:
-            return implies(premises, phi, engine=mode)
-        return ctx.and_of(premises) & ~ctx.table(phi) & ctx.full == 0
-
-    gens = list(theory.W)
+    if mode == "oracle":
+        state = _TableState(TableContext(theory, [goal] if goal is not None else []))
+    else:
+        state = fragment_state(mode)
+    for w in theory.W:
+        state.add(w)
+    ready = [
+        i for i, d in enumerate(theory.D)
+        if _ones(d.justification) and state.watch(i, d.prerequisite)
+    ]
     applied: set[int] = set()
-    dead = [_ones(d.justification) == 0 for d in theory.D]
-    changed = True
-    while changed:
-        changed = False
-        for i, d in enumerate(theory.D):
-            if i in applied or dead[i] or not entails(gens, d.prerequisite):
-                continue
-            if _ones(d.consequent) == 0:
-                return problem == "skep", None
-            applied.add(i)
-            gens.append(d.consequent)
-            changed = True
+    while ready:
+        i = ready.pop()
+        if _ones(theory.D[i].consequent) == 0:
+            stats.implication_calls += state.tests
+            return problem == "skep", None
+        applied.add(i)
+        ready += state.add(theory.D[i].consequent)
+    stats.implication_calls += state.tests
     witness = ExtensionWitness(tuple(sorted(applied)))
     if problem == "ext":
         return True, witness
-    holds = entails(gens, goal)
+    stats.implication_calls += 1
+    holds = state.entails(goal)
     if problem == "cred":
         return holds, witness if holds else None
     return holds, None if holds else witness
@@ -464,17 +511,19 @@ def decide(
     goal: Formula | None = None,
     engine: str = "auto",
     want_witness: bool = False,
-    report: CloneReport | None = None,
 ) -> Decision:
     """Decide one of the three problems, with the engine chosen by the
-    clone analysis unless overridden.  An override that is unsound for the
+    clone analysis unless overridden.  The goal's connectives join the
+    signature before the case and the engine are picked, so every engine
+    reads the goal within its clone.  An override that is unsound for the
     signature is refused rather than silently wrong."""
     if problem not in PROBLEMS:
         raise InputError(f"unknown problem {problem!r}")
     if problem in ("cred", "skep") and goal is None:
         raise InputError(f"{problem} needs a goal formula")
-    if report is None:
-        report = dispatch_case(theory.signature)
+    if goal is not None and not connectives(goal) <= theory.signature:
+        theory = DefaultTheory(theory.W, theory.D, theory.signature | connectives(goal))
+    report = dispatch_case(theory.signature)
     case = {"ext": report.ext_case, "cred": report.cred_case, "skep": report.skep_case}[problem]
     if engine == "auto":
         label = report.engines[problem]

@@ -12,15 +12,21 @@ from the signature; premises that mix conjunction and disjunction stay on
 the oracle.  An explicit fragment engine refuses a formula with a
 connective outside its clone.
 
+Each fragment has one entailment implementation, an incremental state
+(``EntailmentState``): premises are added one at a time, goals are tested
+against them, and a watched goal is handed back when an added premise
+makes it entailed.  ``conjunctive_implies``, ``disjunctive_implies`` and
+``affine_implies`` add their premises to a fresh state and test the goal;
+the rule-firing fixpoint of ``engine`` keeps one state per decision.
+
 Entailment is classical: inconsistent premises imply everything.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import and_, or_, xor
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .boolfun import BoolFun, signature_map
 from .clones import subset_of_clone
@@ -119,56 +125,6 @@ def linear_row(phi: Formula, index: dict[str, int]) -> tuple[int, int]:
     return mask, c ^ 1
 
 
-@dataclass
-class AffineSystem:
-    """GF(2) equations (variable mask, right-hand bit) over an ordered
-    variable universe, kept in row-reduced form; each row came from one
-    linear premise asserted true."""
-
-    order: list[str]
-    pivots: list[tuple[int, int]]
-    inconsistent: bool
-
-    @staticmethod
-    def from_formulas(premises: Sequence[Formula], order: Sequence[str]) -> "AffineSystem":
-        index = {name: j for j, name in enumerate(order)}
-        system = AffineSystem(list(order), [], False)
-        for p in premises:
-            system.add_row(*linear_row(p, index))
-        return system
-
-    def _reduce(self, mask: int, rhs: int) -> tuple[int, int]:
-        for pmask, prhs in self.pivots:
-            if mask & pmask & -pmask:  # pivot bit set in mask
-                mask ^= pmask
-                rhs ^= prhs
-        return mask, rhs
-
-    def add_row(self, mask: int, rhs: int) -> None:
-        mask, rhs = self._reduce(mask, rhs)
-        if mask:
-            self.pivots.append((mask, rhs))
-            self.pivots.sort(key=lambda r: r[0] & -r[0])
-        elif rhs:
-            self.inconsistent = True
-
-    def entails(self, mask: int, rhs: int) -> bool:
-        if self.inconsistent:
-            return True
-        mask, rhs = self._reduce(mask, rhs)
-        return mask == 0 and rhs == 0
-
-
-def affine_implies(premises: Sequence[Formula], goal: Formula) -> bool:
-    """Entailment between linear formulas by GF(2) elimination: true iff
-    the premise system is inconsistent or the goal's equation lies in the
-    row span (constants tracked as an augmented column)."""
-    order = joint_variables(premises, goal)
-    system = AffineSystem.from_formulas(premises, order)
-    index = {name: j for j, name in enumerate(order)}
-    return system.entails(*linear_row(goal, index))
-
-
 def normalize_flat(phi: Formula, shape: str):
     """Normalize an E-formula (shape="and") or V-formula (shape="or") to
     "top", "bot", or the frozenset of its essential variables."""
@@ -178,36 +134,303 @@ def normalize_flat(phi: Formula, shape: str):
     return "top" if c else "bot"
 
 
+def _bits(mask: int) -> Iterator[int]:
+    """The set bits of mask, lowest first, each as a one-bit int."""
+    while mask:
+        bit = mask & -mask
+        yield bit
+        mask ^= bit
+
+
+def _toggle(index: dict, key, mask: int) -> None:
+    """Flip key's membership in index[bit] for every bit of mask: the
+    index follows a row that was xor-ed with mask."""
+    for bit in _bits(mask):
+        holders = index.setdefault(bit, set())
+        holders ^= {key}
+
+
+class AffineSystem:
+    """GF(2) equations (variable mask, right-hand bit), each from one
+    linear premise asserted true, grown one row at a time.
+
+    The rows stay fully reduced: pivots maps each row's pivot bit (its
+    lowest bit when it was added) to the row, and no other row holds that
+    bit.  So a row reduces in one pass over its pivot bits, and a new
+    pivot is cleared only from the rows that hold its bit, found through
+    an index from each non-pivot bit to the rows holding it.
+    """
+
+    def __init__(self):
+        self.pivots: dict[int, tuple[int, int]] = {}
+        self.inconsistent = False
+        self._pivot_bits = 0
+        self._holders: dict[int, set[int]] = {}
+
+    @staticmethod
+    def from_formulas(premises: Sequence[Formula], order: Sequence[str]) -> "AffineSystem":
+        index = {name: j for j, name in enumerate(order)}
+        system = AffineSystem()
+        for p in premises:
+            system.add_row(*linear_row(p, index))
+        return system
+
+    def reduce(self, mask: int, rhs: int) -> tuple[int, int]:
+        """The equation minus the pivot rows it holds: no pivot bit is
+        left, and it is 0 = 0 exactly when the rows entail it."""
+        for bit in _bits(mask & self._pivot_bits):
+            pmask, prhs = self.pivots[bit]
+            mask ^= pmask
+            rhs ^= prhs
+        return mask, rhs
+
+    def add_row(self, mask: int, rhs: int) -> tuple[int, int, int] | None:
+        """Assert the equation.  Returns the new pivot row as (bit, mask,
+        rhs), or None when the rows already decide the equation (an
+        equation they refute makes the system inconsistent)."""
+        mask, rhs = self.reduce(mask, rhs)
+        if not mask:
+            self.inconsistent = self.inconsistent or bool(rhs)
+            return None
+        bit = mask & -mask
+        for pivot in self._holders.pop(bit, ()):
+            pmask, prhs = self.pivots[pivot]
+            self.pivots[pivot] = (pmask ^ mask, prhs ^ rhs)
+            _toggle(self._holders, pivot, mask ^ bit)
+        self.pivots[bit] = (mask, rhs)
+        self._pivot_bits |= bit
+        _toggle(self._holders, bit, mask ^ bit)
+        return bit, mask, rhs
+
+    def entails(self, mask: int, rhs: int) -> bool:
+        return self.inconsistent or self.reduce(mask, rhs) == (0, 0)
+
+
+class EntailmentState:
+    """Premises asserted one at a time, with entailment tests against them;
+    one subclass per fragment, and the rule-firing fixpoint's worklist.
+
+    add(phi) asserts phi and returns the keys of the watched goals that
+    phi made entailed.  entails(phi) tests phi now.  watch(key, phi) tests
+    phi now and, when it does not hold yet, keeps it waiting under key
+    until an add entails it; each waiting key is returned at most once.
+    tests counts the tests made by watch and by the wakes of waiting
+    goals.  Each formula is normalized once per state.  A formula with a
+    connective outside the fragment's clone is refused (ShapeMismatch,
+    NotAffine), and inconsistent premises entail everything.
+    """
+
+    def __init__(self):
+        self.inconsistent = False
+        self.tests = 0
+        self._waiting: dict = {}  # key -> the goal, in the state's own form
+        self._norms: dict = {}
+
+    def _norm(self, phi: Formula):
+        n = self._norms.get(phi)
+        if n is None:
+            n = self._norms[phi] = self._normalize(phi)
+        return n
+
+    def entails(self, phi: Formula) -> bool:
+        n = self._norm(phi)
+        return self.inconsistent or self._holds(n)
+
+    def watch(self, key, phi: Formula) -> bool:
+        self.tests += 1
+        n = self._norm(phi)
+        if self.inconsistent or self._holds(n):
+            return True
+        self._wait(key, n)
+        return False
+
+    def _refute(self) -> list:
+        """The premises became inconsistent, which wakes every waiting goal."""
+        self.inconsistent = True
+        woken = list(self._waiting)
+        self._waiting.clear()
+        self.tests += len(woken)
+        return woken
+
+
+class ConjunctiveState(EntailmentState):
+    """E fragment: the premises force the union of their variable sets.
+    A waiting goal keeps the count of its variables not yet forced and
+    wakes when it reaches 0, so a fixpoint over this state is Horn forward
+    chaining in linear time (Dowling & Gallier, J. Logic Programming 1984).
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.forced: set[str] = set()
+        self._watchers: dict[str, list] = {}  # variable -> waiting keys
+
+    def _normalize(self, phi: Formula):
+        return normalize_flat(phi, "and")
+
+    def _holds(self, n) -> bool:
+        return n == "top" or (n != "bot" and n <= self.forced)
+
+    def _wait(self, key, n) -> None:
+        # a bottom goal waits on no variable: only an inconsistency wakes it
+        missing = () if n == "bot" else n - self.forced
+        self._waiting[key] = len(missing)
+        for v in missing:
+            self._watchers.setdefault(v, []).append(key)
+
+    def add(self, phi: Formula) -> list:
+        n = self._norm(phi)
+        if self.inconsistent or n == "top":
+            return []
+        if n == "bot":
+            return self._refute()
+        woken = []
+        for v in n - self.forced:
+            self.forced.add(v)
+            for key in self._watchers.pop(v, ()):
+                self._waiting[key] -= 1
+                if not self._waiting[key]:
+                    del self._waiting[key]
+                    self.tests += 1
+                    woken.append(key)
+        return woken
+
+
+class DisjunctiveState(EntailmentState):
+    """V fragment: a disjunction follows when some premise's variable set
+    lies inside its own.  Premises are indexed by their least variable,
+    which a goal must hold for the premise to lie inside it; waiting goals
+    are indexed by each of their variables, and a new premise re-tests only
+    the goals under its variable with the fewest of them."""
+
+    def __init__(self):
+        super().__init__()
+        self._premises: dict[str, list[frozenset]] = {}  # least variable -> premises
+        self._watchers: dict[str, list] = {}  # variable -> waiting keys
+
+    def _normalize(self, phi: Formula):
+        return normalize_flat(phi, "or")
+
+    def _holds(self, n) -> bool:
+        if isinstance(n, str):
+            return n == "top"
+        return any(p <= n for v in n for p in self._premises.get(v, ()))
+
+    def _wait(self, key, n) -> None:
+        self._waiting[key] = n
+        for v in () if n == "bot" else n:
+            self._watchers.setdefault(v, []).append(key)
+
+    def add(self, phi: Formula) -> list:
+        n = self._norm(phi)
+        if self.inconsistent or n == "top":
+            return []
+        if n == "bot":
+            return self._refute()
+        self._premises.setdefault(min(n), []).append(n)
+        v = min(n, key=lambda u: len(self._watchers.get(u, ())))
+        woken, still = [], []
+        for key in self._watchers.pop(v, ()):
+            goal = self._waiting.get(key)
+            if goal is None:  # woken earlier under another variable
+                continue
+            self.tests += 1
+            if n <= goal:
+                del self._waiting[key]
+                woken.append(key)
+            else:
+                still.append(key)
+        if still:
+            self._watchers[v] = still
+        return woken
+
+
+class _Index(dict):
+    """Variable name -> bit position, numbering each name on first sight."""
+
+    def __missing__(self, name: str) -> int:
+        self[name] = position = len(self)
+        return position
+
+
+class AffineState(EntailmentState):
+    """L fragment: the premises as an AffineSystem.  A waiting goal keeps
+    its row reduced against the pivots and indexed by its bits; a new
+    pivot re-reduces only the goals that hold its bit."""
+
+    def __init__(self):
+        super().__init__()
+        self.system = AffineSystem()
+        self._index = _Index()
+        self._watchers: dict[int, set] = {}  # bit -> waiting keys whose row holds it
+
+    def _normalize(self, phi: Formula):
+        return linear_row(phi, self._index)
+
+    def _holds(self, row) -> bool:
+        return self.system.entails(*row)
+
+    def _wait(self, key, row) -> None:
+        # a goal the rows refute reduces to 0 = 1: only an inconsistency wakes it
+        mask, rhs = self.system.reduce(*row)
+        self._waiting[key] = (mask, rhs)
+        _toggle(self._watchers, key, mask)
+
+    def add(self, phi: Formula) -> list:
+        row = self._norm(phi)
+        if self.inconsistent:
+            return []
+        pivot = self.system.add_row(*row)
+        if self.system.inconsistent:
+            return self._refute()
+        if pivot is None:
+            return []
+        bit, mask, rhs = pivot
+        woken = []
+        for key in self._watchers.pop(bit, ()):
+            gmask, grhs = self._waiting[key]
+            self.tests += 1
+            if gmask == mask and grhs == rhs:
+                del self._waiting[key]
+                woken.append(key)
+            else:
+                self._waiting[key] = (gmask ^ mask, grhs ^ rhs)
+            _toggle(self._watchers, key, mask ^ bit)
+        return woken
+
+
+_STATES = {"affine": AffineState, "conjunctive": ConjunctiveState, "disjunctive": DisjunctiveState}
+
+
+def fragment_state(engine: str) -> EntailmentState:
+    """An empty entailment state of the fragment engine "affine",
+    "conjunctive" or "disjunctive"."""
+    return _STATES[engine]()
+
+
+def _state_implies(state: EntailmentState, premises: Sequence[Formula], goal: Formula) -> bool:
+    for p in premises:
+        state.add(p)
+    return state.entails(goal)
+
+
+def affine_implies(premises: Sequence[Formula], goal: Formula) -> bool:
+    """Entailment between linear formulas by GF(2) elimination: true iff
+    the premise system is inconsistent or the goal's equation lies in the
+    row span (constants tracked as an augmented column)."""
+    return _state_implies(AffineState(), premises, goal)
+
+
 def conjunctive_implies(premises: Sequence[Formula], goal: Formula) -> bool:
     """Entailment for conjunction-shaped formulas: the premises jointly
     force the union of their variable sets."""
-    norms = [normalize_flat(p, "and") for p in premises]
-    if "bot" in norms:
-        return True
-    g = normalize_flat(goal, "and")
-    if g == "top":
-        return True
-    if g == "bot":
-        return False
-    forced: set[str] = set()
-    for n in norms:
-        if n != "top":
-            forced |= n
-    return g <= forced
+    return _state_implies(ConjunctiveState(), premises, goal)
 
 
 def disjunctive_implies(premises: Sequence[Formula], goal: Formula) -> bool:
     """Entailment for disjunction-shaped formulas: some premise's variable
     set must be contained in the goal's."""
-    norms = [normalize_flat(p, "or") for p in premises]
-    if "bot" in norms:
-        return True
-    g = normalize_flat(goal, "or")
-    if g == "top":
-        return True
-    if g == "bot":
-        return False
-    return any(n != "top" and n <= g for n in norms)
+    return _state_implies(DisjunctiveState(), premises, goal)
 
 
 def select_engine(signature) -> str:

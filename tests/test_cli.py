@@ -73,6 +73,23 @@ def test_goal_override(theory_file, capsys):
     assert out.startswith("answer: no")
 
 
+def test_goal_override_outside_the_file_signature(tmp_path, capsys):
+    # the file's signature is {top}; the --goal connectives join it
+    p = tmp_path / "top.dt"
+    p.write_text("W:\nx\nD:\n(default x (top) z)\n", encoding="utf-8")
+    code, out, _ = run(capsys, "cred", str(p), "--goal", "(or x y)", "--json", "--witness")
+    assert code == 0
+    assert json.loads(out) == {
+        "problem": "cred", "answer": True, "engine": "poly_fragment", "case": "P",
+        "witness": [0], "witness_inconsistent": False,
+        "stats": {"subsets_checked": 0, "implication_calls": 2},
+    }
+    code, out, _ = run(capsys, "cred", str(p), "--goal", "(xor x z)", "--json")
+    assert code == 0
+    js = json.loads(out)
+    assert (js["answer"], js["engine"], js["case"]) == (False, "affine_guess", "NP")
+
+
 def test_missing_goal_is_input_error(tmp_path, capsys):
     p = tmp_path / "nogoal.dt"
     p.write_text("W:\nx\n", encoding="utf-8")

@@ -271,10 +271,24 @@ def test_engine_override_soundness():
     with pytest.raises(EngineCloneMismatch):
         ext(t, engine="reachability")
     assert ext(t, engine="affine").answer == ext(t, engine="generic").answer
-    # the reachability engine refuses a goal connective outside I as well
+    # a goal connective outside I joins the signature: an explicit
+    # reachability override is refused, and auto dispatch answers like generic
     t = DefaultTheory.make([f("x")], [], [B["id"], B["bot"]])
     with pytest.raises(EngineCloneMismatch):
-        cred(t, f("(and x x)"))
+        cred(t, f("(and x x)"), engine="reachability")
+    assert cred(t, f("(and x x)")).answer == cred(t, f("(and x x)"), engine="generic").answer
+
+
+def test_goal_connectives_join_the_signature():
+    # over {and, top} an "or" goal is answered as the generic oracle does,
+    # not refused by the conjunctive fragment
+    t = DefaultTheory.make([f("x")], [], [B["and"], B["top"]])
+    for goal in ("(or x y)", "(or x x)", "(or q y)"):
+        for problem in ("cred", "skep"):
+            want = decide(problem, t, f(goal), engine="generic").answer
+            assert decide(problem, t, f(goal)).answer == want, (problem, goal)
+    assert cred(t, f("(or x y)")).answer and cred(t, f("(or x x)")).answer
+    assert not cred(t, f("(or q y)")).answer
 
 
 def test_decide_validates_problem_and_goal():

@@ -11,6 +11,7 @@ from postdl.implication import (
     affine_implies,
     conjunctive_implies,
     disjunctive_implies,
+    fragment_state,
     implies,
     normal_form,
     normalize_flat,
@@ -219,3 +220,71 @@ def test_affine_system():
     assert not system.inconsistent
     system.add_row(*linear_row(f("(xor x y)"), index))  # contradicts x = y
     assert system.inconsistent and system.entails(*linear_row(f("(bot)"), index))
+
+
+# -- incremental entailment states -------------------------------------------------
+
+@pytest.mark.parametrize("engine,kind", [
+    ("affine", "affine"), ("conjunctive", "conj"), ("disjunctive", "disj"),
+])
+def test_fragment_state_agrees_with_oracle(engine, kind):
+    # seeded add/watch/entails sequences over 4 or 12 variables (4 makes
+    # entailment and wakes common): every answer, and every wake of a
+    # watched goal, happens exactly when the premises added so far entail
+    # it by truth tables
+    rng = random.Random(f"state:{engine}")
+    for _ in range(150):
+        state = fragment_state(engine)
+        premises, waiting = [], {}
+        n_vars = rng.choice((4, 12))
+        for step in range(rng.randint(1, 14)):
+            phi = random_fragment_formula(rng, kind, max_vars=n_vars)
+            move = rng.random()
+            if move < 0.4:
+                premises.append(phi)
+                woken = state.add(phi)
+                due = {k for k, g in waiting.items() if truth_table_implies(premises, g)}
+                assert sorted(woken) == sorted(due)
+                for k in due:
+                    del waiting[k]
+            elif move < 0.75:
+                held = state.watch(step, phi)
+                assert held == truth_table_implies(premises, phi)
+                if not held:
+                    waiting[step] = phi
+            else:
+                assert state.entails(phi) == truth_table_implies(premises, phi)
+
+
+@pytest.mark.parametrize("engine", ["affine", "conjunctive", "disjunctive"])
+def test_fragment_state_edge_cases(engine):
+    top, bot, x, y, q = f("(top)"), f("(bot)"), f("x"), f("y"), f("q")
+    state = fragment_state(engine)
+    # entails before any add: only the tautology holds
+    assert state.entails(top) and not state.entails(x) and not state.entails(bot)
+    assert not state.watch("bot", bot) and not state.watch("y", y)
+    assert state.watch("top", top)
+    # a top premise changes nothing, and a goal over a variable that no
+    # premise mentions stays unentailed
+    assert state.add(top) == [] and state.add(x) == []
+    assert state.entails(x) and not state.entails(q) and not state.inconsistent
+    # an inconsistency (bottom, or x = 0 against x = 1 in GF(2)) wakes
+    # every waiting goal, the bottom one too, and then entails everything
+    contradiction = f("(xor x (top))") if engine == "affine" else bot
+    assert sorted(state.add(contradiction)) == ["bot", "y"]
+    assert state.inconsistent and state.entails(bot) and state.entails(q)
+    assert state.add(y) == [] and state.watch("late", q)
+    assert state.tests == 3 + 2 + 1  # watch tests, wakes, the late watch
+
+
+def test_affine_state_wakes_through_reduced_rows():
+    # x xor y xor z needs both premises: x xor z reduces it to y = 0, and
+    # the premise y = 0 then makes it 0 = 0; its negation is refuted and
+    # keeps waiting
+    state = fragment_state("affine")
+    goal, negated = f("(xor x (xor y z))"), f("(xor x (xor y (xor z (top))))")
+    assert not state.watch("g", goal) and not state.watch("h", negated)
+    assert state.add(f("(xor x z)")) == []
+    assert state.add(f("(xor y (top))")) == ["g"]
+    assert state.entails(goal) and not state.entails(negated)
+    assert state.tests == 2 + 2 + 2  # two watches, each pivot touches both rows

@@ -1,12 +1,13 @@
 import math
 
 import random
+import time
 from collections import Counter
 
 import pytest
 
 from postdl.boolfun import BUILTINS
-from postdl.engine import cred, ext, skep
+from postdl.engine import POLY_RULE_CAP, cred, decide, ext, skep
 from postdl.errors import EmptyDisjunction, InputError, MalformedChain, NotThreeCnf
 from postdl.formula import connectives, variables
 from postdl.gen import random_digraph, random_hypergraph, random_snsat, small_3cnf_corpus
@@ -247,6 +248,59 @@ def test_hgap_disjunctive_reversed_chain_past_variable_cap():
         d = ext(hgap_to_ext(h, [nodes[0]], nodes[29], "disjunctive"))
         assert d.engine == "poly_fragment"
         assert d.answer == (not hgap_reach(h, [nodes[0]], nodes[29]))
+
+
+def reversed_chain(n, broken=False, two_source_every=0):
+    """The path n0 -> ... -> n(n-1), listed last edge first, so that a pass
+    loop fires one rule per pass; every two_source_every-th edge also needs
+    n0, and a broken chain has its last edge turned around."""
+    nodes = tuple(f"n{i}" for i in range(n))
+    edges = []
+    for i in range(n - 1):
+        two = two_source_every and i % two_source_every == two_source_every - 1
+        edges.append(((nodes[i], nodes[0]) if two else (nodes[i],), nodes[i + 1]))
+    if broken:
+        edges[-1] = ((nodes[-1],), nodes[-2])
+    return Hypergraph(nodes, tuple(reversed(edges))), nodes[0], nodes[-1]
+
+
+def test_fixpoint_implication_calls_grow_linearly():
+    # one test per rule at registration and one per wake: doubling the
+    # reversed conjunctive chain doubles the count (a pass loop made
+    # quadratically many tests)
+    calls = {}
+    for n in (200, 400):
+        h, s, t = reversed_chain(n, two_source_every=4)
+        d = ext(hgap_to_ext(h, [s], t))
+        assert d.engine == "poly_fragment" and not d.answer
+        calls[n] = d.stats.implication_calls
+    assert calls[200] <= 2 * 200
+    assert calls[400] <= 2 * calls[200] + 2
+
+
+@pytest.mark.parametrize("variant,n,bound_s", [
+    ("conjunctive", 1_000, 1.0),
+    ("xor", 1_000, 1.0),
+    ("disjunctive", 100, 1.0),
+    ("conjunctive", 10_000, 10.0),  # 10,000 rules, POLY_RULE_CAP
+    ("xor", 6_000, 10.0),  # 8,997 rules
+])
+def test_reversed_chain_fixpoint_within_bound(variant, n, bound_s):
+    for broken in (False, True):
+        h, s, t = reversed_chain(n, broken, 0 if variant == "disjunctive" else 4)
+        if variant == "xor":
+            (theory, goal), problem = xor_hgap_to_cred(h, [s], t), "cred"
+        else:
+            theory, goal, problem = hgap_to_ext(h, [s], t, variant), None, "ext"
+        assert len(theory.D) <= POLY_RULE_CAP
+        start = time.perf_counter()
+        d = decide(problem, theory, goal, want_witness=True)
+        assert time.perf_counter() - start < bound_s
+        assert d.engine == "poly_fragment"
+        # edge order does not change reachability; listed first edge first,
+        # the oracle's own pass loop needs two passes instead of n
+        reach = hgap_reach(Hypergraph(h.nodes, h.edges[::-1]), [s], t)
+        assert d.answer == (reach if variant == "xor" else not reach)
 
 
 # -- GAP -------------------------------------------------------------------------
