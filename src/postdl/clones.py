@@ -203,12 +203,15 @@ def _empty_meet_counts(f: BoolFun, c: int) -> tuple[int, int]:
 
 
 @lru_cache(maxsize=1024)
-def _family(f: BoolFun) -> frozenset[str]:
-    """The members of FAMILY_CLONES that contain f; a 0-ary constant is tested
-    as the unary constant function, so that top lies in S0 and bot in S1."""
+def _classified(f: BoolFun) -> tuple[FunSignature, frozenset[str]]:
+    """The property flags of f and the members of FAMILY_CLONES that contain
+    f, computed once per connective; a 0-ary constant is tested for the
+    family as the unary constant function, so that top lies in S0 and bot
+    in S1."""
+    props = s = function_signature(f)
     if f.arity == 0:
         f = BoolFun(f.name, 1, f.table * 2)
-    s = function_signature(f)
+        s = function_signature(f)
     flags = {
         "R0": s.reproducing0,
         "R1": s.reproducing1,
@@ -225,7 +228,12 @@ def _family(f: BoolFun) -> frozenset[str]:
         pairs, triples = _empty_meet_counts(f, c)
         flags[f"S{c}^2"] = pairs == 0
         flags[f"S{c}^3"] = triples == 0
-    return frozenset(name for name, ok in flags.items() if ok)
+    return props, frozenset(name for name, ok in flags.items() if ok)
+
+
+def _family(f: BoolFun) -> frozenset[str]:
+    """The members of FAMILY_CLONES that contain f."""
+    return _classified(f)[1]
 
 
 def _common_family(conns) -> frozenset[str]:
@@ -294,7 +302,7 @@ def dispatch_case(signature) -> CloneReport:
     analysis ever matches zero or two cases.
     """
     sig = signature_map(signature)
-    props = {name: function_signature(f) for name, f in sig.items()}
+    props = {name: _classified(f)[0] for name, f in sig.items()}
     family = _common_family(sig.values())
     subset = frozenset(c for c, need in _SUBSET_FAMILIES.items() if need <= family)
     contains = frozenset(c for c in CONTAINS_CLONES if family <= _CONTAINS_FAMILIES[c])

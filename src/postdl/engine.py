@@ -5,7 +5,10 @@ The generic engine enumerates candidate extensions and doubles as the
 brute-force oracle: by the generating-defaults characterization, every
 stable extension is axiomatized by the facts plus a subset of the distinct
 rule consequents, so enumeration runs over consequent subsets (ascending
-popcount, then index), not over raw rule subsets.  Affine signatures (the
+popcount, then index), not over raw rule subsets.  The rules are tabled
+once per decision; a candidate tests each justification once, runs the
+prerequisite fixpoint over the live rules only, and is rejected as soon as
+a fired consequent cuts into its models.  Affine signatures (the
 NP case) use the same guess-and-check enumeration: the case fixes the
 complexity of the problem, not how a guess is checked.  The other
 specialized engines implement the procedures the clone analysis licenses:
@@ -25,7 +28,7 @@ when negation is not in the signature.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple
 
 from .clones import dispatch_case, subset_of_clone
 from .errors import (
@@ -65,11 +68,15 @@ class Stats:
 
     subsets_checked: consequent subsets whose stability was checked.
     implication_calls: entailment and consistency tests actually made, one
-    count per test.  The enumerating engines count a rule's justification
-    against a candidate extension, a rule's prerequisite against the
-    formulas derived so far, a goal against an extension, and the closing
-    test of each stability check that the derived formulas have the
-    candidate's models.  The fixpoint engine counts one test per
+    count per test.  The enumerating engines test each rule's justification
+    once per candidate extension; only the live rules, those whose
+    justification is consistent with the candidate, have their prerequisite
+    tested against the formulas derived so far.  A fired consequent outside
+    the candidate's chosen consequents is tested for covering the
+    candidate, and a failed cover test rejects the candidate at once (early
+    rejection); a check that runs to completion ends with the closing test
+    that the derived formulas have the candidate's models.  A goal tested
+    against an extension counts once.  The fixpoint engine counts one test per
     prerequisite test its entailment state makes, when the rule registers
     and each time an asserted formula wakes it, plus the goal test.
     Satisfiability checks of the facts or of a candidate on its own, the
@@ -176,36 +183,72 @@ def is_consistent_W(theory: DefaultTheory) -> bool:
 # stable-extension checking and enumeration
 
 
-def _stable_via_tables(
-    ctx: TableContext,
-    theory: DefaultTheory,
-    w_models: int,
-    ehat: int,
-    stats: Stats,
+class _RuleTables(NamedTuple):
+    """The truth tables one enumeration reads, built once per decision: the
+    facts' models, each rule's prerequisite, justification and consequent,
+    the distinct consequents in first-occurrence order, and the index of
+    each rule's consequent among them.  A named tuple rather than a
+    dataclass: its class is created at import in about a sixth of the
+    time, which every cold CLI process pays."""
+
+    w_models: int
+    pre: list[int]
+    just: list[int]
+    con: list[int]
+    conseqs: list[int]
+    conseq_of: list[int]
+
+    @classmethod
+    def build(cls, ctx: TableContext, theory: DefaultTheory) -> "_RuleTables":
+        index: dict[Formula, int] = {}
+        conseq_of = [index.setdefault(d.consequent, len(index)) for d in theory.D]
+        table = ctx.table
+        return cls(
+            ctx.and_of(theory.W),
+            [table(d.prerequisite) for d in theory.D],
+            [table(d.justification) for d in theory.D],
+            [table(d.consequent) for d in theory.D],
+            [table(c) for c in index],
+            conseq_of,
+        )
+
+
+def _stable(
+    t: _RuleTables, ehat: int, chosen: int, stats: Stats
 ) -> tuple[bool, tuple[int, ...]]:
     """Is the candidate with model set ehat a stable extension, and which
-    rules generate it?  The extension iteration starts from the facts'
-    models w_models and fires every rule whose justification is consistent
-    with the candidate and whose prerequisite the derived formulas entail."""
+    rules generate it?  chosen masks the distinct consequents that, with
+    the facts, axiomatize ehat, so ehat entails them without a test.
+
+    The live rules are those whose justification is consistent with ehat;
+    the extension iteration starts from the facts' models and fires every
+    live rule whose prerequisite the derived formulas entail.  The derived
+    model set only shrinks and must end equal to ehat, so the candidate is
+    rejected as soon as a fired consequent does not cover ehat; a stable
+    candidate never meets that test and runs to the closing comparison."""
     if ehat == 0:
-        return w_models == 0, ()
-    gens = w_models
-    applied: set[int] = set()
-    changed = True
-    while changed:
-        changed = False
-        for i, d in enumerate(theory.D):
-            if i in applied:
-                continue
+        return t.w_models == 0, ()
+    pre, con, conseq_of = t.pre, t.con, t.conseq_of
+    stats.implication_calls += len(t.just)
+    waiting = [i for i, j in enumerate(t.just) if ehat & j]
+    gens = t.w_models
+    applied: list[int] = []
+    while waiting:
+        rest = []
+        for i in waiting:
             stats.implication_calls += 1
-            if ehat & ctx.table(d.justification) == 0:
+            if gens & pre[i] != gens:
+                rest.append(i)
                 continue
-            stats.implication_calls += 1
-            if gens & ~ctx.table(d.prerequisite) & ctx.full:
-                continue
-            applied.add(i)
-            gens &= ctx.table(d.consequent)
-            changed = True
+            applied.append(i)
+            gens &= con[i]
+            if not chosen >> conseq_of[i] & 1:
+                stats.implication_calls += 1
+                if ehat & con[i] != ehat:
+                    return False, ()
+        if len(rest) == len(waiting):
+            break
+        waiting = rest
     stats.implication_calls += 1
     return gens == ehat, tuple(sorted(applied))
 
@@ -220,10 +263,12 @@ def check_stable(theory: DefaultTheory, generating: Iterable[int]) -> bool:
     idx = sorted(set(generating))
     if any(i < 0 or i >= len(theory.D) for i in idx):
         raise InputError("generating-default index out of range")
-    ctx = TableContext(theory)
-    w_models = ctx.and_of(theory.W)
-    ehat = w_models & ctx.and_of(theory.D[i].consequent for i in idx)
-    return _stable_via_tables(ctx, theory, w_models, ehat, Stats())[0]
+    t = _RuleTables.build(TableContext(theory), theory)
+    ehat, chosen = t.w_models, 0
+    for i in idx:
+        ehat &= t.con[i]
+        chosen |= 1 << t.conseq_of[i]
+    return _stable(t, ehat, chosen, Stats())[0]
 
 
 @dataclass(frozen=True)
@@ -239,16 +284,18 @@ class ExtensionInfo:
 
 def _enumeration_context(
     theory: DefaultTheory, goal: Formula | None
-) -> tuple[list[Formula], TableContext]:
-    """The distinct rule consequents, checked against the enumeration cap
-    before any truth table is built, and the instance's table context."""
-    conseqs = list(dict.fromkeys(d.consequent for d in theory.D))
-    if len(conseqs) > GENERIC_CONSEQUENT_CAP:
+) -> tuple[_RuleTables, TableContext]:
+    """The rule tables and the instance's table context; the number of
+    distinct consequents is checked against the enumeration cap before any
+    truth table is built."""
+    n = len(set(d.consequent for d in theory.D))
+    if n > GENERIC_CONSEQUENT_CAP:
         raise DefaultCountTooLarge(
-            f"{len(conseqs)} distinct consequents exceed the enumeration cap "
+            f"{n} distinct consequents exceed the enumeration cap "
             f"of {GENERIC_CONSEQUENT_CAP}"
         )
-    return conseqs, TableContext(theory, [goal] if goal is not None else [])
+    ctx = TableContext(theory, [goal] if goal is not None else [])
+    return _RuleTables.build(ctx, theory), ctx
 
 
 def _masks(k: int) -> Iterator[int]:
@@ -264,28 +311,25 @@ def _masks(k: int) -> Iterator[int]:
             mask = (((ripple ^ mask) >> 2) // low) | ripple
 
 
-def _stable_extensions(
-    ctx: TableContext,
-    theory: DefaultTheory,
-    conseqs: Sequence[Formula],
-    stats: Stats,
-) -> Iterator[tuple[int, int, tuple[int, ...]]]:
+def _stable_extensions(t: _RuleTables, stats: Stats) -> Iterator[tuple[int, int, tuple[int, ...]]]:
     """Stable extensions in enumeration order, lazily: for each consequent
     subset that axiomatizes one (with the facts), its mask, the model set
     of the facts plus the chosen consequents, and the generating rules."""
-    w_models = ctx.and_of(theory.W)
-    for mask in _masks(len(conseqs)):
-        ehat = w_models & ctx.and_of(c for j, c in enumerate(conseqs) if (mask >> j) & 1)
+    for mask in _masks(len(t.conseqs)):
+        ehat = t.w_models
+        for j, c in enumerate(t.conseqs):
+            if mask >> j & 1:
+                ehat &= c
         stats.subsets_checked += 1
-        stable, applied = _stable_via_tables(ctx, theory, w_models, ehat, stats)
+        stable, applied = _stable(t, ehat, mask, stats)
         if stable:
             yield mask, ehat, applied
 
 
 def enumerate_extensions(theory: DefaultTheory, goal: Formula | None = None) -> tuple[list[ExtensionInfo], TableContext]:
     """All stable extensions by consequent-subset enumeration (oracle side)."""
-    conseqs, ctx = _enumeration_context(theory, goal)
-    found = _stable_extensions(ctx, theory, conseqs, Stats())
+    t, ctx = _enumeration_context(theory, goal)
+    found = _stable_extensions(t, Stats())
     return [ExtensionInfo(mask, applied, models) for mask, models, applied in found], ctx
 
 
@@ -302,8 +346,8 @@ def _enumerate_engine(
     """Guess and check over consequent subsets (generic and affine_guess):
     the first stable extension answers ext, and the first one that entails
     (cred) or fails (skep) the goal is the witness."""
-    conseqs, ctx = _enumeration_context(theory, goal)
-    for _, models, applied in _stable_extensions(ctx, theory, conseqs, stats):
+    t, ctx = _enumeration_context(theory, goal)
+    for _, models, applied in _stable_extensions(t, stats):
         # only an inconsistent W makes an unsatisfiable candidate stable
         witness = ExtensionWitness(applied, inconsistent=models == 0)
         if problem == "ext":

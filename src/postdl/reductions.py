@@ -318,26 +318,37 @@ class Digraph:
 
 
 def hgap_reach(h: Hypergraph, sources, target: str) -> bool:
-    """Forward chaining: a hyperedge fires when all its sources are
-    reached (the oracle side)."""
+    """Forward chaining in linear time (the oracle side): each hyperedge
+    counts its sources not yet reached and fires when the count drops to
+    zero; an index from each node to the hyperedges it feeds visits every
+    hyperedge once per source."""
+    missing = [len(set(src)) for src, _ in h.edges]
+    feeds: dict[str, list[int]] = {}
+    for k, (src, _) in enumerate(h.edges):
+        for v in set(src):
+            feeds.setdefault(v, []).append(k)
     reached = set(sources)
-    changed = True
-    while changed:
-        changed = False
-        for src, dest in h.edges:
-            if dest not in reached and set(src) <= reached:
+    frontier = list(reached)
+    while frontier:
+        for k in feeds.get(frontier.pop(), ()):
+            missing[k] -= 1
+            dest = h.edges[k][1]
+            if not missing[k] and dest not in reached:
                 reached.add(dest)
-                changed = True
+                frontier.append(dest)
     return target in reached
 
 
 def gap_reach(g: Digraph, s: str, t: str) -> bool:
+    """Depth-first search over an index of each node's successors."""
+    succ: dict[str, list[str]] = {}
+    for a, b in g.edges:
+        succ.setdefault(a, []).append(b)
     reached = {s}
     frontier = [s]
     while frontier:
-        u = frontier.pop()
-        for a, b in g.edges:
-            if a == u and b not in reached:
+        for b in succ.get(frontier.pop(), ()):
+            if b not in reached:
                 reached.add(b)
                 frontier.append(b)
     return t in reached

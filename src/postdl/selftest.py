@@ -6,7 +6,7 @@ import random
 
 from .boolfun import BUILTINS
 from .clones import dispatch_case
-from .engine import decide, enumerate_extensions
+from .engine import check_stable, decide, enumerate_extensions
 from .gen import (
     FAMILIES,
     random_digraph,
@@ -58,15 +58,30 @@ def _engines_section(rng: random.Random, per_family: int) -> tuple[bool, str]:
             goal = random_goal(rng, theory, family)
             for problem in ("ext", "cred", "skep"):
                 g = None if problem == "ext" else goal
-                fast = decide(problem, theory, g)
-                slow = decide(problem, theory, g, engine="generic")
+                fast = decide(problem, theory, g, want_witness=True)
+                slow = decide(problem, theory, g, engine="generic", want_witness=True)
                 checked += 1
                 if fast.answer != slow.answer:
                     return False, (
                         f"{problem} mismatch on a {family} theory: "
                         f"{fast.engine}={fast.answer} generic={slow.answer}"
                     )
-    return True, f"{checked} engine-vs-generic decisions"
+                for d in (fast, slow):
+                    if d.witness is not None and not _witness_holds(problem, theory, goal, d.witness):
+                        return False, f"{d.engine} returned a bad {problem} witness on a {family} theory"
+    return True, f"{checked} engine-vs-generic decisions, witnesses checked"
+
+
+def _witness_holds(problem: str, theory, goal, witness) -> bool:
+    """The witness generates a stable extension; a cred witness entails the
+    goal, a skep counter-witness does not."""
+    gen = witness.generating
+    if not check_stable(theory, gen):
+        return False
+    if problem == "ext":
+        return True
+    extension = list(theory.W) + [theory.D[i].consequent for i in gen]
+    return truth_table_implies(extension, goal) == (problem == "cred")
 
 
 def _implication_section(rng: random.Random, rounds: int) -> tuple[bool, str]:

@@ -297,9 +297,7 @@ def test_reversed_chain_fixpoint_within_bound(variant, n, bound_s):
         d = decide(problem, theory, goal, want_witness=True)
         assert time.perf_counter() - start < bound_s
         assert d.engine == "poly_fragment"
-        # edge order does not change reachability; listed first edge first,
-        # the oracle's own pass loop needs two passes instead of n
-        reach = hgap_reach(Hypergraph(h.nodes, h.edges[::-1]), [s], t)
+        reach = hgap_reach(h, [s], t)
         assert d.answer == (reach if variant == "xor" else not reach)
 
 
