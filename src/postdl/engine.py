@@ -23,13 +23,21 @@ Justification tests ("not beta" must stay out of the extension) are always
 evaluated semantically: against a consistent candidate they reduce to
 joint satisfiability with beta, which the truth-table context decides even
 when negation is not in the signature.
+
+Every truth table a decision reads comes from one ``TableContext``, the
+engines' tabling kernel: it tables each distinct formula once per decision
+(structurally equal formulas share the entry) and builds each variable's
+pattern once, on first use.  ``formula.table_int`` stays the reference
+that the tests compare it against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple
 
+from .boolfun import BoolFun
 from .clones import dispatch_case, subset_of_clone
 from .errors import (
     DefaultCountTooLarge,
@@ -37,8 +45,9 @@ from .errors import (
     InputError,
     RuleCountTooLarge,
     TooManyVariables,
+    UnboundVariable,
 )
-from .formula import VAR_CAP, App, Formula, Var, connectives, subformulas, table_int, variables
+from .formula import VAR_CAP, App, Formula, Var, _var_pattern, connectives, subformulas, variables
 from .implication import EntailmentState, fragment_state, normal_form, select_engine
 from .theory import DefaultTheory
 
@@ -127,16 +136,25 @@ class Decision:
 
 
 class TableContext:
-    """Shared truth tables for all formulas of one decision instance.
+    """The one tabling kernel of a decision: truth tables over a fixed
+    variable order, shared by every formula of the decision instance.
 
-    Tables are ints with bit i giving the value at joint assignment i;
-    var_order[0] is the least significant position.
+    The order is the sorted variables of the formulas the context is
+    built over; order[0] is the least significant position, and a
+    table is an int whose bit i is the value at joint assignment i.  Each
+    requested formula is tabled once: the memo is keyed by the formula
+    itself, and formulas hash and compare structurally, so an equal
+    formula built elsewhere reads the same entry.  Only requested formulas
+    are kept, not their subformulas, since each table holds 2^n bits.
+    A variable's pattern is built on its first use in the context, and a
+    connective's satisfying rows come from a per-connective cache, so a
+    walk does bitwise work only.  ``formula.table_int`` computes the same
+    tables from scratch and stays the reference.
     """
 
-    def __init__(self, theory: DefaultTheory, extra: Iterable[Formula] = ()):
-        vs = theory.variables()
-        extra = tuple(extra)
-        for f in extra:
+    def __init__(self, formulas: Iterable[Formula]):
+        vs: set[str] = set()
+        for f in formulas:
             vs |= variables(f)
         self.order = sorted(vs)
         if len(self.order) > VAR_CAP:
@@ -145,14 +163,14 @@ class TableContext:
             )
         self.rows = 1 << len(self.order)
         self.full = (1 << self.rows) - 1
-        self._memo: dict[int, tuple[Formula, int]] = {}
+        self._index = {name: j for j, name in enumerate(self.order)}
+        self._patterns: dict[str, int] = {}
+        self._memo: dict[Formula, int] = {}
 
     def table(self, phi: Formula) -> int:
-        hit = self._memo.get(id(phi))
-        if hit is not None:
-            return hit[1]
-        bits = table_int(phi, self.order)
-        self._memo[id(phi)] = (phi, bits)
+        bits = self._memo.get(phi)
+        if bits is None:
+            bits = self._memo[phi] = self._walk(phi)
         return bits
 
     def and_of(self, formulas: Iterable[Formula]) -> int:
@@ -160,6 +178,38 @@ class TableContext:
         for f in formulas:
             bits &= self.table(f)
         return bits
+
+    def _pattern(self, name: str) -> int:
+        bits = self._patterns.get(name)
+        if bits is None:
+            try:
+                j = self._index[name]
+            except KeyError:
+                raise UnboundVariable(f"variable {name!r} not in the context's order") from None
+            bits = self._patterns[name] = _var_pattern(j, len(self.order))
+        return bits
+
+    def _walk(self, node: Formula) -> int:
+        if isinstance(node, Var):
+            return self._pattern(node.name)
+        full = self.full
+        # per argument: its table's complement at index 0, the table at 1
+        args = [(full ^ t, t) for t in map(self._walk, node.args)]
+        out = 0
+        for r in _satisfying_rows(node.conn):
+            term = full
+            for j, pair in enumerate(args):
+                term &= pair[r >> j & 1]
+            out |= term
+            if out == full:
+                break
+        return out
+
+
+@lru_cache(maxsize=1024)
+def _satisfying_rows(f: BoolFun) -> tuple[int, ...]:
+    """The argument rows at which f is 1, bit j of a row being argument j."""
+    return tuple(r for r in range(f.n_points) if f.value_at(r))
 
 
 def _ones(phi: Formula) -> int:
@@ -175,8 +225,7 @@ def is_consistent_W(theory: DefaultTheory) -> bool:
     True (the all-ones assignment is always a model)."""
     if subset_of_clone(theory.signature, "R1"):
         return True
-    ctx = TableContext(theory)
-    return ctx.and_of(theory.W) != 0
+    return TableContext(theory.W).and_of(theory.W) != 0
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +312,7 @@ def check_stable(theory: DefaultTheory, generating: Iterable[int]) -> bool:
     idx = sorted(set(generating))
     if any(i < 0 or i >= len(theory.D) for i in idx):
         raise InputError("generating-default index out of range")
-    t = _RuleTables.build(TableContext(theory), theory)
+    t = _RuleTables.build(TableContext(theory.all_formulas()), theory)
     ehat, chosen = t.w_models, 0
     for i in idx:
         ehat &= t.con[i]
@@ -294,7 +343,7 @@ def _enumeration_context(
             f"{n} distinct consequents exceed the enumeration cap "
             f"of {GENERIC_CONSEQUENT_CAP}"
         )
-    ctx = TableContext(theory, [goal] if goal is not None else [])
+    ctx = TableContext(theory.all_formulas() + ([goal] if goal is not None else []))
     return _RuleTables.build(ctx, theory), ctx
 
 
@@ -426,7 +475,7 @@ def _fixpoint_engine(
         return True, None if problem == "skep" else ExtensionWitness((), inconsistent=True)
     mode = select_engine(theory.signature)
     if mode == "oracle":
-        state = _TableState(TableContext(theory, [goal] if goal is not None else []))
+        state = _TableState(TableContext(theory.all_formulas() + ([goal] if goal is not None else [])))
     else:
         state = fragment_state(mode)
     for w in theory.W:

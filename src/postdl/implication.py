@@ -328,7 +328,8 @@ class DisjunctiveState(EntailmentState):
         if n == "bot":
             return self._refute()
         self._premises.setdefault(min(n), []).append(n)
-        v = min(n, key=lambda u: len(self._watchers.get(u, ())))
+        # ties go to the least name, not to the set's hash order
+        v = min(n, key=lambda u: (len(self._watchers.get(u, ())), u))
         woken, still = [], []
         for key in self._watchers.pop(v, ()):
             goal = self._waiting.get(key)

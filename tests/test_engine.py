@@ -1,9 +1,17 @@
+import json
+import os
 import random
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
-from postdl.boolfun import BUILTINS
+from postdl import engine
+from postdl.boolfun import BUILTINS, BoolFun
 from postdl.engine import (
+    TableContext,
     check_stable,
     cred,
     decide,
@@ -19,9 +27,10 @@ from postdl.errors import (
     InputError,
     TooManyVariables,
 )
-from postdl.formula import parse
-from postdl.gen import FAMILIES, random_goal, random_theory
+from postdl.formula import App, Var, parse, table_int
+from postdl.gen import FAMILIES, random_formula, random_goal, random_theory
 from postdl.implication import truth_table_implies
+from postdl.reductions import SnsatInstance, snsat_eval, snsat_to_ext
 from postdl.theory import DefaultRule, DefaultTheory
 
 B = BUILTINS
@@ -42,6 +51,14 @@ def test_consistency_examples():
     assert not is_consistent_W(DefaultTheory.make([f("x"), f("(not x)")], []))
     assert is_consistent_W(DefaultTheory.make([], []))
     assert is_consistent_W(DefaultTheory.make([f("(or x y)")], [], [B["or"]]))
+
+
+def test_consistency_tables_only_the_facts():
+    # the rules' 22 variables would put a context over all of the theory's
+    # variables past the cap; the facts alone have one
+    rules = [rule(f"a{i}", f"a{i}", f"b{i}") for i in range(11)]
+    assert is_consistent_W(DefaultTheory.make([f("(not x)")], rules))
+    assert not is_consistent_W(DefaultTheory.make([f("x"), f("(not x)")], rules))
 
 
 # -- check_stable ----------------------------------------------------------------
@@ -203,6 +220,71 @@ def test_consistent_w_extensions_are_consistent():
             assert info.models != 0
 
 
+# -- the tabling kernel ------------------------------------------------------------
+
+
+def _copy(phi):
+    """A structurally equal formula that shares no node with phi."""
+    if isinstance(phi, Var):
+        return Var(phi.name)
+    return App(phi.conn, [_copy(a) for a in phi.args])
+
+
+def test_table_context_matches_table_int():
+    # all builtins plus random connectives of arity 0-4, constants included
+    rng = random.Random("table-context")
+    for trial in range(60):
+        conns = list(B.values())
+        for k in range(3):
+            arity = rng.randint(0, 4)
+            table = "".join(rng.choice("01") for _ in range(1 << arity))
+            conns.append(BoolFun(f"c{k}", arity, table))
+        pool = [f"v{i}" for i in range(rng.randint(1, 6))]
+        formulas = [random_formula(rng, conns, pool, 3) for _ in range(6)]
+        formulas += [App(c) for c in conns if c.arity == 0]
+        ctx = TableContext(formulas)
+        for phi in formulas:
+            assert ctx.table(phi) == table_int(phi, ctx.order), (trial, phi)
+        entries = len(ctx._memo)
+        for phi in formulas:
+            assert ctx.table(_copy(phi)) == ctx.table(phi)
+        assert len(ctx._memo) == entries
+
+
+def test_table_context_without_variables():
+    ctx = TableContext([App(B["top"]), App(B["bot"])])
+    assert (ctx.order, ctx.full) == ([], 1)
+    assert ctx.table(App(B["top"])) == 1
+    assert ctx.table(App(B["not"], [App(B["top"])])) == 0
+
+
+def test_snsat_ext_builds_each_variable_pattern_once(monkeypatch):
+    # three chain formulas with two local variables each: 17 variables
+    inst = SnsatInstance(
+        (2, 2, 2),
+        (
+            ((("z", 1, 1), ("z", 2, -1)), (("z", 1, -1), ("z", 2, 1))),
+            ((("x", 1, 1), ("z", 1, 1)), (("z", 2, -1),)),
+            ((("x", 2, 1), ("z", 1, -1), ("z", 2, 1)), (("x", 1, 1), ("z", 2, -1))),
+        ),
+    )
+    t = snsat_to_ext(inst)
+    assert len(t.variables()) == 17
+    built = Counter()
+    pattern = engine._var_pattern
+
+    def counted(j, n):
+        built[j, n] += 1
+        return pattern(j, n)
+
+    monkeypatch.setattr(engine, "_var_pattern", counted)
+    d = ext(t)
+    assert d.engine == "monotone_iterative"
+    assert d.answer == bool(snsat_eval(inst))
+    assert built and max(built.values()) == 1
+    assert {n for _, n in built} == {17}
+
+
 # -- engine equivalence + witnesses ------------------------------------------------------
 
 
@@ -307,6 +389,47 @@ def test_decision_json_schema():
         "problem", "answer", "engine", "case", "witness", "witness_inconsistent", "stats",
     }
     assert set(js["stats"]) == {"subsets_checked", "implication_calls"}
+
+
+_DISJUNCTIVE_CHAINS = """
+import json, random
+from postdl import Var, decide, reductions
+
+rng = random.Random(16)
+for n in (8, 9, 10, 12, 16):
+    nodes = [f"n{k}" for k in rng.sample(range(10 * n), n)]
+    edges = [((nodes[i],), nodes[i + 1]) for i in range(n - 1)]
+    if n % 2:  # turn the last edge around: the target is cut off
+        edges[-1] = ((nodes[-1],), nodes[-2])
+    h = reductions.Hypergraph(tuple(nodes), tuple(edges[::-1]))
+    t = reductions.hgap_to_ext(h, [nodes[0]], nodes[-1], "disjunctive")
+    goal = Var("p_" + nodes[n // 2])
+    for problem in ("ext", "cred", "skep"):
+        g = None if problem == "ext" else goal
+        print(json.dumps(decide(problem, t, g, want_witness=True).to_json()))
+"""
+
+
+def test_disjunctive_decisions_do_not_depend_on_the_string_hash():
+    # reversed disjunctive chains tie the variables the state re-tests
+    # under, so the firing order and the test counts must not follow the
+    # per-process string hash
+    import postdl
+
+    src = str(Path(postdl.__file__).resolve().parents[1])
+    outs = [
+        subprocess.run(
+            [sys.executable, "-c", _DISJUNCTIVE_CHAINS],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+        ).stdout
+        for seed in ("1", "2")
+    ]
+    assert len(outs[0].splitlines()) == 15
+    assert all(json.loads(line)["engine"] == "poly_fragment" for line in outs[0].splitlines())
+    assert outs[0] == outs[1]
 
 
 def test_implication_calls_counts_tests_made():
