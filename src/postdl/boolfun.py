@@ -8,39 +8,64 @@ the function at the assignment where variable j (1-based) takes bit
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import InputError
 
 
-@dataclass(frozen=True)
 class BoolFun:
     """A Boolean function: name, arity and truth table.
 
     ``table`` is a string of '0'/'1' of length 2**arity; arity 0 encodes a
     constant (table of length 1).  ``bits`` caches the table as an integer
-    with bit i equal to table[i].
+    with bit i equal to table[i].  Instances are immutable; equality is over
+    name, arity and table, and the hash is computed once, at construction,
+    since connectives key the per-connective caches on every call.
     """
 
-    name: str
-    arity: int
-    table: str
-    bits: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("name", "arity", "table", "bits", "_hash")
 
-    def __post_init__(self):
-        if self.arity < 0:
-            raise InputError(f"connective {self.name!r}: negative arity")
-        if len(self.table) != 1 << self.arity:
+    def __init__(self, name: str, arity: int, table: str):
+        if arity < 0:
+            raise InputError(f"connective {name!r}: negative arity")
+        if len(table) != 1 << arity:
             raise InputError(
-                f"connective {self.name!r}: table length {len(self.table)} != 2^{self.arity}"
+                f"connective {name!r}: table length {len(table)} != 2^{arity}"
             )
-        if set(self.table) - {"0", "1"}:
-            raise InputError(f"connective {self.name!r}: table must be a 0/1 bitstring")
+        if set(table) - {"0", "1"}:
+            raise InputError(f"connective {name!r}: table must be a 0/1 bitstring")
         bits = 0
-        for i, ch in enumerate(self.table):
+        for i, ch in enumerate(table):
             if ch == "1":
                 bits |= 1 << i
-        object.__setattr__(self, "bits", bits)
+        set_ = object.__setattr__
+        set_(self, "name", name)
+        set_(self, "arity", arity)
+        set_(self, "table", table)
+        set_(self, "bits", bits)
+        set_(self, "_hash", hash((name, arity, table)))
+
+    def __setattr__(self, key, value):
+        raise AttributeError("BoolFun is immutable")
+
+    def __delattr__(self, key):
+        raise AttributeError("BoolFun is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not BoolFun:
+            return NotImplemented
+        return (
+            self.name == other.name
+            and self.arity == other.arity
+            and self.table == other.table
+        )
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return (BoolFun, (self.name, self.arity, self.table))
+
+    def __repr__(self):
+        return f"BoolFun(name={self.name!r}, arity={self.arity!r}, table={self.table!r})"
 
     def value(self, args: tuple[int, ...]) -> int:
         """Evaluate at a tuple of 0/1 argument values."""

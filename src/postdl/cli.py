@@ -34,7 +34,6 @@ from .reductions import (
     threesat_to_default,
     xor_hgap_to_cred,
 )
-from .selftest import run_selftest
 
 
 def _load_theory(path: str):
@@ -222,6 +221,9 @@ def main(argv=None) -> int:
         if args.command == "reduce":
             return _cmd_reduce(args)
         if args.command == "selftest":
+            # imported here: no other command needs selftest or gen compiled
+            from .selftest import run_selftest
+
             return run_selftest(seed=args.seed, quick=not args.full)
         raise InputError(f"unknown command {args.command!r}")
     except CapExceeded as exc:

@@ -23,10 +23,9 @@ first, and selects an engine per problem.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from operator import and_
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .boolfun import BUILTINS, BoolFun, signature_map
 from .errors import ArityUnsupported, UnknownClone
@@ -42,9 +41,9 @@ SUBSET_CLONES = ("R1", "M", "L", "L1", "V", "E", "N", "I")
 CONTAINS_CLONES = ("S1", "D", "S11", "S00", "S10", "D2", "N2", "L0", "L2", "V2", "E2", "I2")
 
 
-@dataclass(frozen=True)
-class Slice3:
-    """The arity-3 members of [B], as a set of 8-bit truth-table codes."""
+class Slice3(NamedTuple):
+    """The arity-3 members of [B], as a set of 8-bit truth-table codes.
+    ``len`` and ``in`` read the member set, not the one-field tuple."""
 
     members: frozenset[int]
 
@@ -261,8 +260,7 @@ def subset_of_clone(signature, clone: str) -> bool:
     return need <= _common_family(signature_map(signature).values())
 
 
-@dataclass(frozen=True)
-class CloneReport:
+class CloneReport(NamedTuple):
     """Where [B] sits relative to the clones the case analysis tests, the
     complexity case of each decision problem, and the engine to run."""
 

@@ -33,7 +33,6 @@ that the tests compare it against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple
 
@@ -71,7 +70,6 @@ _SOUNDNESS = {
 }
 
 
-@dataclass
 class Stats:
     """Work counters of one decision.
 
@@ -93,8 +91,27 @@ class Stats:
     engine's graph search are not counted.
     """
 
-    subsets_checked: int = 0
-    implication_calls: int = 0
+    __slots__ = ("subsets_checked", "implication_calls")
+
+    def __init__(self, subsets_checked: int = 0, implication_calls: int = 0):
+        self.subsets_checked = subsets_checked
+        self.implication_calls = implication_calls
+
+    __hash__ = None  # mutable
+
+    def __eq__(self, other):
+        if other.__class__ is not Stats:
+            return NotImplemented
+        return (self.subsets_checked, self.implication_calls) == (
+            other.subsets_checked,
+            other.implication_calls,
+        )
+
+    def __repr__(self):
+        return (
+            f"Stats(subsets_checked={self.subsets_checked!r}, "
+            f"implication_calls={self.implication_calls!r})"
+        )
 
     def to_json(self) -> dict:
         return {
@@ -103,8 +120,7 @@ class Stats:
         }
 
 
-@dataclass(frozen=True)
-class ExtensionWitness:
+class ExtensionWitness(NamedTuple):
     """Generating defaults of a stable extension, as indices into D."""
 
     generating: tuple[int, ...]
@@ -114,8 +130,7 @@ class ExtensionWitness:
         return {"generating": list(self.generating), "inconsistent": self.inconsistent}
 
 
-@dataclass(frozen=True)
-class Decision:
+class Decision(NamedTuple):
     problem: str
     answer: bool
     engine: str
@@ -236,9 +251,7 @@ class _RuleTables(NamedTuple):
     """The truth tables one enumeration reads, built once per decision: the
     facts' models, each rule's prerequisite, justification and consequent,
     the distinct consequents in first-occurrence order, and the index of
-    each rule's consequent among them.  A named tuple rather than a
-    dataclass: its class is created at import in about a sixth of the
-    time, which every cold CLI process pays."""
+    each rule's consequent among them."""
 
     w_models: int
     pre: list[int]
@@ -320,8 +333,7 @@ def check_stable(theory: DefaultTheory, generating: Iterable[int]) -> bool:
     return _stable(t, ehat, chosen, Stats())[0]
 
 
-@dataclass(frozen=True)
-class ExtensionInfo:
+class ExtensionInfo(NamedTuple):
     """One stable extension found by enumeration: the consequent-subset
     mask, the canonical generating defaults, and the model set of its
     finite axiomatization (over the context's variable order)."""

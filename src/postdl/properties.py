@@ -8,7 +8,7 @@ variables.  All flags are computed exactly from the table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .boolfun import BoolFun
 from .errors import ArityUnsupported
@@ -16,8 +16,7 @@ from .errors import ArityUnsupported
 PROPERTY_ARITY_CAP = 20
 
 
-@dataclass(frozen=True)
-class FunSignature:
+class FunSignature(NamedTuple):
     """Exact property flags of one Boolean function."""
 
     reproducing0: bool

@@ -10,7 +10,6 @@ advertised connectives.  Generated helper variables carry the reserved
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations
 
 from .boolfun import BUILTINS
@@ -30,22 +29,58 @@ _TOP_F = App(_TOP)
 _BOT_F = App(_BOT)
 
 
+class _Record:
+    """An immutable instance of a source problem: the fields are the
+    subclass's ``__slots__``, set once by ``__init__`` after the subclass has
+    validated them.  Equality holds within one class only; pickling and
+    copying go through the constructor, so they validate again."""
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for key, value in zip(self.__slots__, values):
+            object.__setattr__(self, key, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, key) for key in self.__slots__)
+
+    def __setattr__(self, key, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, key):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __reduce__(self):
+        return (type(self), self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{key}={getattr(self, key)!r}" for key in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
 # ---------------------------------------------------------------------------
 # CNF / 3SAT
 
 
-@dataclass(frozen=True)
-class CnfFormula:
+class CnfFormula(_Record):
     """Clauses of signed 1-based variable indices."""
 
-    n_vars: int
-    clauses: tuple[tuple[int, ...], ...]
+    __slots__ = ("n_vars", "clauses")
 
-    def __post_init__(self):
-        for cl in self.clauses:
+    def __init__(self, n_vars: int, clauses: tuple[tuple[int, ...], ...]):
+        for cl in clauses:
             for lit in cl:
-                if lit == 0 or abs(lit) > self.n_vars:
-                    raise InputError(f"literal {lit} out of range for {self.n_vars} variables")
+                if lit == 0 or abs(lit) > n_vars:
+                    raise InputError(f"literal {lit} out of range for {n_vars} variables")
+        super().__init__(n_vars, clauses)
 
     def is_three_cnf(self) -> bool:
         return all(len(cl) == 3 for cl in self.clauses)
@@ -130,8 +165,7 @@ def threesat_to_default(cnf: CnfFormula, mode: str = "ext"):
 # SNSAT
 
 
-@dataclass(frozen=True)
-class SnsatInstance:
+class SnsatInstance(_Record):
     """A chain of CNF formulas; formula i may mention the chain variables
     x_1..x_{i-1} and its local variables z_{i,1}..z_{i,m_i}.
 
@@ -139,15 +173,18 @@ class SnsatInstance:
     ``m`` gives the local-variable count per formula.
     """
 
-    m: tuple[int, ...]
-    clauses: tuple[tuple[tuple[tuple[str, int, int], ...], ...], ...]
+    __slots__ = ("m", "clauses")
 
-    def __post_init__(self):
-        if len(self.m) != len(self.clauses):
+    def __init__(
+        self,
+        m: tuple[int, ...],
+        clauses: tuple[tuple[tuple[tuple[str, int, int], ...], ...], ...],
+    ):
+        if len(m) != len(clauses):
             raise MalformedChain("m and clauses must have one entry per formula")
-        if not self.m:
+        if not m:
             raise MalformedChain("an instance needs at least one formula")
-        for i, (mi, cls) in enumerate(zip(self.m, self.clauses), start=1):
+        for i, (mi, cls) in enumerate(zip(m, clauses), start=1):
             for cl in cls:
                 for kind, j, sign in cl:
                     if sign not in (1, -1):
@@ -164,6 +201,7 @@ class SnsatInstance:
                             )
                     else:
                         raise MalformedChain(f"bad literal kind {kind!r}")
+        super().__init__(m, clauses)
 
     @property
     def n(self) -> int:
@@ -288,33 +326,31 @@ def snsat_to_ext(inst: SnsatInstance) -> DefaultTheory:
 # hypergraph and graph reachability
 
 
-@dataclass(frozen=True)
-class Hypergraph:
+class Hypergraph(_Record):
     """Directed hypergraph: each edge has one or two source nodes and a
     destination node."""
 
-    nodes: tuple[str, ...]
-    edges: tuple[tuple[tuple[str, ...], str], ...]
+    __slots__ = ("nodes", "edges")
 
-    def __post_init__(self):
-        known = set(self.nodes)
-        for src, dest in self.edges:
+    def __init__(self, nodes: tuple[str, ...], edges: tuple[tuple[tuple[str, ...], str], ...]):
+        known = set(nodes)
+        for src, dest in edges:
             if not 1 <= len(src) <= 2:
                 raise InputError("hyperedges need one or two source nodes")
             if not set(src) <= known or dest not in known:
                 raise InputError("hyperedge mentions an unknown node")
+        super().__init__(nodes, edges)
 
 
-@dataclass(frozen=True)
-class Digraph:
-    nodes: tuple[str, ...]
-    edges: tuple[tuple[str, str], ...]
+class Digraph(_Record):
+    __slots__ = ("nodes", "edges")
 
-    def __post_init__(self):
-        known = set(self.nodes)
-        for u, v in self.edges:
+    def __init__(self, nodes: tuple[str, ...], edges: tuple[tuple[str, str], ...]):
+        known = set(nodes)
+        for u, v in edges:
             if u not in known or v not in known:
                 raise InputError("edge mentions an unknown node")
+        super().__init__(nodes, edges)
 
 
 def hgap_reach(h: Hypergraph, sources, target: str) -> bool:

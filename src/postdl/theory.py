@@ -2,16 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .boolfun import TOP, BoolFun, signature_map
 from .errors import InputError
 from .formula import App, Formula, Var, connectives, fresh_name, node_count, substitute, variables
 
 
-@dataclass(frozen=True)
-class DefaultRule:
+class DefaultRule(NamedTuple):
     """A default (prerequisite : justification) / consequent."""
 
     prerequisite: Formula
@@ -22,8 +20,7 @@ class DefaultRule:
         return (self.prerequisite, self.justification, self.consequent)
 
 
-@dataclass(frozen=True)
-class DefaultTheory:
+class DefaultTheory(NamedTuple):
     """Facts W (set semantics, stored in first-seen order), an ordered list
     of defaults D, and the connective signature the formulas live in."""
 

@@ -296,6 +296,101 @@ def test_import_leaves_numpy_out():
     assert out.strip() == "False"
 
 
+def test_cold_import_stays_lean():
+    # every CLI process compiles what `import postdl.cli` pulls in: no
+    # dataclasses (and with it inspect), no selftest or generators; the
+    # traced benchmark run needs every layer module imported up front
+    import postdl
+
+    src = Path(postdl.__file__).resolve().parents[1]
+    bench = src.parent / "bench"
+    code = (
+        "import sys, postdl.cli\n"
+        "lean = ('dataclasses', 'inspect', 'postdl.gen', 'postdl.selftest')\n"
+        "print(sorted(m for m in lean if m in sys.modules))\n"
+        f"sys.path.insert(0, {str(bench)!r})\n"
+        "from tracing import LAYERS\n"
+        "print(sorted({m for m, _, _ in LAYERS} - set(sys.modules)))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    ).stdout
+    assert out.splitlines() == ["[]", "[]"]
+
+
+def test_records_keep_value_semantics():
+    import copy
+    import pickle
+
+    from postdl.engine import Decision, ExtensionInfo, ExtensionWitness, Stats, decide, enumerate_extensions
+    from postdl.errors import InputError, MalformedChain
+    from postdl.formula import Var
+    from postdl.properties import function_signature
+    from postdl.reductions import CnfFormula, Digraph, Hypergraph, SnsatInstance
+    from postdl.theory import DefaultRule, DefaultTheory
+
+    # App does not pickle, so the theory's formulas are variables
+    x, y = Var("x"), Var("y")
+    theory = DefaultTheory.make([x], [DefaultRule(x, y, y)], conns("and"))
+    decision = decide("cred", theory, y, want_witness=True)
+    assert isinstance(decision, Decision) and isinstance(decision.witness, ExtensionWitness)
+    (info,), _ = enumerate_extensions(theory)
+    assert isinstance(info, ExtensionInfo)
+    frozen = [
+        (BoolFun("f", 2, "0110"), BoolFun("f", 2, "0110")),
+        (function_signature(BUILTINS["maj"]), function_signature(BoolFun("maj", 3, "00010111"))),
+        (slice3_closure(conns("or")), slice3_closure(conns("or", "or"))),
+        (dispatch_case(conns("xor")), dispatch_case(conns("xor"))),
+        (ExtensionWitness((0,)), ExtensionWitness((0,), inconsistent=False)),
+        (decision, decide("cred", theory, y, want_witness=True)),
+        (info, enumerate_extensions(theory)[0][0]),
+        (DefaultRule(x, y, y), DefaultRule(Var("x"), Var("y"), Var("y"))),
+        (theory, DefaultTheory.make([x], [DefaultRule(x, y, y)], conns("and"))),
+        (CnfFormula(2, ((1, -2, 2),)), CnfFormula(2, ((1, -2, 2),))),
+        (SnsatInstance((1,), (((("z", 1, 1),),),)), SnsatInstance((1,), (((("z", 1, 1),),),))),
+        (Hypergraph(("a", "b"), ((("a",), "b"),)), Hypergraph(("a", "b"), ((("a",), "b"),))),
+        (Digraph(("a", "b"), (("a", "b"),)), Digraph(("a", "b"), (("a", "b"),))),
+    ]
+    for a, b in frozen:
+        assert a == b and not a != b
+        if type(a).__name__ not in ("CloneReport", "Decision"):  # dict and Stats fields
+            assert hash(a) == hash(b)
+        assert pickle.loads(pickle.dumps(a)) == a
+        assert copy.deepcopy(a) == a
+        field = next(k for k in dir(a) if not k.startswith("_") and not callable(getattr(a, k)))
+        with pytest.raises(AttributeError):
+            setattr(a, field, getattr(a, field))
+    assert BoolFun("f", 2, "0110") != BoolFun("g", 2, "0110")
+    assert BoolFun("f", 2, "0110").bits == 0b0110
+    assert Hypergraph(("a",), ()) != Digraph(("a",), ())
+    sl = slice3_closure(conns("or"))
+    assert sl <= slice3_closure(conns("or", "and")) and 0xAA in sl and len(sl) == len(sl.members)
+
+    stats = Stats()
+    stats.subsets_checked += 2
+    assert stats == Stats(2, 0) != Stats(2, 1)
+    assert pickle.loads(pickle.dumps(stats)) == copy.deepcopy(stats) == stats
+    with pytest.raises(TypeError):
+        hash(stats)
+
+    for bad, error in [
+        (lambda: BoolFun("f", 2, "011"), InputError),
+        (lambda: BoolFun("f", -1, "0"), InputError),
+        (lambda: BoolFun("f", 1, "0x"), InputError),
+        (lambda: CnfFormula(1, ((2,),)), InputError),
+        (lambda: SnsatInstance((), ()), MalformedChain),
+        (lambda: SnsatInstance((1,), (((("x", 1, 1),),),)), MalformedChain),
+        (lambda: Hypergraph(("a",), ((("a", "a", "a"), "a"),)), InputError),
+        (lambda: Digraph(("a",), (("a", "b"),)), InputError),
+    ]:
+        with pytest.raises(error):
+            bad()
+
+
 def test_report_json_schema():
     rep = dispatch_case(conns("or", "top"))
     js = rep.to_json()
