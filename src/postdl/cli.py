@@ -24,7 +24,7 @@ from .formats import (
     read_theory,
     write_theory,
 )
-from .formula import connectives, parse, serialize
+from .formula import parse, serialize
 from .implication import implies
 from .reductions import (
     gap_to_default,
@@ -118,8 +118,7 @@ def _cmd_imp(args) -> int:
         raise InputError("imp needs a goal: line in the file or --goal")
     if theory.D:
         raise InputError("imp reads the premises from W:; the file must not have rules")
-    signature = set(theory.signature) | set(connectives(goal))
-    answer = implies(list(theory.W), goal, signature, engine=args.engine)
+    answer = implies(list(theory.W), goal, theory.signature, engine=args.engine)
     payload = {
         "problem": "imp",
         "answer": answer,

@@ -10,14 +10,14 @@ once per decision; a candidate tests each justification once, runs the
 prerequisite fixpoint over the live rules only, and is rejected as soon as
 a fired consequent cuts into its models.  Affine signatures (the
 NP case) use the same guess-and-check enumeration: the case fixes the
-complexity of the problem, not how a guess is checked.  The other
-specialized engines implement the procedures the clone analysis licenses:
-one rule-firing least fixpoint for monotone and 1-reproducing signatures,
-and graph reachability for projection-like signatures.  The fixpoint is a
-worklist over one incremental entailment state per decision (a fragment
-state of ``implication`` where the signature allows it, otherwise a
-running AND of truth tables), so a rule is re-tested only when an asserted
-formula changes what its prerequisite waits on.
+complexity of the problem, not how a guess is checked.  Every other
+engine is one rule-firing least fixpoint, for monotone, 1-reproducing and
+projection-like signatures; over the last, every formula is a constant or
+one variable and the fixpoint is graph reachability.  It is a worklist
+over one incremental entailment state per decision (a fragment state of
+``implication`` where the signature allows it, otherwise a running AND of
+truth tables), so a rule is re-tested only when an asserted formula
+changes what its prerequisite waits on.
 
 Justification tests ("not beta" must stay out of the extension) are always
 evaluated semantically: against a consistent candidate they reduce to
@@ -46,8 +46,8 @@ from .errors import (
     TooManyVariables,
     UnboundVariable,
 )
-from .formula import VAR_CAP, App, Formula, Var, _var_pattern, connectives, subformulas, variables
-from .implication import EntailmentState, fragment_state, normal_form, select_engine
+from .formula import VAR_CAP, Formula, Var, _var_pattern, connectives, variables
+from .implication import EntailmentState, fragment_state, select_engine
 from .theory import DefaultTheory
 
 PROBLEMS = ("ext", "cred", "skep")
@@ -86,9 +86,8 @@ class Stats:
     against an extension counts once.  The fixpoint engine counts one test per
     prerequisite test its entailment state makes, when the rule registers
     and each time an asserted formula wakes it, plus the goal test.
-    Satisfiability checks of the facts or of a candidate on its own, the
-    all-ones evaluations of the fixpoint engine and the reachability
-    engine's graph search are not counted.
+    Satisfiability checks of the facts or of a candidate on its own and
+    the all-ones evaluations of the fixpoint engine are not counted.
     """
 
     __slots__ = ("subsets_checked", "implication_calls")
@@ -463,15 +462,15 @@ def _fixpoint_engine(
     stats: Stats,
 ) -> tuple[bool, ExtensionWitness | None]:
     """Least fixpoint of rule firing for monotone or 1-reproducing
-    signatures (monotone_iterative, r1_unique and poly_fragment): a rule
-    fires when its prerequisite is implied and its justification is not
-    equivalent to 0; an applicable rule concluding 0 refutes extension
-    existence.  The not-equivalent-to-0 tests are the all-ones
-    evaluations, exact for monotone formulas.  Under a 1-reproducing
-    signature every formula is 1 at all-ones, so these tests never fire
-    and the iteration is justification-free; it yields the unique stable
-    extension.  Inconsistent facts short-circuit: the theory then has the
-    trivial extension.
+    signatures (monotone_iterative, r1_unique, poly_fragment and
+    reachability): a rule fires when its prerequisite is implied and its
+    justification is not equivalent to 0; an applicable rule concluding 0
+    refutes extension existence.  The not-equivalent-to-0 tests are the
+    all-ones evaluations, exact for monotone formulas.  Under a
+    1-reproducing signature every formula is 1 at all-ones, so these tests
+    never fire and the iteration is justification-free; it yields the
+    unique stable extension.  Inconsistent facts short-circuit: the theory
+    then has the trivial extension.
 
     The iteration is a worklist over one entailment state of the
     signature's implication mode (a fragment state, or the truth tables):
@@ -523,72 +522,6 @@ def unique_extension_r1(theory: DefaultTheory) -> ExtensionWitness:
     return _fixpoint_engine("ext", theory, None, Stats())[1]
 
 
-def _norm_projection(phi: Formula) -> str:
-    """Normalize a formula over a projection-or-constant signature to
-    '1', '0', or a variable name."""
-    for node in subformulas(phi):
-        if isinstance(node, App) and not subset_of_clone([node.conn], "I"):
-            raise EngineCloneMismatch(
-                f"connective {node.conn.name!r} is neither constant nor a projection"
-            )
-    c, support = normal_form(phi, "and")
-    return next(iter(support)) if support else str(c)
-
-
-def _reachability_engine(
-    problem: str,
-    theory: DefaultTheory,
-    goal: Formula | None,
-) -> tuple[bool, ExtensionWitness | None]:
-    """Graph search for projection-like signatures: facts hang off the
-    true-node, a rule with live justification is an edge from its
-    prerequisite to its consequent, and an extension exists exactly when
-    the false-node is unreachable from the true-node."""
-    if len(theory.D) > POLY_RULE_CAP:
-        raise RuleCountTooLarge(f"more than {POLY_RULE_CAP} rules")
-    norm_w = [_norm_projection(w) for w in theory.W]
-    if "0" in norm_w:
-        witness = ExtensionWitness((), inconsistent=True)
-        if problem == "ext":
-            return True, witness
-        return True, None
-    edges: dict[str, set[str]] = {}
-    rule_nodes: list[tuple[str, str] | None] = []
-    for d in theory.D:
-        if _norm_projection(d.justification) == "0":
-            rule_nodes.append(None)
-            continue
-        a, g = _norm_projection(d.prerequisite), _norm_projection(d.consequent)
-        edges.setdefault(a, set()).add(g)
-        rule_nodes.append((a, g))
-    reach = {"1"}
-    frontier = ["1"] + [w for w in norm_w if w != "1"]
-    reach.update(frontier)
-    while frontier:
-        node = frontier.pop()
-        for nxt in edges.get(node, ()):
-            if nxt not in reach:
-                reach.add(nxt)
-                frontier.append(nxt)
-    has_ext = "0" not in reach
-
-    def witness_now() -> ExtensionWitness:
-        gen = tuple(
-            i for i, an in enumerate(rule_nodes) if an is not None and an[0] in reach
-        )
-        return ExtensionWitness(gen)
-
-    if problem == "ext":
-        return (True, witness_now()) if has_ext else (False, None)
-    if not has_ext:
-        return (False, None) if problem == "cred" else (True, None)
-    g = _norm_projection(goal)
-    holds = g == "1" or (g != "0" and g in reach)
-    if problem == "cred":
-        return holds, witness_now() if holds else None
-    return holds, None if holds else witness_now()
-
-
 def _run_engine(
     label: str,
     problem: str,
@@ -599,10 +532,8 @@ def _run_engine(
 ) -> tuple[bool, ExtensionWitness | None]:
     if label in ("generic", "affine_guess"):
         return _enumerate_engine(problem, theory, goal, stats)
-    if label in ("monotone_iterative", "r1_unique", "poly_fragment"):
+    if label in ("monotone_iterative", "r1_unique", "poly_fragment", "reachability"):
         return _fixpoint_engine(problem, theory, goal, stats)
-    if label == "reachability":
-        return _reachability_engine(problem, theory, goal)
     if label == "trivial_yes":
         # every theory over a 1-reproducing signature has an extension; the
         # fixpoint is run only to name its generating defaults

@@ -61,6 +61,10 @@ class Var(Formula):
     def __hash__(self):
         return self._hash
 
+    def __reduce__(self):
+        # rebuilt through the constructor, so the hash is this process's
+        return (Var, (self.name,))
+
     def __repr__(self):
         return f"Var({self.name!r})"
 
@@ -90,6 +94,9 @@ class App(Formula):
 
     def __hash__(self):
         return self._hash
+
+    def __reduce__(self):
+        return (App, (self.conn, self.args))
 
     def __repr__(self):
         return f"App({self.conn.name}, {list(self.args)!r})"

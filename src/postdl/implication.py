@@ -435,14 +435,16 @@ def disjunctive_implies(premises: Sequence[Formula], goal: Formula) -> bool:
 
 
 def select_engine(signature) -> str:
-    """Cheapest sound engine for the signature: affine, conjunctive, or
+    """Cheapest sound engine for the signature: conjunctive, affine, or
     disjunctive fragments when the clone analysis licenses them, otherwise
     the truth-table oracle.  Monotone signatures with both conjunction and
-    disjunction deliberately stay on the oracle."""
-    if subset_of_clone(signature, "L"):
-        return "affine"
+    disjunction deliberately stay on the oracle.  E comes before L since
+    the signatures in both are those of I, where the conjunctive state is
+    linear-time Horn chaining and the affine one GF(2) elimination."""
     if subset_of_clone(signature, "E"):
         return "conjunctive"
+    if subset_of_clone(signature, "L"):
+        return "affine"
     if subset_of_clone(signature, "V"):
         return "disjunctive"
     return "oracle"
@@ -456,19 +458,18 @@ def implies(
 ) -> bool:
     """Decide whether the premises entail the goal.
 
-    With engine="auto" the signature (derived from the formulas when not
-    given) picks the fragment engine; explicit engines skip the analysis
-    and refuse a connective outside their clone (ShapeMismatch, NotAffine).
+    With engine="auto" the signature, joined with the connectives of the
+    premises and the goal, picks the fragment engine; explicit engines
+    skip the analysis and refuse a connective outside their clone
+    (ShapeMismatch, NotAffine).
     """
     if engine not in _ENGINES:
         raise ValueError(f"unknown implication engine {engine!r}")
     if engine == "auto":
-        if signature is None:
-            sig: set[BoolFun] = set()
-            for f in list(premises) + [goal]:
-                sig |= connectives(f)
-            signature = sig
-        engine = select_engine(signature_map(signature))
+        sig = set(signature_map(signature or ()).values())
+        for f in [*premises, goal]:
+            sig |= connectives(f)
+        engine = select_engine(sig)
     if engine == "oracle":
         return truth_table_implies(premises, goal)
     if engine == "affine":

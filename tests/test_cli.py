@@ -122,6 +122,10 @@ def test_imp(tmp_path, capsys):
     p.write_text("W:\n(xor a b)\ngoal: (xor b a)\n", encoding="utf-8")
     code, out, _ = run(capsys, "imp", str(p))
     assert code == 0 and out.strip() == "answer: yes"
+    # a goal connective outside the premises' signature joins it
+    p.write_text("W:\n(and x (top))\ngoal: (or x y)\n", encoding="utf-8")
+    code, out, _ = run(capsys, "imp", str(p))
+    assert code == 0 and out.strip() == "answer: yes"
 
 
 def test_reduce_gap_roundtrip(tmp_path, capsys):

@@ -130,6 +130,19 @@ def test_skep_vacuous_on_no_extension():
     assert skep(t, f("whatever")).answer
 
 
+def test_reachability_witness_on_inconsistent_facts_matches_generic():
+    # inconsistent facts have the trivial extension, which entails every
+    # goal; cred names it with the same witness as the generic oracle
+    t = DefaultTheory.make([f("(bot)"), f("p")], [rule("p", "p", "q")], [B["id"], B["bot"]])
+    for problem, goal in [("ext", None), ("cred", f("q")), ("cred", f("(bot)")), ("skep", f("r"))]:
+        d = decide(problem, t, goal, want_witness=True)
+        want = decide(problem, t, goal, engine="generic", want_witness=True)
+        assert d.engine == "reachability"
+        assert (d.answer, d.witness) == (want.answer, want.witness)
+    witness = cred(t, f("q"), want_witness=True).witness
+    assert witness == engine.ExtensionWitness((), inconsistent=True)
+
+
 def test_rule_free_theory_cred_equals_implication():
     rng = random.Random(9)
     for _ in range(40):

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -227,3 +231,47 @@ def test_fresh_name_avoids_taken():
 
 def test_variables():
     assert variables(f("(or x (and y x))")) == {"x", "y"}
+
+
+_PICKLE_FORMULAS = """
+import pickle, sys
+from postdl.boolfun import BUILTINS
+from postdl.engine import decide
+from postdl.formula import Var, parse
+from postdl.theory import DefaultRule, DefaultTheory
+
+x, xy = Var("x"), parse("(and x (or y (top)))", BUILTINS)
+theory = DefaultTheory.make([x], [DefaultRule(x, Var("y"), xy)])
+if sys.argv[1] == "dump":
+    sys.stdout.buffer.write(pickle.dumps((x, xy, theory)))
+else:
+    lx, lxy, lt = pickle.loads(sys.stdin.buffer.read())
+    print(lx in {x}, lxy in {xy}, {lxy: 1}.get(xy), lt == theory, hash(lt) == hash(theory))
+    print(decide("cred", lt, Var("y"), want_witness=True).to_json())
+"""
+
+
+def test_formulas_pickle_across_processes():
+    # an unpickled formula hashes as the loading process hashes: a Var or
+    # App pickled under one string-hash seed is found in the sets and dicts
+    # of a process under another
+    import postdl
+    from postdl.engine import decide
+    from postdl.theory import DefaultRule, DefaultTheory
+
+    src = str(Path(postdl.__file__).resolve().parents[1])
+
+    def run(seed, mode, data=None):
+        return subprocess.run(
+            [sys.executable, "-c", _PICKLE_FORMULAS, mode],
+            input=data,
+            capture_output=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+        ).stdout
+
+    loaded = run("2", "load", run("1", "dump")).decode().splitlines()
+    assert loaded[0] == "True True 1 True True"
+    x = Var("x")
+    theory = DefaultTheory.make([x], [DefaultRule(x, Var("y"), f("(and x (or y (top)))"))])
+    assert loaded[1] == str(decide("cred", theory, Var("y"), want_witness=True).to_json())

@@ -137,12 +137,25 @@ def test_select_engine():
     assert select_engine([SIG["and"], SIG["bot"]]) == "conjunctive"
     assert select_engine([SIG["or"], SIG["top"]]) == "disjunctive"
     assert select_engine([SIG["and"], SIG["or"]]) == "oracle"
-    assert select_engine([SIG["id"], SIG["bot"]]) == "affine"
+    # I lies in both E and L; its signatures go to the Horn state
+    assert select_engine([SIG["id"], SIG["bot"]]) == "conjunctive"
 
 
 def test_implies_auto_infers_signature():
     assert implies([f("(xor x y)")], f("(xor y x)"))
     assert implies([f("(and x y)")], f("y"))
+
+
+def test_implies_auto_joins_the_formulas_to_the_signature():
+    # an "or" goal over {and, top} is answered, as decide answers it, not
+    # refused by the conjunctive fragment
+    sig = [SIG["and"], SIG["top"]]
+    for prems, goal in [(["x"], "(or x y)"), (["(and x z)"], "(or y z)"), (["y"], "(or x x)")]:
+        prems = [f(p) for p in prems]
+        assert implies(prems, f(goal), sig) == truth_table_implies(prems, f(goal))
+    assert implies([f("x")], f("(or x y)"), sig)
+    with pytest.raises(ShapeMismatch):
+        implies([f("x")], f("(or x y)"), sig, engine="conjunctive")
 
 
 # -- randomized cross-checks -----------------------------------------------------

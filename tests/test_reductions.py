@@ -264,18 +264,28 @@ def reversed_chain(n, broken=False, two_source_every=0):
     return Hypergraph(nodes, tuple(reversed(edges))), nodes[0], nodes[-1]
 
 
+def as_digraph(h):
+    """The graph of a hypergraph whose edges all have one source."""
+    return Digraph(h.nodes, tuple((src, dest) for (src,), dest in h.edges))
+
+
 def test_fixpoint_implication_calls_grow_linearly():
     # one test per rule at registration and one per wake: doubling the
-    # reversed conjunctive chain doubles the count (a pass loop made
-    # quadratically many tests)
+    # reversed conjunctive or graph chain doubles the count (a pass loop
+    # made quadratically many tests)
     calls = {}
     for n in (200, 400):
         h, s, t = reversed_chain(n, two_source_every=4)
         d = ext(hgap_to_ext(h, [s], t))
         assert d.engine == "poly_fragment" and not d.answer
-        calls[n] = d.stats.implication_calls
-    assert calls[200] <= 2 * 200
-    assert calls[400] <= 2 * calls[200] + 2
+        calls["hgap", n] = d.stats.implication_calls
+        h, s, t = reversed_chain(n)
+        d = ext(gap_to_default(as_digraph(h), s, t, "ext")[0])
+        assert d.engine == "reachability" and not d.answer
+        calls["gap", n] = d.stats.implication_calls
+    for kind in ("hgap", "gap"):
+        assert 200 <= calls[kind, 200] <= 2 * 200
+        assert calls[kind, 400] <= 2 * calls[kind, 200] + 2
 
 
 @pytest.mark.parametrize("variant,n,bound_s", [
@@ -284,21 +294,25 @@ def test_fixpoint_implication_calls_grow_linearly():
     ("disjunctive", 100, 1.0),
     ("conjunctive", 10_000, 10.0),  # 10,000 rules, POLY_RULE_CAP
     ("xor", 6_000, 10.0),  # 8,997 rules
+    ("gap", 10_000, 1.0),  # 10,000 rules for ext, with the poison rule
 ])
 def test_reversed_chain_fixpoint_within_bound(variant, n, bound_s):
     for broken in (False, True):
-        h, s, t = reversed_chain(n, broken, 0 if variant == "disjunctive" else 4)
-        if variant == "xor":
-            (theory, goal), problem = xor_hgap_to_cred(h, [s], t), "cred"
+        h, s, t = reversed_chain(n, broken, 0 if variant in ("disjunctive", "gap") else 4)
+        if variant == "gap":
+            images = [(gap_to_default(as_digraph(h), s, t, p), p) for p in ("ext", "cred")]
+        elif variant == "xor":
+            images = [(xor_hgap_to_cred(h, [s], t), "cred")]
         else:
-            theory, goal, problem = hgap_to_ext(h, [s], t, variant), None, "ext"
-        assert len(theory.D) <= POLY_RULE_CAP
-        start = time.perf_counter()
-        d = decide(problem, theory, goal, want_witness=True)
-        assert time.perf_counter() - start < bound_s
-        assert d.engine == "poly_fragment"
+            images = [((hgap_to_ext(h, [s], t, variant), None), "ext")]
         reach = hgap_reach(h, [s], t)
-        assert d.answer == (reach if variant == "xor" else not reach)
+        for (theory, goal), problem in images:
+            assert len(theory.D) <= POLY_RULE_CAP
+            start = time.perf_counter()
+            d = decide(problem, theory, goal, want_witness=True)
+            assert time.perf_counter() - start < bound_s
+            assert d.engine == ("reachability" if variant == "gap" else "poly_fragment")
+            assert d.answer == (reach if problem == "cred" else not reach)
 
 
 # -- GAP -------------------------------------------------------------------------
