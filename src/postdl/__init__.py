@@ -41,7 +41,6 @@ from .formula import (
     variables,
 )
 from .implication import (
-    AffineSystem,
     affine_implies,
     conjunctive_implies,
     disjunctive_implies,
@@ -83,7 +82,6 @@ __all__ = [
     "substitute",
     "truth_table_of",
     "variables",
-    "AffineSystem",
     "affine_implies",
     "conjunctive_implies",
     "disjunctive_implies",

@@ -42,6 +42,7 @@ from .errors import (
     DefaultCountTooLarge,
     EngineCloneMismatch,
     InputError,
+    NestingTooDeep,
     RuleCountTooLarge,
     TooManyVariables,
     UnboundVariable,
@@ -552,7 +553,8 @@ def decide(
     clone analysis unless overridden.  The goal's connectives join the
     signature before the case and the engine are picked, so every engine
     reads the goal within its clone.  An override that is unsound for the
-    signature is refused rather than silently wrong."""
+    signature is refused rather than silently wrong, and a formula nested
+    too deep for the recursive walks raises NestingTooDeep."""
     if problem not in PROBLEMS:
         raise InputError(f"unknown problem {problem!r}")
     if problem in ("cred", "skep") and goal is None:
@@ -573,7 +575,10 @@ def decide(
                 f"engine {engine!r} requires the signature to stay within clone {needed}"
             )
     stats = Stats()
-    answer, witness = _run_engine(label, problem, theory, goal, stats, want_witness)
+    try:
+        answer, witness = _run_engine(label, problem, theory, goal, stats, want_witness)
+    except RecursionError:
+        raise NestingTooDeep() from None
     if not want_witness:
         witness = None
     return Decision(problem, answer, label, case, witness, stats)

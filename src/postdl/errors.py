@@ -52,6 +52,14 @@ class RuleCountTooLarge(CapExceeded):
     pass
 
 
+class NestingTooDeep(CapExceeded):
+    """A formula nests deeper than the recursive formula walks can follow
+    under the interpreter's recursion limit."""
+
+    def __init__(self):
+        super().__init__("formula nesting exceeds the cap set by the recursion limit")
+
+
 class UnknownClone(InputError):
     pass
 

@@ -21,7 +21,7 @@ import re
 
 from .boolfun import BUILTINS, BoolFun
 from .errors import TheoryFormatError
-from .formula import Formula, connectives, parse, serialize
+from .formula import Formula, connectives, parse, parse_formulas, serialize
 from .reductions import CnfFormula, Digraph, Hypergraph, SnsatInstance
 from .theory import DefaultRule, DefaultTheory
 
@@ -30,39 +30,7 @@ def _strip(line: str) -> str:
     return line.split("#", 1)[0].strip()
 
 
-def _split_top_level(text: str, filename: str, lineno: int) -> list[str]:
-    """Split a token sequence into top-level formula chunks (bare names or
-    balanced parenthesized groups)."""
-    chunks: list[str] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch == "(":
-            depth = 0
-            start = i
-            while i < n:
-                if text[i] == "(":
-                    depth += 1
-                elif text[i] == ")":
-                    depth -= 1
-                    if depth == 0:
-                        i += 1
-                        break
-                i += 1
-            if depth != 0:
-                raise TheoryFormatError("unbalanced '('", filename, lineno)
-            chunks.append(text[start:i])
-        elif ch == ")":
-            raise TheoryFormatError("unbalanced ')'", filename, lineno)
-        else:
-            m = re.match(r"[A-Za-z0-9_]+", text[i:])
-            if not m:
-                raise TheoryFormatError(f"unexpected character {ch!r}", filename, lineno)
-            chunks.append(m.group())
-            i += len(m.group())
-    return chunks
+_RULE_RE = re.compile(r"\(default\b(.*)\)")
 
 
 def read_theory(text: str, filename: str = "<input>"):
@@ -81,8 +49,8 @@ def read_theory(text: str, filename: str = "<input>"):
         if not line:
             continue
         low = line.lower()
-        if low.startswith("defconn"):
-            parts = line.split()
+        parts = line.split()
+        if parts[0].lower() == "defconn" and len(parts) > 1:
             if len(parts) != 4:
                 raise TheoryFormatError("defconn NAME ARITY BITSTRING", filename, lineno)
             name, arity_s, bits = parts[1], parts[2], parts[3]
@@ -111,19 +79,18 @@ def read_theory(text: str, filename: str = "<input>"):
             except Exception as exc:
                 raise TheoryFormatError(str(exc), filename, lineno) from None
         elif section == "D":
-            if not (line.startswith("(default") and line.endswith(")")):
+            m = _RULE_RE.fullmatch(line)
+            if not m:
                 raise TheoryFormatError("rules look like (default PRE JUST CON)", filename, lineno)
-            inner = line[len("(default") : -1]
-            chunks = _split_top_level(inner, filename, lineno)
-            if len(chunks) != 3:
-                raise TheoryFormatError(
-                    f"a rule needs exactly 3 formulas, got {len(chunks)}", filename, lineno
-                )
             try:
-                pre, just, con = (parse(c, sig(), allow_reserved=True) for c in chunks)
+                formulas = parse_formulas(m.group(1), sig(), allow_reserved=True)
             except Exception as exc:
                 raise TheoryFormatError(str(exc), filename, lineno) from None
-            rules.append(DefaultRule(pre, just, con))
+            if len(formulas) != 3:
+                raise TheoryFormatError(
+                    f"a rule needs exactly 3 formulas, got {len(formulas)}", filename, lineno
+                )
+            rules.append(DefaultRule(*formulas))
         else:
             raise TheoryFormatError("expected a 'W:' or 'D:' section first", filename, lineno)
 

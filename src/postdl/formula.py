@@ -128,7 +128,9 @@ def serialize(phi: Formula) -> str:
     """Canonical prefix text; parse(serialize(phi)) reproduces phi."""
     if isinstance(phi, Var):
         return phi.name
-    parts = [phi.conn.name] + [serialize(a) for a in phi.args]
+    parts = [phi.conn.name]
+    for a in phi.args:  # a loop, not a comprehension: one frame per level, as in parse
+        parts.append(serialize(a))
     return "(" + " ".join(parts) + ")"
 
 
@@ -159,6 +161,15 @@ def parse(text: str, signature, allow_reserved: bool = False) -> Formula:
     accepted with allow_reserved=True (the theory-file reader sets it, so
     reduction outputs round-trip).
     """
+    return _parse(text, signature, allow_reserved, many=False)
+
+
+def parse_formulas(text: str, signature, allow_reserved: bool = False) -> list[Formula]:
+    """The formulas of text, read one after another as parse reads one."""
+    return _parse(text, signature, allow_reserved, many=True)
+
+
+def _parse(text: str, signature, allow_reserved: bool, many: bool):
     sig = signature_map(signature)
     tokens = _tokenize(text)
     pos = 0
@@ -202,6 +213,11 @@ def parse(text: str, signature, allow_reserved: bool = False) -> Formula:
             )
         return App(conn, args)
 
+    if many:
+        formulas = []
+        while pos < len(tokens):
+            formulas.append(formula())
+        return formulas
     result = formula()
     if pos != len(tokens):
         raise FormulaSyntaxError("trailing input after formula", tokens[pos][1])

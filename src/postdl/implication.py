@@ -26,11 +26,11 @@ from __future__ import annotations
 
 from functools import lru_cache
 from operator import and_, or_, xor
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .boolfun import BoolFun, signature_map
 from .clones import subset_of_clone
-from .errors import NotAffine, ShapeMismatch
+from .errors import NestingTooDeep, NotAffine, ShapeMismatch
 from .formula import Formula, Var, connectives, table_int, variables
 
 _ENGINES = ("auto", "oracle", "affine", "conjunctive", "disjunctive")
@@ -120,7 +120,7 @@ def linear_row(phi: Formula, index: dict[str, int]) -> tuple[int, int]:
     phi = 1, i.e. xor(S) = 1 xor c for phi = c xor xor(S)."""
     c, support = normal_form(phi, "xor")
     mask = 0
-    for name in support:
+    for name in sorted(support):  # new names numbered by name, not hash order
         mask |= 1 << index[name]
     return mask, c ^ 1
 
@@ -134,76 +134,14 @@ def normalize_flat(phi: Formula, shape: str):
     return "top" if c else "bot"
 
 
-def _bits(mask: int) -> Iterator[int]:
-    """The set bits of mask, lowest first, each as a one-bit int."""
-    while mask:
-        bit = mask & -mask
-        yield bit
-        mask ^= bit
-
-
 def _toggle(index: dict, key, mask: int) -> None:
     """Flip key's membership in index[bit] for every bit of mask: the
     index follows a row that was xor-ed with mask."""
-    for bit in _bits(mask):
+    while mask:
+        bit = mask & -mask
         holders = index.setdefault(bit, set())
         holders ^= {key}
-
-
-class AffineSystem:
-    """GF(2) equations (variable mask, right-hand bit), each from one
-    linear premise asserted true, grown one row at a time.
-
-    The rows stay fully reduced: pivots maps each row's pivot bit (its
-    lowest bit when it was added) to the row, and no other row holds that
-    bit.  So a row reduces in one pass over its pivot bits, and a new
-    pivot is cleared only from the rows that hold its bit, found through
-    an index from each non-pivot bit to the rows holding it.
-    """
-
-    def __init__(self):
-        self.pivots: dict[int, tuple[int, int]] = {}
-        self.inconsistent = False
-        self._pivot_bits = 0
-        self._holders: dict[int, set[int]] = {}
-
-    @staticmethod
-    def from_formulas(premises: Sequence[Formula], order: Sequence[str]) -> "AffineSystem":
-        index = {name: j for j, name in enumerate(order)}
-        system = AffineSystem()
-        for p in premises:
-            system.add_row(*linear_row(p, index))
-        return system
-
-    def reduce(self, mask: int, rhs: int) -> tuple[int, int]:
-        """The equation minus the pivot rows it holds: no pivot bit is
-        left, and it is 0 = 0 exactly when the rows entail it."""
-        for bit in _bits(mask & self._pivot_bits):
-            pmask, prhs = self.pivots[bit]
-            mask ^= pmask
-            rhs ^= prhs
-        return mask, rhs
-
-    def add_row(self, mask: int, rhs: int) -> tuple[int, int, int] | None:
-        """Assert the equation.  Returns the new pivot row as (bit, mask,
-        rhs), or None when the rows already decide the equation (an
-        equation they refute makes the system inconsistent)."""
-        mask, rhs = self.reduce(mask, rhs)
-        if not mask:
-            self.inconsistent = self.inconsistent or bool(rhs)
-            return None
-        bit = mask & -mask
-        for pivot in self._holders.pop(bit, ()):
-            pmask, prhs = self.pivots[pivot]
-            self.pivots[pivot] = (pmask ^ mask, prhs ^ rhs)
-            _toggle(self._holders, pivot, mask ^ bit)
-        self.pivots[bit] = (mask, rhs)
-        self._pivot_bits |= bit
-        _toggle(self._holders, bit, mask ^ bit)
-        return bit, mask, rhs
-
-    def entails(self, mask: int, rhs: int) -> bool:
-        return self.inconsistent or self.reduce(mask, rhs) == (0, 0)
+        mask ^= bit
 
 
 class EntailmentState:
@@ -355,25 +293,45 @@ class _Index(dict):
 
 
 class AffineState(EntailmentState):
-    """L fragment: the premises as an AffineSystem.  A waiting goal keeps
-    its row reduced against the pivots and indexed by its bits; a new
-    pivot re-reduces only the goals that hold its bit."""
+    """L fragment: each premise is a GF(2) equation (variable mask,
+    right-hand bit), asserted true.
+
+    The pivot rows are kept in echelon form: a row's pivot is its lowest
+    bit when it is added, so it holds no lower bit, and it is never
+    rewritten afterwards.  A waiting goal keeps its row reduced against
+    the pivots and indexed by its bits; a new pivot re-reduces only the
+    goals that hold its bit.
+    """
 
     def __init__(self):
         super().__init__()
-        self.system = AffineSystem()
         self._index = _Index()
+        self._pivots: dict[int, tuple[int, int]] = {}  # pivot bit -> its row
+        self._pivot_bits = 0
         self._watchers: dict[int, set] = {}  # bit -> waiting keys whose row holds it
 
     def _normalize(self, phi: Formula):
         return linear_row(phi, self._index)
 
+    def _reduce(self, mask: int, rhs: int) -> tuple[int, int]:
+        """The equation minus pivot rows until no pivot bit is left; it is
+        0 = 0 exactly when the rows entail it.  Each step xors in the row
+        of the lowest pivot bit still present, which only adds bits above
+        the one it clears, so no pivot is used twice."""
+        hit = mask & self._pivot_bits
+        while hit:
+            pmask, prhs = self._pivots[hit & -hit]
+            mask ^= pmask
+            rhs ^= prhs
+            hit = mask & self._pivot_bits
+        return mask, rhs
+
     def _holds(self, row) -> bool:
-        return self.system.entails(*row)
+        return self._reduce(*row) == (0, 0)
 
     def _wait(self, key, row) -> None:
         # a goal the rows refute reduces to 0 = 1: only an inconsistency wakes it
-        mask, rhs = self.system.reduce(*row)
+        mask, rhs = self._reduce(*row)
         self._waiting[key] = (mask, rhs)
         _toggle(self._watchers, key, mask)
 
@@ -381,12 +339,12 @@ class AffineState(EntailmentState):
         row = self._norm(phi)
         if self.inconsistent:
             return []
-        pivot = self.system.add_row(*row)
-        if self.system.inconsistent:
-            return self._refute()
-        if pivot is None:
-            return []
-        bit, mask, rhs = pivot
+        mask, rhs = self._reduce(*row)
+        if not mask:
+            return self._refute() if rhs else []
+        bit = mask & -mask
+        self._pivots[bit] = (mask, rhs)
+        self._pivot_bits |= bit
         woken = []
         for key in self._watchers.pop(bit, ()):
             gmask, grhs = self._waiting[key]
@@ -461,7 +419,8 @@ def implies(
     With engine="auto" the signature, joined with the connectives of the
     premises and the goal, picks the fragment engine; explicit engines
     skip the analysis and refuse a connective outside their clone
-    (ShapeMismatch, NotAffine).
+    (ShapeMismatch, NotAffine).  A formula nested too deep for the
+    recursive walks raises NestingTooDeep.
     """
     if engine not in _ENGINES:
         raise ValueError(f"unknown implication engine {engine!r}")
@@ -470,10 +429,13 @@ def implies(
         for f in [*premises, goal]:
             sig |= connectives(f)
         engine = select_engine(sig)
-    if engine == "oracle":
-        return truth_table_implies(premises, goal)
-    if engine == "affine":
-        return affine_implies(premises, goal)
-    if engine == "conjunctive":
-        return conjunctive_implies(premises, goal)
-    return disjunctive_implies(premises, goal)
+    try:
+        if engine == "oracle":
+            return truth_table_implies(premises, goal)
+        if engine == "affine":
+            return affine_implies(premises, goal)
+        if engine == "conjunctive":
+            return conjunctive_implies(premises, goal)
+        return disjunctive_implies(premises, goal)
+    except RecursionError:
+        raise NestingTooDeep() from None

@@ -159,3 +159,46 @@ def test_selftest(capsys):
     code, out, _ = run(capsys, "selftest", "--seed", "3")
     assert code == 0
     assert out.count("PASS") == 5
+
+
+def _nots(depth):
+    return "(not " * depth + "x" + ")" * depth
+
+
+def _ands(depth):
+    text = "x0"
+    for i in range(1, depth + 1):
+        text = f"(and {text} x{i})"
+    return text
+
+
+def test_deep_nesting_exits_3(tmp_path, capsys):
+    # 600 nested negations parse and classify, but the table walks of ext
+    # and cred (and of the oracle under imp) recurse deeper than Python's
+    # recursion limit: one error line and exit 3, no traceback
+    p = tmp_path / "deep.dt"
+    p.write_text(f"W:\n{_nots(600)}\nD:\n(default x y y)\ngoal: y\n", encoding="utf-8")
+    assert run(capsys, "classify", str(p))[0] == 0
+    for problem in ("ext", "cred"):
+        code, out, err = run(capsys, problem, str(p))
+        assert (code, out) == (3, "")
+        assert err.startswith("error:") and "nesting" in err and len(err.splitlines()) == 1
+    p.write_text(f"W:\n{_nots(600)}\ngoal: (and x x)\n", encoding="utf-8")
+    code, out, err = run(capsys, "imp", str(p))
+    assert (code, out) == (3, "")
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    # a conjunction 900 deep is read by the Horn state in one frame per
+    # level, and the answer's premise text is written the same way
+    p.write_text(f"W:\n{_ands(900)}\ngoal: x3\n", encoding="utf-8")
+    code, out, _ = run(capsys, "imp", str(p), "--json")
+    assert code == 0 and json.loads(out)["answer"] is True
+
+
+def test_depth_300_still_answers(tmp_path, capsys):
+    p = tmp_path / "deep.dt"
+    p.write_text(f"W:\n{_nots(300)}\nD:\n(default x y y)\ngoal: y\n", encoding="utf-8")
+    for problem in ("ext", "cred"):
+        code, out, _ = run(capsys, problem, str(p))
+        assert code == 0 and out.startswith("answer: yes")
+    p.write_text(f"W:\n{_nots(300)}\ngoal: (and x x)\n", encoding="utf-8")
+    assert run(capsys, "imp", str(p))[:2] == (0, "answer: yes\n")

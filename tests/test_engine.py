@@ -423,26 +423,48 @@ for n in (8, 9, 10, 12, 16):
 """
 
 
+_XOR3_THEORIES = """
+import json, random
+from postdl import DefaultRule, DefaultTheory, decide
+from postdl.boolfun import BUILTINS
+from postdl.gen import random_formula
+
+rng = random.Random(3)
+conns = [BUILTINS["xor3"]]
+pool = [f"v{i}" for i in range(1, 13)]
+for _ in range(30):
+    form = lambda: random_formula(rng, conns, pool, 3)
+    w = [form() for _ in range(rng.randint(0, 3))]
+    d = [DefaultRule(form(), form(), form()) for _ in range(rng.randint(10, 30))]
+    t, goal = DefaultTheory.make(w, d, conns), form()
+    for problem in ("cred", "skep"):
+        print(json.dumps(decide(problem, t, goal, want_witness=True).to_json()))
+"""
+
+
 def test_disjunctive_decisions_do_not_depend_on_the_string_hash():
     # reversed disjunctive chains tie the variables the state re-tests
-    # under, so the firing order and the test counts must not follow the
-    # per-process string hash
+    # under, and a premise over {xor3} brings several new variables into
+    # the GF(2) state at once, whose bit order picks the pivots; so the
+    # firing order and the test counts must not follow the per-process
+    # string hash
     import postdl
 
     src = str(Path(postdl.__file__).resolve().parents[1])
-    outs = [
-        subprocess.run(
-            [sys.executable, "-c", _DISJUNCTIVE_CHAINS],
-            capture_output=True,
-            text=True,
-            check=True,
-            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
-        ).stdout
-        for seed in ("1", "2")
-    ]
-    assert len(outs[0].splitlines()) == 15
-    assert all(json.loads(line)["engine"] == "poly_fragment" for line in outs[0].splitlines())
-    assert outs[0] == outs[1]
+    for script, decisions in ((_DISJUNCTIVE_CHAINS, 15), (_XOR3_THEORIES, 60)):
+        outs = [
+            subprocess.run(
+                [sys.executable, "-c", script],
+                capture_output=True,
+                text=True,
+                check=True,
+                env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+            ).stdout
+            for seed in ("1", "2")
+        ]
+        assert len(outs[0].splitlines()) == decisions
+        assert all(json.loads(line)["engine"] == "poly_fragment" for line in outs[0].splitlines())
+        assert outs[0] == outs[1]
 
 
 def test_implication_calls_counts_tests_made():

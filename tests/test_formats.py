@@ -54,8 +54,28 @@ def test_read_theory_needs_section():
 
 
 def test_read_theory_bad_rule():
-    with pytest.raises(TheoryFormatError):
-        read_theory("D:\n(default x y)\n")
+    for rule in (
+        "(default x y)",  # two formulas
+        "(default x y z w)",  # four
+        "(default x (and y) z)",  # arity
+        "(default x (and y z z)",  # unbalanced
+        "(default x y z))",
+        "(default x (nope y) z)",  # unknown connective
+        "(default x y z$)",  # bad character
+        "(defaultx y z)",  # no space after the keyword
+        "(rule x y z)",
+    ):
+        with pytest.raises(TheoryFormatError):
+            read_theory(f"D:\n{rule}\n")
+
+
+def test_roundtrip_defconn_prefixed_variables():
+    # a W line that starts with "defconn" but is one word is a formula
+    theory, _ = read_theory("W:\ndefconnX\ndefconn\nDEFCONNy\n")
+    assert [serialize(w) for w in theory.W] == ["defconnX", "defconn", "DEFCONNy"]
+    text = write_theory(theory)
+    theory2, _ = read_theory(text)
+    assert theory2.W == theory.W and theory2.signature == theory.signature
 
 
 def test_roundtrip_plain():

@@ -224,15 +224,13 @@ def test_entailment_axioms():
 
 
 def test_affine_system():
-    from postdl.implication import AffineSystem, linear_row
-
-    order = ["x", "y"]
-    system = AffineSystem.from_formulas([f("(eq x y)"), f("x")], order)
-    index = {n: j for j, n in enumerate(order)}
-    assert system.entails(*linear_row(f("y"), index))
-    assert not system.inconsistent
-    system.add_row(*linear_row(f("(xor x y)"), index))  # contradicts x = y
-    assert system.inconsistent and system.entails(*linear_row(f("(bot)"), index))
+    state = fragment_state("affine")
+    for p in (f("(eq x y)"), f("x")):
+        state.add(p)
+    assert state.entails(f("y"))
+    assert not state.inconsistent
+    state.add(f("(xor x y)"))  # contradicts x = y
+    assert state.inconsistent and state.entails(f("(bot)"))
 
 
 # -- incremental entailment states -------------------------------------------------
@@ -301,3 +299,15 @@ def test_affine_state_wakes_through_reduced_rows():
     assert state.add(f("(xor y (top))")) == ["g"]
     assert state.entails(goal) and not state.entails(negated)
     assert state.tests == 2 + 2 + 2  # two watches, each pivot touches both rows
+
+    # the equations x + y = 0, then y + z = 0 (bits x, y, z in that order):
+    # y + z takes pivot y, and the row of pivot x stays x + y instead of
+    # being rewritten to x + z.  The goal x + z = 0 reduces through both
+    # rows in turn, and its watch wakes on the second premise
+    state = fragment_state("affine")
+    goal = f("(eq x z)")
+    assert state.add(f("(eq x y)")) == [] and not state.watch("g", goal)
+    assert state.add(f("(eq y z)")) == ["g"]
+    assert state._pivots == {0b001: (0b011, 0), 0b010: (0b110, 0)}
+    assert state.entails(goal) and not state.entails(f("(xor x z)"))
+    assert state.tests == 1 + 1  # the watch, the wake
