@@ -32,10 +32,7 @@ class BoolFun:
             )
         if set(table) - {"0", "1"}:
             raise InputError(f"connective {name!r}: table must be a 0/1 bitstring")
-        bits = 0
-        for i, ch in enumerate(table):
-            if ch == "1":
-                bits |= 1 << i
+        bits = int(table[::-1], 2)  # table[i] is bit i: one conversion, reversed
         set_ = object.__setattr__
         set_(self, "name", name)
         set_(self, "arity", arity)

@@ -53,8 +53,8 @@ class RuleCountTooLarge(CapExceeded):
 
 
 class NestingTooDeep(CapExceeded):
-    """A formula nests deeper than the recursive formula walks can follow
-    under the interpreter's recursion limit."""
+    """A formula nests deeper than the parser or the recursive formula
+    walks can follow under the interpreter's recursion limit."""
 
     def __init__(self):
         super().__init__("formula nesting exceeds the cap set by the recursion limit")

@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 
 from .boolfun import BUILTINS, BoolFun
-from .errors import TheoryFormatError
+from .errors import InputError, TheoryFormatError
 from .formula import Formula, connectives, parse, parse_formulas, serialize
 from .reductions import CnfFormula, Digraph, Hypergraph, SnsatInstance
 from .theory import DefaultRule, DefaultTheory
@@ -31,6 +31,15 @@ def _strip(line: str) -> str:
 
 
 _RULE_RE = re.compile(r"\(default\b(.*)\)")
+
+
+def _parse_at(read, text: str, signature, filename: str, lineno: int):
+    """read(text, signature) with reserved names allowed; an input error is
+    reported at the file and line, a cap (CapExceeded) passes through."""
+    try:
+        return read(text, signature, allow_reserved=True)
+    except InputError as exc:
+        raise TheoryFormatError(str(exc), filename, lineno) from None
 
 
 def read_theory(text: str, filename: str = "<input>"):
@@ -68,24 +77,15 @@ def read_theory(text: str, filename: str = "<input>"):
             section = "D"
             continue
         if low.startswith("goal:"):
-            try:
-                goal = parse(line[5:].strip(), sig(), allow_reserved=True)
-            except Exception as exc:
-                raise TheoryFormatError(str(exc), filename, lineno) from None
+            goal = _parse_at(parse, line[5:].strip(), sig(), filename, lineno)
             continue
         if section == "W":
-            try:
-                w_forms.append(parse(line, sig(), allow_reserved=True))
-            except Exception as exc:
-                raise TheoryFormatError(str(exc), filename, lineno) from None
+            w_forms.append(_parse_at(parse, line, sig(), filename, lineno))
         elif section == "D":
             m = _RULE_RE.fullmatch(line)
             if not m:
                 raise TheoryFormatError("rules look like (default PRE JUST CON)", filename, lineno)
-            try:
-                formulas = parse_formulas(m.group(1), sig(), allow_reserved=True)
-            except Exception as exc:
-                raise TheoryFormatError(str(exc), filename, lineno) from None
+            formulas = _parse_at(parse_formulas, m.group(1), sig(), filename, lineno)
             if len(formulas) != 3:
                 raise TheoryFormatError(
                     f"a rule needs exactly 3 formulas, got {len(formulas)}", filename, lineno

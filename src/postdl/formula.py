@@ -24,6 +24,7 @@ from .errors import (
     ArityMismatch,
     EmptyArgs,
     FormulaSyntaxError,
+    NestingTooDeep,
     TooManyVariables,
     UnboundVariable,
     UnknownConnective,
@@ -213,12 +214,15 @@ def _parse(text: str, signature, allow_reserved: bool, many: bool):
             )
         return App(conn, args)
 
-    if many:
-        formulas = []
-        while pos < len(tokens):
-            formulas.append(formula())
-        return formulas
-    result = formula()
+    try:  # formula() recurses once per nesting level
+        if many:
+            formulas = []
+            while pos < len(tokens):
+                formulas.append(formula())
+            return formulas
+        result = formula()
+    except RecursionError:
+        raise NestingTooDeep() from None
     if pos != len(tokens):
         raise FormulaSyntaxError("trailing input after formula", tokens[pos][1])
     return result
@@ -235,12 +239,20 @@ def evaluate(phi: Formula, assignment: dict[str, int]) -> int:
 
 
 def _var_pattern(j: int, n: int) -> int:
-    """Truth-table int of variable j among n variables (j zero-based, LSB first)."""
+    """Truth-table int of variable j among n variables (j zero-based, LSB first).
+
+    Built by doubling: one period of 2^j zeros then 2^j ones, then the
+    value ORed with itself shifted by its width until the width is 2^n,
+    so the work is linear in the 2^n bits of the result.
+    """
+    width = 1 << j
+    bits = ((1 << width) - 1) << width
+    width <<= 1
     rows = 1 << n
-    period = 1 << (j + 1)
-    block = ((1 << (1 << j)) - 1) << (1 << j)
-    reps = ((1 << rows) - 1) // ((1 << period) - 1)
-    return block * reps
+    while width < rows:
+        bits |= bits << width
+        width <<= 1
+    return bits
 
 
 def table_int(phi: Formula, var_order: Sequence[str]) -> int:
@@ -292,7 +304,8 @@ def truth_table_of(phi: Formula, var_order: Sequence[str], name: str = "f") -> B
         raise UnboundVariable(f"vars {sorted(missing)} not in var_order")
     bits = table_int(phi, var_order)
     rows = 1 << len(var_order)
-    table = "".join("1" if (bits >> i) & 1 else "0" for i in range(rows))
+    # one binary conversion, reversed: row 0 is the least significant bit
+    table = format(bits, f"0{rows}b")[::-1]
     return BoolFun(name, len(var_order), table)
 
 

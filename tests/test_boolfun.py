@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from postdl.boolfun import BUILTINS, BoolFun, dual
@@ -69,3 +71,14 @@ def test_dual_involution():
 def test_dual_and_is_or():
     assert dual(BUILTINS["and"]).table == BUILTINS["or"].table
     assert dual(BUILTINS["s10"]).table == BUILTINS["s00"].table
+
+
+def test_bits_and_value_at_follow_the_table():
+    rng = random.Random("boolfun-bits")
+    for arity in range(11):
+        for _ in range(5):
+            table = "".join(rng.choice("01") for _ in range(1 << arity))
+            fn = BoolFun("f", arity, table)
+            for i, ch in enumerate(table):
+                assert (fn.bits >> i) & 1 == fn.value_at(i) == int(ch)
+            assert fn.bits >> (1 << arity) == 0

@@ -187,6 +187,24 @@ def test_deep_nesting_exits_3(tmp_path, capsys):
     code, out, err = run(capsys, "imp", str(p))
     assert (code, out) == (3, "")
     assert err.startswith("error:") and len(err.splitlines()) == 1
+    # 1,200 negations already exceed the limit in the parser: the same for
+    # a --goal and for a goal: line in the file
+    goal = _nots(1200)
+    t = tmp_path / "t.dt"
+    t.write_text("W:\nx\nD:\n(default x y y)\n", encoding="utf-8")
+    w = tmp_path / "w.dt"
+    w.write_text("W:\nx\n", encoding="utf-8")
+    g = tmp_path / "goal.dt"
+    g.write_text(f"W:\nx\nD:\n(default x y y)\ngoal: {goal}\n", encoding="utf-8")
+    for argv in (
+        ("cred", str(t), "--goal", goal),
+        ("imp", str(w), "--goal", goal),
+        ("cred", str(g)),
+        ("skep", str(g)),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, ""), argv
+        assert err.startswith("error:") and "nesting" in err and len(err.splitlines()) == 1
     # a conjunction 900 deep is read by the Horn state in one frame per
     # level, and the answer's premise text is written the same way
     p.write_text(f"W:\n{_ands(900)}\ngoal: x3\n", encoding="utf-8")

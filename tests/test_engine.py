@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -296,6 +297,35 @@ def test_snsat_ext_builds_each_variable_pattern_once(monkeypatch):
     assert d.answer == bool(snsat_eval(inst))
     assert built and max(built.values()) == 1
     assert {n for _, n in built} == {17}
+
+
+def test_decisions_at_the_variable_cap_take_milliseconds():
+    # 20 variables, the tabling cap: each variable pattern is 2^20 bits,
+    # built by doubling in about a millisecond
+    facts = [f(f"(or v{i} v{i + 1})") for i in range(0, 20, 2)]
+    rules = [
+        rule("(or v0 v1)", "v4", "v4"),
+        rule("v4", "(and v6 v8)", "(and v6 v8)"),
+        rule("(and v6 v8)", "v10", "(or v10 v12)"),
+        rule("(or v14 v15)", "(and v16 v13)", "(and v16 v17)"),
+        rule("v17", "(or v18 v19)", "v19"),
+    ]
+    goal = f("(and v4 (or v12 v10))")
+    t = DefaultTheory.make(facts, rules)
+    general = DefaultTheory.make(facts + [f("(not (and v0 v19))")], rules)
+    assert len(t.variables()) == len(general.variables()) == 20
+    for theory, problem, g in [
+        (t, "ext", None),
+        (t, "cred", goal),
+        (t, "skep", goal),
+        (general, "ext", None),
+    ]:
+        start = time.perf_counter()
+        d = decide(problem, theory, g, want_witness=True)
+        assert time.perf_counter() - start < 0.25, problem
+        reference = decide(problem, theory, g, engine="generic", want_witness=True)
+        assert (d.answer, d.witness) == (reference.answer, reference.witness), problem
+    assert d.engine == "generic"
 
 
 # -- engine equivalence + witnesses ------------------------------------------------------

@@ -1,7 +1,9 @@
 import math
 import os
+import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -20,6 +22,7 @@ from postdl.errors import (
 from postdl.formula import (
     App,
     Var,
+    _var_pattern,
     balanced_composition,
     depth,
     evaluate,
@@ -30,6 +33,7 @@ from postdl.formula import (
     truth_table_of,
     variables,
 )
+from postdl.gen import random_formula
 
 SIG = BUILTINS
 
@@ -119,12 +123,49 @@ def test_truth_table_s00_shape():
 
 
 def test_truth_table_matches_pointwise_eval():
-    phi = f("(or (and x (not y)) (xor z (imp x y)))")
-    order = ["x", "y", "z"]
-    tt = truth_table_of(phi, order)
-    for i in range(8):
-        sigma = {v: (i >> j) & 1 for j, v in enumerate(order)}
-        assert int(tt.table[i]) == evaluate(phi, sigma)
+    cases = [(f("(or (and x (not y)) (xor z (imp x y)))"), ["x", "y", "z"])]
+    rng = random.Random("truth-table-of")
+    for n in range(9):
+        order = [f"v{j}" for j in range(n)]
+        for _ in range(4):
+            phi = random_formula(rng, list(SIG.values()), order, 4) if n else App(SIG["top"])
+            cases.append((phi, order))
+    for phi, order in cases:
+        tt = truth_table_of(phi, order)
+        for i in range(1 << len(order)):
+            sigma = {v: (i >> j) & 1 for j, v in enumerate(order)}
+            assert int(tt.table[i]) == evaluate(phi, sigma)
+
+
+def test_truth_table_of_sixteen_variables_is_fast():
+    # the table string and the BoolFun bits are one conversion each, not a
+    # shift of the whole 2^16-bit table per row
+    order = [f"v{j}" for j in range(16)]
+    phi = balanced_composition(SIG["xor"], [Var(v) for v in order])
+    elapsed = []
+    for _ in range(3):
+        start = time.perf_counter()
+        tt = truth_table_of(phi, order)
+        elapsed.append(time.perf_counter() - start)
+    assert min(elapsed) < 0.05
+    assert tt.table == "".join(str(bin(i).count("1") & 1) for i in range(1 << 16))
+
+
+def test_var_pattern_bit_i_is_bit_j_of_i():
+    for n in range(1, 11):
+        for j in range(n):
+            bits = _var_pattern(j, n)
+            assert bits >> (1 << n) == 0
+            for i in range(1 << n):
+                assert (bits >> i) & 1 == (i >> j) & 1, (j, n, i)
+    rng = random.Random("var-pattern")
+    for n in (17, 20):
+        rows = [0, 1, (1 << n) - 1] + [rng.randrange(1 << n) for _ in range(300)]
+        for j in range(n):
+            bits = _var_pattern(j, n)
+            assert bits.bit_length() == 1 << n
+            for i in rows:
+                assert (bits >> i) & 1 == (i >> j) & 1, (j, n, i)
 
 
 def test_truth_table_var_cap():
