@@ -26,9 +26,9 @@ when negation is not in the signature.
 
 Every truth table a decision reads comes from one ``TableContext``, the
 engines' tabling kernel: it tables each distinct formula once per decision
-(structurally equal formulas share the entry) and builds each variable's
-pattern once, on first use.  ``formula.table_int`` stays the reference
-that the tests compare it against.
+(structurally equal formulas share the entry) and applies each connective
+in the cheaper of two bitwise forms.  ``formula.table_int`` stays the
+reference that the tests compare it against.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from .errors import (
     TooManyVariables,
     UnboundVariable,
 )
-from .formula import VAR_CAP, Formula, Var, _var_pattern, connectives, variables
+from .formula import VAR_CAP, Formula, Var, _var_pattern, connectives, variables_of
 from .implication import EntailmentState, fragment_state, select_engine
 from .theory import DefaultTheory
 
@@ -154,32 +154,26 @@ class TableContext:
     """The one tabling kernel of a decision: truth tables over a fixed
     variable order, shared by every formula of the decision instance.
 
-    The order is the sorted variables of the formulas the context is
-    built over; order[0] is the least significant position, and a
-    table is an int whose bit i is the value at joint assignment i.  Each
-    requested formula is tabled once: the memo is keyed by the formula
-    itself, and formulas hash and compare structurally, so an equal
-    formula built elsewhere reads the same entry.  Only requested formulas
-    are kept, not their subformulas, since each table holds 2^n bits.
-    A variable's pattern is built on its first use in the context, and a
-    connective's satisfying rows come from a per-connective cache, so a
-    walk does bitwise work only.  ``formula.table_int`` computes the same
-    tables from scratch and stays the reference.
+    The order is the sorted variables of the formulas the context is built
+    over, collected in one scan, and their patterns are built with the
+    context; order[0] is the least significant position, and a table is an
+    int whose bit i is the value at joint assignment i.  Each requested
+    formula is tabled once: the memo is keyed by the formula itself, and
+    formulas hash and compare structurally, so an equal formula built
+    elsewhere reads the same entry.  Only requested formulas are kept, not
+    their subformulas, since each table holds 2^n bits.  A walk applies each
+    connective in its cheaper bitwise form (``_bitwise_form``), so it does
+    bitwise work only; ``formula.table_int`` stays the reference.
     """
 
     def __init__(self, formulas: Iterable[Formula]):
-        vs: set[str] = set()
-        for f in formulas:
-            vs |= variables(f)
-        self.order = sorted(vs)
-        if len(self.order) > VAR_CAP:
-            raise TooManyVariables(
-                f"instance has {len(self.order)} variables, cap is {VAR_CAP}"
-            )
-        self.rows = 1 << len(self.order)
+        self.order = order = sorted(variables_of(formulas))
+        n = len(order)
+        if n > VAR_CAP:
+            raise TooManyVariables(f"instance has {n} variables, cap is {VAR_CAP}")
+        self.rows = 1 << n
         self.full = (1 << self.rows) - 1
-        self._index = {name: j for j, name in enumerate(self.order)}
-        self._patterns: dict[str, int] = {}
+        self._patterns = {name: _var_pattern(j, n) for j, name in enumerate(order)}
         self._memo: dict[Formula, int] = {}
 
     def table(self, phi: Formula) -> int:
@@ -194,37 +188,60 @@ class TableContext:
             bits &= self.table(f)
         return bits
 
-    def _pattern(self, name: str) -> int:
-        bits = self._patterns.get(name)
-        if bits is None:
-            try:
-                j = self._index[name]
-            except KeyError:
-                raise UnboundVariable(f"variable {name!r} not in the context's order") from None
-            bits = self._patterns[name] = _var_pattern(j, len(self.order))
-        return bits
-
     def _walk(self, node: Formula) -> int:
-        if isinstance(node, Var):
-            return self._pattern(node.name)
+        if node.__class__ is Var:
+            try:
+                return self._patterns[node.name]
+            except KeyError:
+                raise UnboundVariable(f"variable {node.name!r} not in the context's order") from None
+        negs, terms = _bitwise_form(node.conn)
+        vals = [self._walk(a) for a in node.args]
         full = self.full
-        # per argument: its table's complement at index 0, the table at 1
-        args = [(full ^ t, t) for t in map(self._walk, node.args)]
-        out = 0
-        for r in _satisfying_rows(node.conn):
-            term = full
-            for j, pair in enumerate(args):
-                term &= pair[r >> j & 1]
-            out |= term
-            if out == full:
-                break
-        return out
+        vals.append(full)
+        for j in negs:
+            vals.append(full ^ vals[j])
+        out = None
+        for term in terms:
+            t = vals[term[0]]
+            for j in term[1:]:
+                t &= vals[j]
+            out = t if out is None else out ^ t
+        return 0 if out is None else out
 
 
 @lru_cache(maxsize=1024)
-def _satisfying_rows(f: BoolFun) -> tuple[int, ...]:
-    """The argument rows at which f is 1, bit j of a row being argument j."""
-    return tuple(r for r in range(f.n_points) if f.value_at(r))
+def _bitwise_form(f: BoolFun) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """f as an XOR of AND-terms over its k arguments, in the cheaper of two
+    forms by bitwise operations, counted from the bits of f (a tie goes to
+    the first): the algebraic normal form (Zhegalkin), a term per monomial,
+    or the satisfying rows, a term per row that ANDs the arguments and
+    complements selecting it (disjoint rows, so XOR is OR).  Returns (negs,
+    terms); in a term, literal j < k is argument j, k the all-ones table and
+    k + 1 + i the complement of argument negs[i].  A form costs len(negs) +
+    the total length of its terms - 1; only the chosen one is written out."""
+    k, mid, rows = f.arity, f.n_points >> 1, f.bits
+    # pats[j]: argument j's table (the rows with bit j set), stepped down from
+    # the top half; the Moebius transform alongside leaves monomial m's
+    # coefficient at bit m of anf
+    pats, p, anf = [0] * k, ((1 << mid) - 1) << mid, rows
+    for j in reversed(range(k)):
+        pats[j] = p
+        anf ^= (anf & ~p) << (1 << j)
+        p ^= p >> (1 << j >> 1)
+    negs = [j for j, p in enumerate(pats) if rows & ~p]
+    # x's term joins parts[j][x >> j & 1], j < k: a monomial's variables or a row's k literals
+    if sum((anf & p).bit_count() for p in pats) + (anf & 1) <= len(negs) + rows.bit_count() * max(k, 1):
+        negs, parts, xs = [], [((), (j,)) for j in range(k)], anf
+    else:
+        lit = {j: (k + 1 + i,) for i, j in enumerate(negs)}
+        parts, xs = [(lit.get(j, ()), (j,)) for j in range(k)], rows
+    # the terms of every low and every high half of x, built by doubling
+    h, low, high = k >> 1, [()], [()]
+    for j, (zero, one) in enumerate(parts):
+        ts = low if j < h else high
+        ts[:] = [t + zero for t in ts] + [t + one for t in ts]
+    ones = (x for x, c in enumerate(reversed(format(xs, "b"))) if c == "1")
+    return tuple(negs), tuple(low[x & (1 << h) - 1] + high[x >> h] or (k,) for x in ones)
 
 
 def _ones(phi: Formula) -> int:
@@ -260,19 +277,26 @@ class _RuleTables(NamedTuple):
     conseqs: list[int]
     conseq_of: list[int]
 
-    @classmethod
-    def build(cls, ctx: TableContext, theory: DefaultTheory) -> "_RuleTables":
-        index: dict[Formula, int] = {}
-        conseq_of = [index.setdefault(d.consequent, len(index)) for d in theory.D]
-        table = ctx.table
-        return cls(
-            ctx.and_of(theory.W),
-            [table(d.prerequisite) for d in theory.D],
-            [table(d.justification) for d in theory.D],
-            [table(d.consequent) for d in theory.D],
-            [table(c) for c in index],
-            conseq_of,
-        )
+
+def _enumeration_context(
+    theory: DefaultTheory, goal: Formula | None, cap: int | None = GENERIC_CONSEQUENT_CAP
+) -> tuple[_RuleTables, TableContext]:
+    """The rule tables and the instance's table context.  The distinct
+    consequents are indexed first, so a count over the cap raises before any
+    truth table is built; ``check_stable`` (one candidate) passes no cap."""
+    index: dict[Formula, int] = {}
+    conseq_of = [index.setdefault(d.consequent, len(index)) for d in theory.D]
+    if cap is not None and len(index) > cap:
+        raise DefaultCountTooLarge(f"{len(index)} distinct consequents exceed the enumeration cap of {cap}")
+    ctx = TableContext(theory.all_formulas() + ([goal] if goal is not None else []))
+    return _RuleTables(
+        ctx.and_of(theory.W),
+        [ctx.table(d.prerequisite) for d in theory.D],
+        [ctx.table(d.justification) for d in theory.D],
+        [ctx.table(d.consequent) for d in theory.D],
+        [ctx.table(c) for c in index],
+        conseq_of,
+    ), ctx
 
 
 def _stable(
@@ -325,7 +349,7 @@ def check_stable(theory: DefaultTheory, generating: Iterable[int]) -> bool:
     idx = sorted(set(generating))
     if any(i < 0 or i >= len(theory.D) for i in idx):
         raise InputError("generating-default index out of range")
-    t = _RuleTables.build(TableContext(theory.all_formulas()), theory)
+    t, _ = _enumeration_context(theory, None, cap=None)
     ehat, chosen = t.w_models, 0
     for i in idx:
         ehat &= t.con[i]
@@ -341,22 +365,6 @@ class ExtensionInfo(NamedTuple):
     conseq_mask: int
     generating: tuple[int, ...]
     models: int
-
-
-def _enumeration_context(
-    theory: DefaultTheory, goal: Formula | None
-) -> tuple[_RuleTables, TableContext]:
-    """The rule tables and the instance's table context; the number of
-    distinct consequents is checked against the enumeration cap before any
-    truth table is built."""
-    n = len(set(d.consequent for d in theory.D))
-    if n > GENERIC_CONSEQUENT_CAP:
-        raise DefaultCountTooLarge(
-            f"{n} distinct consequents exceed the enumeration cap "
-            f"of {GENERIC_CONSEQUENT_CAP}"
-        )
-    ctx = TableContext(theory.all_formulas() + ([goal] if goal is not None else []))
-    return _RuleTables.build(ctx, theory), ctx
 
 
 def _masks(k: int) -> Iterator[int]:
@@ -559,8 +567,9 @@ def decide(
         raise InputError(f"unknown problem {problem!r}")
     if problem in ("cred", "skep") and goal is None:
         raise InputError(f"{problem} needs a goal formula")
-    if goal is not None and not connectives(goal) <= theory.signature:
-        theory = DefaultTheory(theory.W, theory.D, theory.signature | connectives(goal))
+    used = connectives(goal) if goal is not None else set()
+    if not used <= theory.signature:
+        theory = DefaultTheory(theory.W, theory.D, theory.signature | used)
     report = dispatch_case(theory.signature)
     case = {"ext": report.ext_case, "cred": report.cred_case, "skep": report.skep_case}[problem]
     if engine == "auto":

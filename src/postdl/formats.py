@@ -21,7 +21,7 @@ import re
 
 from .boolfun import BUILTINS, BoolFun
 from .errors import InputError, TheoryFormatError
-from .formula import Formula, connectives, parse, parse_formulas, serialize
+from .formula import Formula, connectives_of, parse, parse_formulas, serialize
 from .reductions import CnfFormula, Digraph, Hypergraph, SnsatInstance
 from .theory import DefaultRule, DefaultTheory
 
@@ -94,9 +94,7 @@ def read_theory(text: str, filename: str = "<input>"):
         else:
             raise TheoryFormatError("expected a 'W:' or 'D:' section first", filename, lineno)
 
-    used: set[BoolFun] = set()
-    for f in w_forms + [x for d in rules for x in d.formulas()] + ([goal] if goal else []):
-        used |= connectives(f)
+    used = connectives_of(w_forms + [x for d in rules for x in d.formulas()] + ([goal] if goal else []))
     signature = frozenset(set(declared.values()) | {f for f in used if f.name in BUILTINS})
     theory = DefaultTheory(tuple(dict.fromkeys(w_forms)), tuple(rules), signature)
     return theory, goal

@@ -17,7 +17,7 @@ inputs.
 from __future__ import annotations
 
 import re
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .boolfun import BoolFun, signature_map
 from .errors import (
@@ -114,11 +114,27 @@ def subformulas(phi: Formula) -> Iterator[Formula]:
 
 
 def variables(phi: Formula) -> set[str]:
-    return {node.name for node in subformulas(phi) if isinstance(node, Var)}
+    return variables_of((phi,))
+
+
+def variables_of(formulas: Iterable[Formula]) -> set[str]:
+    """The variable names of all the formulas, in one scan with one stack."""
+    names, stack = set(), list(formulas)
+    while stack:
+        node = stack.pop()
+        if node.__class__ is Var:
+            names.add(node.name)
+        else:
+            stack += node.args
+    return names
 
 
 def connectives(phi: Formula) -> set[BoolFun]:
-    return {node.conn for node in subformulas(phi) if isinstance(node, App)}
+    return connectives_of((phi,))
+
+
+def connectives_of(formulas: Iterable[Formula]) -> set[BoolFun]:
+    return {node.conn for phi in formulas for node in subformulas(phi) if node.__class__ is App}
 
 
 def node_count(phi: Formula) -> int:

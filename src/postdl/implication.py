@@ -26,12 +26,12 @@ from __future__ import annotations
 
 from functools import lru_cache
 from operator import and_, or_, xor
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .boolfun import BoolFun, signature_map
 from .clones import subset_of_clone
 from .errors import NestingTooDeep, NotAffine, ShapeMismatch
-from .formula import Formula, Var, connectives, table_int, variables
+from .formula import Formula, Var, connectives_of, table_int, variables_of
 
 _ENGINES = ("auto", "oracle", "affine", "conjunctive", "disjunctive")
 
@@ -44,19 +44,10 @@ _SHAPES = {
 }
 
 
-def joint_variables(premises: Iterable[Formula], goal: Formula | None = None) -> list[str]:
-    vs: set[str] = set()
-    for p in premises:
-        vs |= variables(p)
-    if goal is not None:
-        vs |= variables(goal)
-    return sorted(vs)
-
-
 def truth_table_implies(premises: Sequence[Formula], goal: Formula) -> bool:
     """Exhaustive oracle: every joint assignment satisfying all premises
     satisfies the goal.  Vacuously true on unsatisfiable premises."""
-    order = joint_variables(premises, goal)
+    order = sorted(variables_of([*premises, goal]))
     rows = 1 << len(order)
     full = (1 << rows) - 1
     prem = full
@@ -425,9 +416,7 @@ def implies(
     if engine not in _ENGINES:
         raise ValueError(f"unknown implication engine {engine!r}")
     if engine == "auto":
-        sig = set(signature_map(signature or ()).values())
-        for f in [*premises, goal]:
-            sig |= connectives(f)
+        sig = set(signature_map(signature or ()).values()) | connectives_of([*premises, goal])
         engine = select_engine(sig)
     try:
         if engine == "oracle":

@@ -14,7 +14,7 @@ from itertools import permutations
 
 from .boolfun import BUILTINS
 from .errors import EmptyDisjunction, InputError, MalformedChain, NotThreeCnf, TooManyVariables
-from .formula import App, Formula, Var, balanced_composition
+from .formula import App, Formula, Var, balanced_composition, connectives_of
 from .theory import DefaultRule, DefaultTheory, eliminate_constant_true
 
 _AND = BUILTINS["and"]
@@ -505,10 +505,5 @@ def xor_hgap_to_cred(h: Hypergraph, sources, target: str):
 def imp_to_cred(premises, goal: Formula):
     """Entailment as credulous reasoning over the rule-free theory: the
     premises alone axiomatize the unique stable extension."""
-    from .formula import connectives
-
-    sig: set = set(connectives(goal))
-    for p in premises:
-        sig |= connectives(p)
-    theory = DefaultTheory.make(premises, (), sig)
+    theory = DefaultTheory.make(premises, (), connectives_of([*premises, goal]))
     return theory, goal

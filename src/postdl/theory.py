@@ -6,7 +6,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .boolfun import TOP, BoolFun, signature_map
 from .errors import InputError
-from .formula import App, Formula, Var, connectives, fresh_name, node_count, substitute, variables
+from .formula import App, Formula, Var, connectives, connectives_of, fresh_name, node_count, substitute, variables_of
 
 
 class DefaultRule(NamedTuple):
@@ -36,9 +36,7 @@ class DefaultTheory(NamedTuple):
     ) -> "DefaultTheory":
         W = tuple(dict.fromkeys(W))
         D = tuple(D)
-        used: set[BoolFun] = set()
-        for f in _all_formulas(W, D):
-            used |= connectives(f)
+        used = connectives_of(_all_formulas(W, D))
         if signature is None:
             signature = used
         else:
@@ -56,16 +54,10 @@ class DefaultTheory(NamedTuple):
         return _all_formulas(self.W, self.D)
 
     def variables(self) -> set[str]:
-        out: set[str] = set()
-        for f in self.all_formulas():
-            out |= variables(f)
-        return out
+        return variables_of(self.all_formulas())
 
     def used_connectives(self) -> frozenset[BoolFun]:
-        out: set[BoolFun] = set()
-        for f in self.all_formulas():
-            out |= connectives(f)
-        return frozenset(out)
+        return frozenset(connectives_of(self.all_formulas()))
 
     def size(self) -> int:
         return sum(node_count(f) for f in self.all_formulas())

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -27,11 +28,12 @@ from postdl.errors import (
     EngineCloneMismatch,
     InputError,
     TooManyVariables,
+    UnboundVariable,
 )
 from postdl.formula import App, Var, parse, table_int
-from postdl.gen import FAMILIES, random_formula, random_goal, random_theory
+from postdl.gen import FAMILIES, random_cnf3, random_formula, random_goal, random_snsat, random_theory
 from postdl.implication import truth_table_implies
-from postdl.reductions import SnsatInstance, snsat_eval, snsat_to_ext
+from postdl.reductions import SnsatInstance, snsat_eval, snsat_to_ext, threesat_to_default
 from postdl.theory import DefaultRule, DefaultTheory
 
 B = BUILTINS
@@ -250,7 +252,7 @@ def test_table_context_matches_table_int():
     for trial in range(60):
         conns = list(B.values())
         for k in range(3):
-            arity = rng.randint(0, 4)
+            arity = rng.randint(0, 5)
             table = "".join(rng.choice("01") for _ in range(1 << arity))
             conns.append(BoolFun(f"c{k}", arity, table))
         pool = [f"v{i}" for i in range(rng.randint(1, 6))]
@@ -270,6 +272,121 @@ def test_table_context_without_variables():
     assert (ctx.order, ctx.full) == ([], 1)
     assert ctx.table(App(B["top"])) == 1
     assert ctx.table(App(B["not"], [App(B["top"])])) == 0
+
+
+def test_table_context_refuses_a_variable_outside_its_order():
+    ctx = TableContext([f("(and x y)")])
+    with pytest.raises(UnboundVariable):
+        ctx.table(f("(or x z)"))
+
+
+def _small_connectives():
+    """Every connective table of arity 0-3, and a seeded sample of 100
+    tables each at arity 4 and 5."""
+    for arity in range(4):
+        for bits in range(1 << (1 << arity)):
+            yield BoolFun(f"t{bits}", arity, format(bits, f"0{1 << arity}b")[::-1])
+    rng = random.Random("small-connectives")
+    for arity in (4, 5):
+        for k in range(100):
+            yield BoolFun(f"s{k}", arity, "".join(rng.choice("01") for _ in range(1 << arity)))
+
+
+def test_kernel_tables_every_small_connective():
+    # over the fixed order a..e: the arguments in order, reversed, and
+    # with the first argument repeated
+    names = [Var(v) for v in "abcde"]
+    for conn in _small_connectives():
+        args = names[: conn.arity]
+        formulas = [App(conn, args), App(conn, args[::-1]), App(conn, args[:1] * conn.arity)]
+        ctx = TableContext(formulas + names)
+        assert ctx.order == list("abcde")
+        for phi in formulas:
+            assert ctx.table(phi) == table_int(phi, ctx.order), (conn, phi)
+
+
+def _counted(op):
+    def apply(self, other):
+        _Counted.ops += 1
+        return _Counted(op(int(self), int(other)))
+
+    return apply
+
+
+class _Counted(int):
+    """An int whose AND, OR and XOR are counted and give counted ints."""
+
+    ops = 0
+    __and__ = __rand__ = _counted(int.__and__)
+    __or__ = __ror__ = _counted(int.__or__)
+    __xor__ = __rxor__ = _counted(int.__xor__)
+
+
+def _kernel_ops(conn):
+    """The bitwise operations the context does to apply conn to its
+    argument variables; the table it gets must be table_int's."""
+    ctx = TableContext([Var(v) for v in "abcde"])
+    ctx.full = _Counted(ctx.full)
+    ctx._patterns = {name: _Counted(bits) for name, bits in ctx._patterns.items()}
+    _Counted.ops = 0
+    phi = App(conn, [Var(v) for v in "abcde"[: conn.arity]])
+    bits = ctx.table(phi)
+    assert bits == table_int(phi, ctx.order), conn
+    return _Counted.ops
+
+
+def _satisfying_row_ops(conn):
+    """The bitwise operations of an OR over conn's satisfying rows: each
+    row the AND of its k literals, each complemented argument computed
+    once."""
+    rows = [r for r in range(conn.n_points) if conn.value_at(r)]
+    if not rows:
+        return 0
+    negated = {j for r in rows for j in range(conn.arity) if not r >> j & 1}
+    return len(negated) + len(rows) * max(conn.arity - 1, 0) + len(rows) - 1
+
+
+def _anf_ops(conn):
+    """The bitwise operations of an XOR over conn's algebraic normal form:
+    each monomial the AND of its variables, the constant one the all-ones
+    table.  A monomial m is in it when f is 1 on an odd number of the rows
+    inside m."""
+    sizes = [
+        bin(m).count("1")
+        for m in range(conn.n_points)
+        if sum(conn.value_at(r) for r in range(m + 1) if r & m == r) % 2
+    ]
+    return sum(max(s - 1, 0) for s in sizes) + len(sizes) - 1 if sizes else 0
+
+
+def test_kernel_never_does_more_bitwise_work_than_the_satisfying_rows():
+    for conn in _small_connectives():
+        ops = _kernel_ops(conn)
+        assert ops <= _satisfying_row_ops(conn), conn
+        assert ops == min(_anf_ops(conn), _satisfying_row_ops(conn)), conn
+    # not = full ^ a, or = a ^ b ^ (a & b), xor3 = a ^ b ^ c, where the
+    # satisfying rows take 1, 7 and 14 operations
+    assert [_kernel_ops(B[n]) for n in ("not", "and", "or", "xor3", "bot", "top")] == [1, 1, 3, 2, 0, 0]
+    assert [_satisfying_row_ops(B[n]) for n in ("not", "or", "xor3")] == [1, 7, 14]
+
+
+def test_kernel_writes_out_only_the_chosen_form_of_a_16_ary_connective():
+    # a random table (the normal form wins) and nor (the one satisfying
+    # row wins, over 2^16 monomials); writing out both forms to pick one
+    # took 0.25-0.3 s for each
+    rng = random.Random("wide-connective")
+    names = [Var(f"v{j:02}") for j in range(16)]
+    for conn in (
+        BoolFun("r16", 16, "".join(rng.choice("01") for _ in range(1 << 16))),
+        BoolFun("nor16", 16, "1" + "0" * ((1 << 16) - 1)),
+    ):
+        elapsed = []
+        for _ in range(3):
+            start = time.perf_counter()
+            engine._bitwise_form.__wrapped__(conn)
+            elapsed.append(time.perf_counter() - start)
+        assert min(elapsed) < 0.1, conn
+        assert TableContext(names).table(App(conn, names)) == conn.bits
 
 
 def test_snsat_ext_builds_each_variable_pattern_once(monkeypatch):
@@ -328,6 +445,54 @@ def test_decisions_at_the_variable_cap_take_milliseconds():
     assert d.engine == "generic"
 
 
+def _digest_corpus():
+    """Seeded (theory, goal, engines) inputs: theories of every gen family
+    under auto and generic dispatch, theories over random connectives of
+    arity 0-5 with "not", and 3SAT and snsat images."""
+    for family in sorted(FAMILIES):
+        rng = random.Random(f"digest:{family}")
+        for _ in range(25):
+            t = random_theory(rng, family)
+            yield t, random_goal(rng, t, family), ("auto", "generic")
+    rng = random.Random("digest:connectives")
+    for _ in range(25):
+        conns = [B["not"]] + [
+            BoolFun(f"c{k}", arity, "".join(rng.choice("01") for _ in range(1 << arity)))
+            for k, arity in enumerate(rng.choice([(2, 3), (3, 4), (1, 5), (0, 3, 4)]))
+        ]
+        pool = [f"v{i}" for i in range(rng.randint(1, 6))]
+
+        def form():
+            return random_formula(rng, conns, pool, 2)
+
+        w = [form() for _ in range(rng.randint(0, 2))]
+        d = [DefaultRule(form(), form(), form()) for _ in range(rng.randint(1, 5))]
+        yield DefaultTheory.make(w, d, conns), form(), ("auto",)
+    rng = random.Random("digest:3sat")
+    for k in range(10):
+        t, goal = threesat_to_default(random_cnf3(rng), ("ext", "skep")[k % 2])
+        yield t, goal or Var("_psi"), ("auto",)
+    rng = random.Random("digest:snsat")
+    for _ in range(10):
+        yield snsat_to_ext(random_snsat(rng)), Var("_xp1"), ("auto",)
+
+
+def test_decisions_are_pinned_on_a_seeded_corpus():
+    # the sha256 of the decisions' JSON, witnesses and stats included;
+    # a change of the tabling kernel leaves it as it is
+    digest = hashlib.sha256()
+    count = 0
+    for t, goal, engines in _digest_corpus():
+        for engine_name in engines:
+            for problem in ("ext", "cred", "skep"):
+                g = None if problem == "ext" else goal
+                d = decide(problem, t, g, engine_name, want_witness=True)
+                digest.update(json.dumps(d.to_json(), sort_keys=True).encode() + b"\n")
+                count += 1
+    assert count == 885
+    assert digest.hexdigest() == "56022efd11820435c4181025f89a234ec252fbfc06e483e296667a7f611240b3"
+
+
 # -- engine equivalence + witnesses ------------------------------------------------------
 
 
@@ -366,9 +531,17 @@ def test_cred_witness_passes_check_stable():
 # -- caps and overrides ---------------------------------------------------------------
 
 
-def test_generic_consequent_cap():
+def test_generic_consequent_cap(monkeypatch):
     rules = [rule(f"a{i}", f"a{i}", f"c{i}") for i in range(21)]
     t = DefaultTheory.make([], rules, [B["and"], B["not"]])
+    with pytest.raises(DefaultCountTooLarge):
+        ext(t, engine="generic")
+
+    # the cap is checked before any truth table is built
+    def no_context(formulas):
+        raise AssertionError("a table context was built")
+
+    monkeypatch.setattr(engine, "TableContext", no_context)
     with pytest.raises(DefaultCountTooLarge):
         ext(t, engine="generic")
 
