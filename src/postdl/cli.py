@@ -53,6 +53,8 @@ def _signature_from_args(args) -> dict[str, BoolFun]:
         parts = decl.split()
         if len(parts) != 3:
             raise InputError("--defconn wants 'NAME ARITY BITSTRING'")
+        if parts[0] in BUILTINS:
+            raise InputError(f"cannot redefine builtin {parts[0]!r}")
         sig[parts[0]] = BoolFun(parts[0], int(parts[1]), parts[2])
     return sig
 

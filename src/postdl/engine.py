@@ -49,6 +49,7 @@ from .errors import (
 )
 from .formula import VAR_CAP, Formula, Var, _var_pattern, connectives, variables_of
 from .implication import EntailmentState, fragment_state, select_engine
+from .properties import table_views
 from .theory import DefaultTheory
 
 PROBLEMS = ("ext", "cred", "skep")
@@ -218,16 +219,11 @@ def _bitwise_form(f: BoolFun) -> tuple[tuple[int, ...], tuple[tuple[int, ...], .
     complements selecting it (disjoint rows, so XOR is OR).  Returns (negs,
     terms); in a term, literal j < k is argument j, k the all-ones table and
     k + 1 + i the complement of argument negs[i].  A form costs len(negs) +
-    the total length of its terms - 1; only the chosen one is written out."""
-    k, mid, rows = f.arity, f.n_points >> 1, f.bits
-    # pats[j]: argument j's table (the rows with bit j set), stepped down from
-    # the top half; the Moebius transform alongside leaves monomial m's
-    # coefficient at bit m of anf
-    pats, p, anf = [0] * k, ((1 << mid) - 1) << mid, rows
-    for j in reversed(range(k)):
-        pats[j] = p
-        anf ^= (anf & ~p) << (1 << j)
-        p ^= p >> (1 << j >> 1)
+    the total length of its terms - 1; only the chosen one is written out.
+    Both forms are read off ``properties.table_views``: the arguments'
+    patterns pick the complemented ones, bit m of the ANF is monomial m."""
+    k, rows = f.arity, f.bits
+    pats, anf = table_views(f)
     negs = [j for j, p in enumerate(pats) if rows & ~p]
     # x's term joins parts[j][x >> j & 1], j < k: a monomial's variables or a row's k literals
     if sum((anf & p).bit_count() for p in pats) + (anf & 1) <= len(negs) + rows.bit_count() * max(k, 1):

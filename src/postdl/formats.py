@@ -42,6 +42,18 @@ def _parse_at(read, text: str, signature, filename: str, lineno: int):
         raise TheoryFormatError(str(exc), filename, lineno) from None
 
 
+def _count(token: str, what: str, filename: str, lineno: int) -> int:
+    """A count token as a non-negative int; anything else is reported at
+    the file and line."""
+    try:
+        n = int(token)
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise TheoryFormatError(f"{what} must be a non-negative integer, got {token!r}", filename, lineno)
+    return n
+
+
 def read_theory(text: str, filename: str = "<input>"):
     """Parse a theory file; returns (DefaultTheory, goal | None)."""
     declared: dict[str, BoolFun] = {}
@@ -131,7 +143,8 @@ def read_dimacs(text: str, filename: str = "<input>") -> CnfFormula:
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise TheoryFormatError("expected 'p cnf VARS CLAUSES'", filename, lineno)
-            n_vars = int(parts[2])
+            n_vars = _count(parts[2], "the variable count", filename, lineno)
+            _count(parts[3], "the clause count", filename, lineno)
             continue
         if n_vars is None:
             raise TheoryFormatError("clause before the 'p cnf' header", filename, lineno)
@@ -257,7 +270,7 @@ def read_snsat(text: str, filename: str = "<input>") -> SnsatInstance:
         if parts[0].lower() == "zvars" and len(parts) == 2:
             if not m:
                 raise TheoryFormatError("zvars before any 'formula' line", filename, lineno)
-            declared[-1] = int(parts[1])
+            declared[-1] = _count(parts[1], "zvars", filename, lineno)
             continue
         if not m:
             raise TheoryFormatError("clause before any 'formula' line", filename, lineno)

@@ -3,7 +3,10 @@
 These are the predicates that define the property-characterized clones:
 c-reproducing, monotone, c-separating, self-dual, linear, plus the shape
 tests for conjunction-like and disjunction-like functions and essential
-variables.  All flags are computed exactly from the table.
+variables.  All flags are computed exactly and bit-parallel from one view
+of the table (``table_views``): the table int, each argument's pattern and
+the algebraic normal form, each an int over the 2^arity rows.  The engines'
+tabling kernel reads the same view.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from typing import NamedTuple
 
 from .boolfun import BoolFun
 from .errors import ArityUnsupported
+from .formula import _var_pattern
 
 PROPERTY_ARITY_CAP = 20
 
@@ -53,102 +57,44 @@ class FunSignature(NamedTuple):
         return d
 
 
-def _essential_vars(f: BoolFun) -> frozenset[int]:
-    ess = set()
-    rows = f.n_points
-    for j in range(f.arity):
-        bit = 1 << j
-        if any(f.value_at(i) != f.value_at(i ^ bit) for i in range(rows) if not i & bit):
-            ess.add(j)
-    return frozenset(ess)
-
-
-def _monotone(f: BoolFun) -> bool:
-    rows = f.n_points
-    for j in range(f.arity):
-        bit = 1 << j
-        for i in range(rows):
-            if not i & bit and f.value_at(i) > f.value_at(i | bit):
-                return False
-    return True
-
-
-def _self_dual(f: BoolFun) -> bool:
-    rows = f.n_points
-    return all(f.value_at(i) != f.value_at(rows - 1 - i) for i in range(rows))
-
-
-def _linear(f: BoolFun) -> bool:
-    # f is linear iff f(x) = c xor (+) over S of x_j for c = f(0..0) and
-    # coefficients read off at the unit vectors; verified at every point.
-    c = f.value_at(0)
-    coeff = [f.value_at(1 << j) ^ c for j in range(f.arity)]
-    for i in range(f.n_points):
-        acc = c
-        for j in range(f.arity):
-            if (i >> j) & 1 and coeff[j]:
-                acc ^= 1
-        if acc != f.value_at(i):
-            return False
-    return True
-
-
-def _separating(f: BoolFun, c: int) -> bool:
-    # exists a variable index i such that f(a) = c implies a_i = c.
-    # Vacuously needs an index to exist, so 0-ary functions are never
-    # c-separating under the letter of the definition.
-    points = [i for i in range(f.n_points) if f.value_at(i) == c]
-    for j in range(f.arity):
-        if all(((i >> j) & 1) == c for i in points):
-            return True
-    return False
-
-
-def _projection_of(f: BoolFun) -> int | None:
-    for j in range(f.arity):
-        bit = 1 << j
-        if all(f.value_at(i) == ((i >> j) & 1) for i in range(f.n_points)):
-            return j
-    return None
-
-
-def _and_shape(f: BoolFun, ess: frozenset[int]) -> bool:
-    if not ess:
-        return True  # constant
-    for i in range(f.n_points):
-        expect = 1 if all((i >> j) & 1 for j in ess) else 0
-        if f.value_at(i) != expect:
-            return False
-    return True
-
-
-def _or_shape(f: BoolFun, ess: frozenset[int]) -> bool:
-    if not ess:
-        return True
-    for i in range(f.n_points):
-        expect = 1 if any((i >> j) & 1 for j in ess) else 0
-        if f.value_at(i) != expect:
-            return False
-    return True
+def table_views(f: BoolFun) -> tuple[list[int], int]:
+    """(pats, anf) over f's 2^arity rows: pats[j] is argument j's table (the
+    rows with bit j set) and bit m of anf is the coefficient of monomial m
+    (the variables of m's set bits) in f's algebraic normal form
+    (Zhegalkin), from one Moebius pass."""
+    pats, anf = [_var_pattern(j, f.arity) for j in range(f.arity)], f.bits
+    for j, p in enumerate(pats):
+        anf ^= (anf & ~p) << (1 << j)
+    return pats, anf
 
 
 def function_signature(f: BoolFun) -> FunSignature:
-    """Compute all property flags of f exactly."""
+    """Compute all property flags of f exactly, a few bitwise operations
+    over the whole table per argument."""
     if f.arity > PROPERTY_ARITY_CAP:
         raise ArityUnsupported(f"arity {f.arity} exceeds property cap {PROPERTY_ARITY_CAP}")
-    ess = _essential_vars(f)
-    rows = f.n_points
+    rows, bits = f.n_points, f.bits
+    full = (1 << rows) - 1
+    pats, anf = table_views(f)
+    # per argument j: the rows with bit j clear, and f shifted so each reads f there with bit j set
+    lows = [(~p & full, bits >> (1 << j)) for j, p in enumerate(pats)]
+    ess = frozenset(j for j, (low, up) in enumerate(lows) if (bits ^ up) & low)
+    and_of, or_of = full, 0
+    for j in ess:
+        and_of &= pats[j]
+        or_of |= pats[j]
     return FunSignature(
-        reproducing0=f.value_at(0) == 0,
-        reproducing1=f.value_at(rows - 1) == 1,
-        monotone=_monotone(f),
-        self_dual=_self_dual(f),
-        linear=_linear(f),
-        separating0=_separating(f, 0),
-        separating1=_separating(f, 1),
+        reproducing0=not bits & 1,
+        reproducing1=bool(bits >> (rows - 1)),
+        monotone=all(not bits & ~up & low for low, up in lows),
+        # read most significant first, the table string has f(~a) at bit a
+        self_dual=bits ^ int(f.table, 2) == full,
+        linear=not anf & ~sum(1 << (1 << j) for j in range(f.arity)) & ~1,
+        separating0=any(not p & ~bits for p in pats),
+        separating1=any(not bits & ~p for p in pats),
         depends_on=ess,
-        is_projection=_projection_of(f) is not None,
+        is_projection=bits in pats,
         is_constant=not ess,
-        is_and_shape=_and_shape(f, ess),
-        is_or_shape=_or_shape(f, ess),
+        is_and_shape=bits == and_of or not ess,
+        is_or_shape=bits == or_of or not ess,
     )

@@ -76,6 +76,8 @@ class CnfFormula(_Record):
     __slots__ = ("n_vars", "clauses")
 
     def __init__(self, n_vars: int, clauses: tuple[tuple[int, ...], ...]):
+        if n_vars < 0:
+            raise InputError(f"negative variable count {n_vars}")
         for cl in clauses:
             for lit in cl:
                 if lit == 0 or abs(lit) > n_vars:

@@ -50,6 +50,13 @@ def test_classify_defconn(capsys):
     assert js["cases"]["ext"] == "SigmaP2"
 
 
+def test_classify_defconn_refuses_a_builtin_name(capsys):
+    # the theory reader refuses the same declaration; classifying xor as
+    # "and" would report L for a signature the user did not give
+    code, out, err = run(capsys, "classify", "--conns", "and", "--defconn", "and 2 0110", "--json")
+    assert code == 2 and not out and "cannot redefine builtin 'and'" in err
+
+
 def test_ext_yes_no(theory_file, capsys):
     code, out, _ = run(capsys, "ext", theory_file)
     assert code == 0
@@ -143,6 +150,13 @@ def test_reduce_3sat_to_stdout(tmp_path, capsys):
     src.write_text(CNF, encoding="utf-8")
     code, out, _ = run(capsys, "reduce", "3sat", str(src))
     assert code == 0 and "(default" in out and "W:" in out
+
+
+def test_reduce_3sat_refuses_a_negative_count(tmp_path, capsys):
+    src = tmp_path / "f.cnf"
+    src.write_text("p cnf -2 0\n", encoding="utf-8")
+    code, out, err = run(capsys, "reduce", "3sat", str(src))
+    assert code == 2 and not out and f"{src}:1" in err
 
 
 def test_reduce_snsat(tmp_path, capsys):

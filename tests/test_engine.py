@@ -401,19 +401,32 @@ def test_snsat_ext_builds_each_variable_pattern_once(monkeypatch):
     )
     t = snsat_to_ext(inst)
     assert len(t.variables()) == 17
+    # count only the patterns a context builds, so a caller that caches
+    # patterns elsewhere cannot make the count depend on test order
     built = Counter()
-    pattern = engine._var_pattern
+    building = []
+    pattern, init = engine._var_pattern, TableContext.__init__
 
     def counted(j, n):
-        built[j, n] += 1
+        if building:
+            built[j, n] += 1
         return pattern(j, n)
 
+    def counted_init(self, formulas):
+        building.append(self)
+        try:
+            init(self, formulas)
+        finally:
+            building.pop()
+
     monkeypatch.setattr(engine, "_var_pattern", counted)
+    monkeypatch.setattr(TableContext, "__init__", counted_init)
     d = ext(t)
     assert d.engine == "monotone_iterative"
     assert d.answer == bool(snsat_eval(inst))
     assert built and max(built.values()) == 1
     assert {n for _, n in built} == {17}
+    assert {j for j, _ in built} == set(range(17))
 
 
 def test_decisions_at_the_variable_cap_take_milliseconds():

@@ -104,6 +104,10 @@ def test_dimacs_reader():
     assert cnf.clauses == ((1, -2, 3), (-1, 2))
     with pytest.raises(TheoryFormatError):
         read_dimacs("1 2 0\n")
+    # a negative or non-integer count is reported at its line
+    for header in ("p cnf -2 0", "p cnf x 1", "p cnf 2 1.5", "p cnf 2 -1"):
+        with pytest.raises(TheoryFormatError, match="f.cnf:2"):
+            read_dimacs(f"c counts\n{header}\n", "f.cnf")
 
 
 def test_digraph_reader():
@@ -136,6 +140,9 @@ def test_snsat_reader_errors():
         read_snsat("z1\n")
     with pytest.raises(TheoryFormatError):
         read_snsat("formula\nw1\n")
+    for count in ("two", "-1"):
+        with pytest.raises(TheoryFormatError, match="c.snsat:2"):
+            read_snsat(f"formula\nzvars {count}\nz1\n", "c.snsat")
 
 
 def test_theory_file_parses_under_grammar():

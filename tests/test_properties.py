@@ -1,5 +1,8 @@
+import random
+import time
+
 from postdl.boolfun import BUILTINS, BoolFun, dual
-from postdl.properties import function_signature
+from postdl.properties import FunSignature, function_signature
 
 
 def sig(name):
@@ -76,17 +79,93 @@ def test_inflated_or_shape():
     assert s.is_or_shape and s.is_and_shape and s.is_projection
 
 
-def _all_functions_upto_arity3():
-    for arity in range(4):
+def _all_functions_upto_arity4(arities=range(5)):
+    for arity in arities:
         for bits in range(1 << (1 << arity)):
             table = "".join("1" if (bits >> i) & 1 else "0" for i in range(1 << arity))
             yield BoolFun(f"g{arity}_{bits}", arity, table)
 
 
+def _by_definition(f):
+    """Every FunSignature field from its textbook definition, point by point
+    over f's table (row a sets argument j to bit j of a)."""
+    k, v = f.arity, [int(c) for c in f.table]
+    pts, top = range(len(v)), len(v) - 1
+    ess = frozenset(j for j in range(k) if any(v[a] != v[a ^ 1 << j] for a in pts))
+    # f(a) = f(0) xor the sum over a's bits j of the coefficient f(e_j) xor f(0)
+    coeff = [v[1 << j] ^ v[0] for j in range(k)]
+    parity = [v[0] ^ sum(coeff[j] for j in range(k) if a >> j & 1) % 2 for a in pts]
+    return FunSignature(
+        reproducing0=v[0] == 0,
+        reproducing1=v[top] == 1,
+        # a <= b componentwise is a chain of steps that each set one bit
+        monotone=all(v[a] <= v[a | 1 << j] for a in pts for j in range(k)),
+        self_dual=all(v[a ^ top] != v[a] for a in pts),
+        linear=v == parity,
+        separating0=any(all(a >> j & 1 == 0 for a in pts if v[a] == 0) for j in range(k)),
+        separating1=any(all(a >> j & 1 == 1 for a in pts if v[a] == 1) for j in range(k)),
+        depends_on=ess,
+        is_projection=any(all(v[a] == a >> j & 1 for a in pts) for j in range(k)),
+        is_constant=len(set(v)) == 1,
+        is_and_shape=not ess or all(v[a] == all(a >> j & 1 for j in ess) for a in pts),
+        is_or_shape=not ess or all(v[a] == any(a >> j & 1 for j in ess) for a in pts),
+    )
+
+
+def _seeded_wide_functions():
+    # random, parity-of-subset, AND-of-subset and OR-of-subset tables at
+    # arities 5-10, so the projection and shape flags also hold at width
+    rng = random.Random("wide-signatures")
+    shapes = {
+        "rand": lambda a, s: rng.getrandbits(1),
+        "par": lambda a, s: bin(a & s).count("1") % 2,
+        "and": lambda a, s: int(a & s == s),
+        "or": lambda a, s: int(a & s != 0),
+    }
+    for arity in range(5, 11):
+        for name, shape in shapes.items():
+            # a single variable makes the AND and OR shapes projections
+            for s in (1 << rng.randrange(arity), rng.randrange(1, 1 << arity)):
+                table = "".join(str(shape(a, s)) for a in range(1 << arity))
+                yield BoolFun(f"{name}{arity}_{s}", arity, table)
+
+
+def test_flags_match_their_definitions_exhaustively():
+    for f in _all_functions_upto_arity4():
+        assert function_signature(f) == _by_definition(f), f.table
+
+
+def test_flags_match_their_definitions_at_width():
+    flags = ("is_projection", "is_and_shape", "is_or_shape", "linear")
+    seen = set()
+    for f in _seeded_wide_functions():
+        s = function_signature(f)
+        assert s == _by_definition(f), f.name
+        seen.update((k, f.arity) for k in flags if getattr(s, k))
+    # each of these flags is true on some table of every arity 5-10
+    assert seen == {(k, arity) for k in flags for arity in range(5, 11)}
+
+
+def test_signature_at_the_arity_cap_is_fast():
+    # bit-parallel over the 2^20 rows; a per-point scan of the parity took
+    # about 2 s
+    rng = random.Random("cap-signature")
+    for f in (
+        BoolFun("par20", 20, "".join(str(bin(a).count("1") % 2) for a in range(1 << 20))),
+        BoolFun("rand20", 20, format(rng.getrandbits(1 << 20), f"0{1 << 20}b")),
+    ):
+        elapsed = []
+        for _ in range(3):
+            start = time.perf_counter()
+            function_signature(f)
+            elapsed.append(time.perf_counter() - start)
+        assert min(elapsed) < 0.1, (f.name, elapsed)
+
+
 def test_separating_duality_exhaustive():
     # separating0 of f equals separating1 of its dual, for every function
-    # of arity at most 3
-    for f in _all_functions_upto_arity3():
+    # of arity at most 4
+    for f in _all_functions_upto_arity4():
         sf = function_signature(f)
         sd = function_signature(dual(f))
         assert sf.separating0 == sd.separating1, f.table
@@ -96,9 +175,7 @@ def test_separating_duality_exhaustive():
 def test_linear_iff_no_degree2_monomial():
     # cross-check the linearity flag against the algebraic normal form on
     # all binary functions
-    for f in _all_functions_upto_arity3():
-        if f.arity != 2:
-            continue
+    for f in _all_functions_upto_arity4([2]):
         v = [f.value_at(i) for i in range(4)]
         # ANF coefficients via the Moebius transform
         c0 = v[0]

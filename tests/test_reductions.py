@@ -54,6 +54,8 @@ def test_cnf_sat_oracle():
     assert cnf_sat(CnfFormula(2, ((1, 2),)))
     assert not cnf_sat(CnfFormula(1, ((1,), (-1,))))
     assert cnf_sat(CnfFormula(0, ()))
+    with pytest.raises(InputError):
+        CnfFormula(-2, ())
 
 
 def test_pad_to_three():
