@@ -53,9 +53,14 @@ def _signature_from_args(args) -> dict[str, BoolFun]:
         parts = decl.split()
         if len(parts) != 3:
             raise InputError("--defconn wants 'NAME ARITY BITSTRING'")
-        if parts[0] in BUILTINS:
-            raise InputError(f"cannot redefine builtin {parts[0]!r}")
-        sig[parts[0]] = BoolFun(parts[0], int(parts[1]), parts[2])
+        name, arity, bits = parts
+        if name in BUILTINS:
+            raise InputError(f"cannot redefine builtin {name!r}")
+        try:
+            n = int(arity)
+        except ValueError:
+            raise InputError(f"--defconn {decl!r}: arity {arity!r} is not an integer") from None
+        sig[name] = BoolFun(name, n, bits)
     return sig
 
 

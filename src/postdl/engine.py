@@ -5,7 +5,9 @@ The generic engine enumerates candidate extensions and doubles as the
 brute-force oracle: by the generating-defaults characterization, every
 stable extension is axiomatized by the facts plus a subset of the distinct
 rule consequents, so enumeration runs over consequent subsets (ascending
-popcount, then index), not over raw rule subsets.  The rules are tabled
+popcount, then index), not over raw rule subsets, and skips a subset that
+chooses a consequent the facts entail alone or with one other chosen
+consequent, since a smaller subset has the same models.  The rules are tabled
 once per decision; a candidate tests each justification once, runs the
 prerequisite fixpoint over the live rules only, and is rejected as soon as
 a fired consequent cuts into its models.  Affine signatures (the
@@ -75,21 +77,29 @@ _SOUNDNESS = {
 class Stats:
     """Work counters of one decision.
 
-    subsets_checked: consequent subsets whose stability was checked.
+    subsets_checked: consequent subsets visited, in enumeration order up to
+    the one that answers.  A subset that repeats an earlier subset's model
+    set by choosing a consequent the facts entail, alone or with one other
+    chosen consequent, is counted but skipped, and a skipped subset makes
+    no test.
     implication_calls: entailment and consistency tests actually made, one
     count per test.  The enumerating engines test each rule's justification
-    once per candidate extension; only the live rules, those whose
+    once per checked candidate extension; only the live rules, those whose
     justification is consistent with the candidate, have their prerequisite
     tested against the formulas derived so far.  A fired consequent outside
     the candidate's chosen consequents is tested for covering the
     candidate, and a failed cover test rejects the candidate at once (early
     rejection); a check that runs to completion ends with the closing test
-    that the derived formulas have the candidate's models.  A goal tested
-    against an extension counts once.  The fixpoint engine counts one test per
-    prerequisite test its entailment state makes, when the rule registers
-    and each time an asserted formula wakes it, plus the goal test.
-    Satisfiability checks of the facts or of a candidate on its own and
-    the all-ones evaluations of the fixpoint engine are not counted.
+    that the derived formulas have the candidate's models.  The skip tables
+    cost one test per consequent before the first singleton (do the facts
+    entail it?) and one per ordered pair of the consequents left before
+    the first pair (do the facts and one entail the other?).  A goal
+    tested against an extension counts once.  The fixpoint engine counts
+    one test per prerequisite test its entailment state makes, when the
+    rule registers and each time an asserted formula wakes it, plus the
+    goal test.  Satisfiability checks of the facts or of a candidate on
+    its own and the all-ones evaluations of the fixpoint engine are not
+    counted.
     """
 
     __slots__ = ("subsets_checked", "implication_calls")
@@ -363,39 +373,81 @@ class ExtensionInfo(NamedTuple):
     models: int
 
 
-def _masks(k: int) -> Iterator[int]:
-    """All k-bit masks by ascending popcount, then value (Gosper's hack
-    steps to the next larger mask of the same popcount)."""
-    yield 0
-    for ones in range(1, k + 1):
-        mask = (1 << ones) - 1
-        while mask < 1 << k:
-            yield mask
-            low = mask & -mask
-            ripple = mask + low
-            mask = (((ripple ^ mask) >> 2) // low) | ripple
+def _masks(k: int, ones: int) -> Iterator[int]:
+    """The k-bit masks with the given popcount by ascending value (Gosper's
+    hack steps to the next larger mask of the same popcount)."""
+    if ones == 0:
+        yield 0
+        return
+    mask = (1 << ones) - 1
+    while mask < 1 << k:
+        yield mask
+        low = mask & -mask
+        ripple = mask + low
+        mask = (((ripple ^ mask) >> 2) // low) | ripple
 
 
 def _stable_extensions(t: _RuleTables, stats: Stats) -> Iterator[tuple[int, int, tuple[int, ...]]]:
     """Stable extensions in enumeration order, lazily: for each consequent
-    subset that axiomatizes one (with the facts), its mask, the model set
-    of the facts plus the chosen consequents, and the generating rules."""
-    for mask in _masks(len(t.conseqs)):
-        ehat = t.w_models
-        for j, c in enumerate(t.conseqs):
-            if mask >> j & 1:
-                ehat &= c
-        stats.subsets_checked += 1
-        stable, applied = _stable(t, ehat, mask, stats)
-        if stable:
-            yield mask, ehat, applied
+    subset that axiomatizes one (with the facts) and is checked, its mask,
+    the model set of the facts plus the chosen consequents, and the
+    generating rules.
+
+    The subsets run by ascending popcount, then value, and each is counted,
+    but one that chooses a consequent the facts entail alone (by_facts, k
+    tests before the first singleton) or together with another chosen
+    consequent (by_one, tested before the first pair among the consequents
+    by_facts leaves) is skipped: dropping that consequent leaves the model
+    set as it is and gives a subset that comes earlier.  So the first
+    subset of each model set is always checked, and since stability and the
+    generating rules depend on the model set alone, the first extension
+    that answers a query and its witness do not change.  A candidate
+    without models over satisfiable facts is not stable and is skipped as
+    well.  Repeats that need two or more other consequents are checked
+    again; no model set is remembered."""
+    w, conseqs = t.w_models, t.conseqs
+    k = len(conseqs)
+    by_facts, by_one = 0, [0] * k
+    for ones in range(k + 1):
+        if ones == 1:
+            stats.implication_calls += k
+            by_facts = sum(1 << j for j, c in enumerate(conseqs) if w & c == w)
+        elif ones == 2:
+            free = [j for j in range(k) if not by_facts >> j & 1]
+            stats.implication_calls += len(free) * (len(free) - 1)
+            for i in free:
+                e = w & conseqs[i]
+                by_one[i] = sum(1 << j for j in free if j != i and e & conseqs[j] == e)
+        for mask in _masks(k, ones):
+            stats.subsets_checked += 1
+            if mask & by_facts:
+                continue
+            ehat, rest = w, mask
+            while rest:
+                low = rest & -rest
+                j = low.bit_length() - 1
+                if by_one[j] & mask:
+                    break
+                ehat &= conseqs[j]
+                rest ^= low
+            if rest or (ehat == 0 and w):
+                continue
+            stable, applied = _stable(t, ehat, mask, stats)
+            if stable:
+                yield mask, ehat, applied
 
 
 def enumerate_extensions(theory: DefaultTheory, goal: Formula | None = None) -> tuple[list[ExtensionInfo], TableContext]:
-    """All stable extensions by consequent-subset enumeration (oracle side)."""
+    """All stable extensions by consequent-subset enumeration (oracle side),
+    each listed once, at the first consequent subset that axiomatizes it:
+    the kernel skips most later subsets with the same model set, and the
+    few it checks again are dropped here.  The list holds every extension
+    anyway, so keying it by the model set costs no extra memory."""
     t, ctx = _enumeration_context(theory, goal)
-    found = _stable_extensions(t, Stats())
-    return [ExtensionInfo(mask, applied, models) for mask, models, applied in found], ctx
+    found: dict[int, ExtensionInfo] = {}
+    for mask, models, applied in _stable_extensions(t, Stats()):
+        found.setdefault(models, ExtensionInfo(mask, applied, models))
+    return list(found.values()), ctx
 
 
 # ---------------------------------------------------------------------------

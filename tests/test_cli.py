@@ -57,6 +57,12 @@ def test_classify_defconn_refuses_a_builtin_name(capsys):
     assert code == 2 and not out and "cannot redefine builtin 'and'" in err
 
 
+def test_classify_defconn_names_a_non_integer_arity(capsys):
+    code, out, err = run(capsys, "classify", "--defconn", "f x 01")
+    assert code == 2 and not out
+    assert err.splitlines() == ["error: --defconn 'f x 01': arity 'x' is not an integer"]
+
+
 def test_ext_yes_no(theory_file, capsys):
     code, out, _ = run(capsys, "ext", theory_file)
     assert code == 0

@@ -280,6 +280,27 @@ def test_empty_meet_counts_match_enumeration():
             assert _empty_meet_counts(f, c) == (pairs, triples), (f.table, c)
 
 
+def test_empty_meet_counts_match_pointwise_superset_sums():
+    # the slice additions against superset sums taken one point at a time,
+    # on every function of arity at most 3 and on seeded ones up to arity
+    # 10, where both slice layouts (strided and contiguous) occur
+    def pointwise(f, c):
+        u = [int(f.value_at(a if c else (1 << f.arity) - 1 - a) == c) for a in range(f.n_points)]
+        for j in range(f.arity):
+            for a in range(f.n_points):
+                if not a >> j & 1:
+                    u[a] += u[a | 1 << j]
+        signs = [(-1) ** bin(a).count("1") for a in range(f.n_points)]
+        return tuple(sum(s * x**k for s, x in zip(signs, u)) for k in (2, 3))
+
+    fs = [BoolFun("f", n, table(bits, n)) for n in range(4) for bits in range(1 << (1 << n))]
+    rng = random.Random(46)
+    fs += [BoolFun("f", n, table(rng.getrandbits(1 << n), n)) for n in range(4, 11) for _ in range(4)]
+    for f in fs:
+        for c in (0, 1):
+            assert _empty_meet_counts(f, c) == pointwise(f, c), (f.table, c)
+
+
 def test_import_leaves_numpy_out():
     # numpy is a test-only dependency: the slice oracle imports it lazily
     import postdl
