@@ -10,7 +10,13 @@ chooses a consequent the facts entail alone or with one other chosen
 consequent, since a smaller subset has the same models.  The rules are tabled
 once per decision; a candidate tests each justification once, runs the
 prerequisite fixpoint over the live rules only, and is rejected as soon as
-a fired consequent cuts into its models.  Affine signatures (the
+a fired consequent cuts into its models.  The goal bounds cred and skep
+first: over consistent facts, every extension lies between the facts and
+their closure under every rule with the justifications ignored, so cred
+is no when that closure fails to entail the goal and skep is yes when the
+facts entail it, before any subset; otherwise only candidates that entail
+the goal (cred) or fail it (skep) are checked for stability.  Neither
+bound changes an answer or a witness.  Affine signatures (the
 NP case) use the same guess-and-check enumeration: the case fixes the
 complexity of the problem, not how a guess is checked.  Every other
 engine is one rule-firing least fixpoint, for monotone, 1-reproducing and
@@ -78,10 +84,10 @@ class Stats:
     """Work counters of one decision.
 
     subsets_checked: consequent subsets visited, in enumeration order up to
-    the one that answers.  A subset that repeats an earlier subset's model
-    set by choosing a consequent the facts entail, alone or with one other
-    chosen consequent, is counted but skipped, and a skipped subset makes
-    no test.
+    the one that answers; 0 when the goal settles cred or skep at the root.
+    A subset that repeats an earlier subset's model set by choosing a
+    consequent the facts entail, alone or with one other chosen
+    consequent, is counted but skipped, and a skipped subset makes no test.
     implication_calls: entailment and consistency tests actually made, one
     count per test.  The enumerating engines test each rule's justification
     once per checked candidate extension; only the live rules, those whose
@@ -93,8 +99,12 @@ class Stats:
     that the derived formulas have the candidate's models.  The skip tables
     cost one test per consequent before the first singleton (do the facts
     entail it?) and one per ordered pair of the consequents left before
-    the first pair (do the facts and one entail the other?).  A goal
-    tested against an extension counts once.  The fixpoint engine counts
+    the first pair (do the facts and one entail the other?).  Over
+    consistent facts, cred first runs the justification-free closure of
+    the facts under every rule, one test per prerequisite test, and tests
+    the goal against it; skep tests the goal against the facts, once.  In
+    cred and skep, every candidate that the repeat skips leave makes one
+    goal test before its check.  The fixpoint engine counts
     one test per prerequisite test its entailment state makes, when the
     rule registers and each time an asserted formula wakes it, plus the
     goal test.  Satisfiability checks of the facts or of a candidate on
@@ -305,24 +315,16 @@ def _enumeration_context(
     ), ctx
 
 
-def _stable(
-    t: _RuleTables, ehat: int, chosen: int, stats: Stats
-) -> tuple[bool, tuple[int, ...]]:
-    """Is the candidate with model set ehat a stable extension, and which
-    rules generate it?  chosen masks the distinct consequents that, with
-    the facts, axiomatize ehat, so ehat entails them without a test.
-
-    The live rules are those whose justification is consistent with ehat;
-    the extension iteration starts from the facts' models and fires every
-    live rule whose prerequisite the derived formulas entail.  The derived
-    model set only shrinks and must end equal to ehat, so the candidate is
-    rejected as soon as a fired consequent does not cover ehat; a stable
-    candidate never meets that test and runs to the closing comparison."""
-    if ehat == 0:
-        return t.w_models == 0, ()
+def _fire(
+    t: _RuleTables, waiting: list[int], stats: Stats, ehat: int = 0, chosen: int = -1
+) -> tuple[int, list[int]] | None:
+    """The extension iteration over the waiting rules: from the facts'
+    models, fire every rule whose prerequisite the derived formulas entail,
+    until none is left to fire.  Returns the derived model set and the
+    fired rules, or None as soon as a fired consequent outside the chosen
+    ones (chosen masks the distinct consequents; -1 chooses them all) does
+    not cover ehat."""
     pre, con, conseq_of = t.pre, t.con, t.conseq_of
-    stats.implication_calls += len(t.just)
-    waiting = [i for i, j in enumerate(t.just) if ehat & j]
     gens = t.w_models
     applied: list[int] = []
     while waiting:
@@ -337,12 +339,35 @@ def _stable(
             if not chosen >> conseq_of[i] & 1:
                 stats.implication_calls += 1
                 if ehat & con[i] != ehat:
-                    return False, ()
+                    return None
         if len(rest) == len(waiting):
             break
         waiting = rest
+    return gens, applied
+
+
+def _stable(
+    t: _RuleTables, ehat: int, chosen: int, stats: Stats
+) -> tuple[bool, tuple[int, ...]]:
+    """Is the candidate with model set ehat a stable extension, and which
+    rules generate it?  chosen masks the distinct consequents that, with
+    the facts, axiomatize ehat, so ehat entails them without a test.
+
+    The live rules are those whose justification is consistent with ehat;
+    the extension iteration (``_fire``) starts from the facts' models and
+    fires every live rule whose prerequisite the derived formulas entail.
+    The derived model set only shrinks and must end equal to ehat, so the
+    candidate is rejected as soon as a fired consequent does not cover
+    ehat; a stable candidate never meets that test and runs to the closing
+    comparison."""
+    if ehat == 0:
+        return t.w_models == 0, ()
+    stats.implication_calls += len(t.just)
+    fired = _fire(t, [i for i, j in enumerate(t.just) if ehat & j], stats, ehat, chosen)
+    if fired is None:
+        return False, ()
     stats.implication_calls += 1
-    return gens == ehat, tuple(sorted(applied))
+    return fired[0] == ehat, tuple(sorted(fired[1]))
 
 
 def check_stable(theory: DefaultTheory, generating: Iterable[int]) -> bool:
@@ -387,7 +412,9 @@ def _masks(k: int, ones: int) -> Iterator[int]:
         mask = (((ripple ^ mask) >> 2) // low) | ripple
 
 
-def _stable_extensions(t: _RuleTables, stats: Stats) -> Iterator[tuple[int, int, tuple[int, ...]]]:
+def _stable_extensions(
+    t: _RuleTables, stats: Stats, goal: int | None = None, entails: bool = True
+) -> Iterator[tuple[int, int, tuple[int, ...]]]:
     """Stable extensions in enumeration order, lazily: for each consequent
     subset that axiomatizes one (with the facts) and is checked, its mask,
     the model set of the facts plus the chosen consequents, and the
@@ -404,7 +431,13 @@ def _stable_extensions(t: _RuleTables, stats: Stats) -> Iterator[tuple[int, int,
     that answers a query and its witness do not change.  A candidate
     without models over satisfiable facts is not stable and is skipped as
     well.  Repeats that need two or more other consequents are checked
-    again; no model set is remembered."""
+    again; no model set is remembered.
+
+    Given the goal's table, only candidates whose model set entails the
+    goal (entails=True, for cred) or fails it (entails=False, for skep) go
+    on to the stability check; the goal test comes after the repeat skips
+    and costs one test per candidate, so the visit order, and with it the
+    first answering subset, stay the same."""
     w, conseqs = t.w_models, t.conseqs
     k = len(conseqs)
     by_facts, by_one = 0, [0] * k
@@ -432,6 +465,10 @@ def _stable_extensions(t: _RuleTables, stats: Stats) -> Iterator[tuple[int, int,
                 rest ^= low
             if rest or (ehat == 0 and w):
                 continue
+            if goal is not None:
+                stats.implication_calls += 1
+                if (ehat & goal == ehat) != entails:
+                    continue
             stable, applied = _stable(t, ehat, mask, stats)
             if stable:
                 yield mask, ehat, applied
@@ -442,7 +479,8 @@ def enumerate_extensions(theory: DefaultTheory, goal: Formula | None = None) -> 
     each listed once, at the first consequent subset that axiomatizes it:
     the kernel skips most later subsets with the same model set, and the
     few it checks again are dropped here.  The list holds every extension
-    anyway, so keying it by the model set costs no extra memory."""
+    anyway, so keying it by the model set costs no extra memory.  The goal
+    only joins the table context; it prunes no candidate."""
     t, ctx = _enumeration_context(theory, goal)
     found: dict[int, ExtensionInfo] = {}
     for mask, models, applied in _stable_extensions(t, Stats()):
@@ -462,19 +500,26 @@ def _enumerate_engine(
 ) -> tuple[bool, ExtensionWitness | None]:
     """Guess and check over consequent subsets (generic and affine_guess):
     the first stable extension answers ext, and the first one that entails
-    (cred) or fails (skep) the goal is the witness."""
+    (cred) or fails (skep) the goal is the witness.
+
+    Over consistent facts, two bounds on every extension E decide some
+    goals before any subset is checked: W is in E, and E is in the closure
+    of W under every rule with the justifications ignored (E_out at the
+    root).  So cred is no when that closure fails to entail the goal, and
+    skep is yes when W entails it: the bound fails the goal test that
+    ``_stable_extensions`` puts to each candidate, and so does every
+    extension."""
     t, ctx = _enumeration_context(theory, goal)
-    for _, models, applied in _stable_extensions(t, stats):
-        # only an inconsistent W makes an unsatisfiable candidate stable
-        witness = ExtensionWitness(applied, inconsistent=models == 0)
-        if problem == "ext":
-            return True, witness
+    g = None if goal is None else ctx.table(goal)
+    entails = problem == "cred"
+    if g is not None and t.w_models:
+        bound = _fire(t, list(range(len(t.pre))), stats)[0] if entails else t.w_models
         stats.implication_calls += 1
-        holds = models & ~ctx.table(goal) & ctx.full == 0
-        if problem == "cred" and holds:
-            return True, witness
-        if problem == "skep" and not holds:
-            return False, witness
+        if (bound & g == bound) != entails:
+            return problem == "skep", None
+    for _, models, applied in _stable_extensions(t, stats, g, entails):
+        # only an inconsistent W makes an unsatisfiable candidate stable
+        return problem != "skep", ExtensionWitness(applied, inconsistent=models == 0)
     # skep is vacuously true when no extension exists
     return problem == "skep", None
 
@@ -493,7 +538,7 @@ class _TableState(EntailmentState):
         return self._ctx.table(phi)  # the context memoizes the tables
 
     def _holds(self, table: int) -> bool:
-        return self._models & ~table & self._ctx.full == 0
+        return self._models & table == self._models
 
     def _wait(self, key, table: int) -> None:
         self._waiting[key] = table

@@ -78,7 +78,13 @@ def read_theory(text: str, filename: str = "<input>"):
             if name in BUILTINS:
                 raise TheoryFormatError(f"cannot redefine builtin {name!r}", filename, lineno)
             try:
-                declared[name] = BoolFun(name, int(arity_s), bits)
+                arity = int(arity_s)
+            except ValueError:
+                raise TheoryFormatError(
+                    f"defconn {name!r}: arity {arity_s!r} is not an integer", filename, lineno
+                ) from None
+            try:
+                declared[name] = BoolFun(name, arity, bits)
             except Exception as exc:
                 raise TheoryFormatError(str(exc), filename, lineno) from None
             continue

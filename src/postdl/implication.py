@@ -55,7 +55,7 @@ def truth_table_implies(premises: Sequence[Formula], goal: Formula) -> bool:
         prem &= table_int(p, order)
         if prem == 0:
             return True
-    return prem & ~table_int(goal, order) & full == 0
+    return prem & table_int(goal, order) == prem
 
 
 @lru_cache(maxsize=1024)

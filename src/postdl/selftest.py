@@ -6,7 +6,7 @@ import random
 
 from .boolfun import BUILTINS
 from .clones import dispatch_case
-from .engine import check_stable, decide, enumerate_extensions
+from .engine import ExtensionWitness, check_stable, decide, enumerate_extensions
 from .gen import (
     FAMILIES,
     random_digraph,
@@ -69,7 +69,20 @@ def _engines_section(rng: random.Random, per_family: int) -> tuple[bool, str]:
                 for d in (fast, slow):
                     if d.witness is not None and not _witness_holds(problem, theory, goal, d.witness):
                         return False, f"{d.engine} returned a bad {problem} witness on a {family} theory"
-    return True, f"{checked} engine-vs-generic decisions, witnesses checked"
+                if g is not None and (slow.answer, slow.witness) != _from_extensions(problem, theory, goal):
+                    return False, f"generic {problem} disagrees with the extension list on a {family} theory"
+    return True, f"{checked} engine-vs-generic decisions, witnesses checked, cred and skep against the extension list"
+
+
+def _from_extensions(problem: str, theory, goal) -> tuple[bool, ExtensionWitness | None]:
+    """cred or skep read off the unpruned extension list: the first
+    extension that entails (cred) or fails (skep) the goal."""
+    infos, ctx = enumerate_extensions(theory, goal)
+    g = ctx.table(goal)
+    for info in infos:
+        if (info.models & g == info.models) == (problem == "cred"):
+            return problem == "cred", ExtensionWitness(info.generating, inconsistent=info.models == 0)
+    return problem == "skep", None
 
 
 def _witness_holds(problem: str, theory, goal, witness) -> bool:

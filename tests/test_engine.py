@@ -34,6 +34,7 @@ from postdl.formula import App, Var, parse, table_int
 from postdl.gen import FAMILIES, random_cnf3, random_formula, random_goal, random_snsat, random_theory
 from postdl.implication import truth_table_implies
 from postdl.reductions import SnsatInstance, snsat_eval, snsat_to_ext, threesat_to_default
+from postdl.selftest import _from_extensions
 from postdl.theory import DefaultRule, DefaultTheory
 
 B = BUILTINS
@@ -493,10 +494,11 @@ def _digest_corpus():
 def test_decisions_are_pinned_on_a_seeded_corpus():
     # the sha256 of the decisions' JSON, witnesses and stats included; a
     # change of the tabling kernel leaves it as it is.  The second digest
-    # leaves out implication_calls: skipping a consequent subset that
-    # repeats an earlier one's models saves tests but changes no answer,
-    # engine, case, witness or subsets_checked
-    digest, without_calls = hashlib.sha256(), hashlib.sha256()
+    # leaves out implication_calls, the third all of stats: a cred-no or
+    # skep-yes decision that the goal settles at the root visits no subset,
+    # and the root and goal tests count as implication calls, but no
+    # answer, engine, case or witness changes
+    digest, without_calls, without_stats = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
     count = 0
     for t, goal, engines in _digest_corpus():
         for engine_name in engines:
@@ -507,10 +509,13 @@ def test_decisions_are_pinned_on_a_seeded_corpus():
                 digest.update(json.dumps(record, sort_keys=True).encode() + b"\n")
                 del record["stats"]["implication_calls"]
                 without_calls.update(json.dumps(record, sort_keys=True).encode() + b"\n")
+                del record["stats"]
+                without_stats.update(json.dumps(record, sort_keys=True).encode() + b"\n")
                 count += 1
     assert count == 885
-    assert without_calls.hexdigest() == "ae51ef50aa362c0b16b9819a19708d76e52e2b33be7f94a32cef5cf6054f9a21"
-    assert digest.hexdigest() == "2a38ce39d157b5ff4af2ae41434e5edd5f2708eca6458cc36ea530cce7829d20"
+    assert without_stats.hexdigest() == "0ec0ac6c6efbbc40ad91c328f7f4e3dce7f261607ee857b6e57a22d980d2cd35"
+    assert without_calls.hexdigest() == "197bcc77250b0bcfb2d89e936651f1a0a3a760a14013e1d7bc0c8f6557e83fcd"
+    assert digest.hexdigest() == "77811002f9ee0f7345d6d851835d124d762de859c9b4cef2f9bb3ac639153f2a"
 
 
 # -- engine equivalence + witnesses ------------------------------------------------------
@@ -873,6 +878,77 @@ def test_enumeration_lists_each_extension_at_its_first_subset():
         assert infos == want, t
         repeats += n
     assert repeats > 100  # the corpus does repeat extensions
+
+
+def _goal_theories():
+    """Seeded (theory, goal) pairs: theories of every gen family, each also
+    with inconsistent facts, with a random goal of the family and with a
+    fact as goal; and 3SAT images with the skep image's goal and each
+    variable's literals as goals."""
+    for family in sorted(FAMILIES):
+        rng = random.Random(f"goal-first:{family}")
+        for _ in range(40):
+            t = random_theory(rng, family, max_vars=4, max_rules=5)
+            goal = random_goal(rng, t, family)
+            yield t, goal
+            sig = set(t.signature) | {B["and"], B["not"]}
+            yield DefaultTheory.make(list(t.W) + [f("(and v1 (not v1))")], t.D, sig), goal
+            if t.W:
+                yield t, t.W[0]
+    rng = random.Random("goal-first:3sat")
+    for _ in range(10):
+        t, psi = threesat_to_default(random_cnf3(rng), "skep")
+        yield t, psi
+        for name in sorted(t.variables()):
+            yield t, Var(name)
+            yield t, App(B["not"], (Var(name),))
+
+
+def test_goal_first_answers_match_the_unpruned_extension_list():
+    # the root bounds and the per-candidate goal test only drop candidates
+    # that cannot answer, so the answer and the witness are those of the
+    # unpruned extension list: the first extension in list order that
+    # entails (cred) or fails (skep) the goal.  A cred-no or skep-yes is
+    # often settled before any subset
+    at_root = Counter()
+    for t, goal in _goal_theories():
+        for problem in ("cred", "skep"):
+            d = decide(problem, t, goal, "generic", want_witness=True)
+            assert (d.answer, d.witness) == _from_extensions(problem, t, goal), (problem, t, goal)
+            at_root[problem] += d.stats.subsets_checked == 0
+    assert at_root["cred"] > 20 and at_root["skep"] > 20
+
+
+def test_cred_no_is_settled_at_the_root():
+    # the closure of W under both rules, justifications ignored, is p & q;
+    # it does not entail r, so no extension does: the one prerequisite test
+    # per rule (both fire in the first pass) and the goal test
+    t = DefaultTheory.make([f("p")], [rule("p", "q", "q"), rule("q", "(not r)", "p")])
+    d = cred(t, f("r"), engine="generic", want_witness=True)
+    assert (d.answer, d.witness) == (False, None)
+    assert (d.stats.subsets_checked, d.stats.implication_calls) == (0, 2 + 1)
+
+
+def test_skep_yes_is_settled_at_the_root():
+    # every extension contains the facts, and p entails (or p r)
+    t = DefaultTheory.make([f("p")], [rule("p", "(not q)", "r"), rule("p", "(not r)", "q")])
+    d = skep(t, f("(or p r)"), engine="generic", want_witness=True)
+    assert (d.answer, d.witness) == (True, None)
+    assert (d.stats.subsets_checked, d.stats.implication_calls) == (0, 1)
+
+
+def test_a_closure_that_entails_the_goal_leaves_it_to_the_enumeration():
+    # the justification-free closure p & q & r entails (and q r), but the
+    # two rules block each other: the extensions are Th(p, q) and Th(p, r),
+    # and neither entails it.  The root cannot answer, so all four subsets
+    # are visited; skep of (or q r) holds in both and is decided the same way
+    t = DefaultTheory.make([f("p")], [rule("p", "(not r)", "q"), rule("p", "(not q)", "r")])
+    d = cred(t, f("(and q r)"), engine="generic")
+    assert (d.answer, d.stats.subsets_checked) == (False, 4)
+    d = skep(t, f("(or q r)"), engine="generic")
+    assert (d.answer, d.stats.subsets_checked) == (True, 4)
+    d = cred(t, f("r"), engine="generic", want_witness=True)
+    assert (d.answer, d.witness.generating, d.stats.subsets_checked) == (True, (1,), 3)
 
 
 def test_fresh_goal_variable_across_engines():

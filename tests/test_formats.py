@@ -48,6 +48,12 @@ def test_read_theory_rejects_builtin_redefinition():
         read_theory("defconn and 2 0001\nW:\nx\n")
 
 
+def test_read_theory_names_a_non_integer_defconn_arity():
+    with pytest.raises(TheoryFormatError) as exc:
+        read_theory("defconn f x 01\nW:\nx\n", filename="bad.dt")
+    assert str(exc.value) == "bad.dt:1: defconn 'f': arity 'x' is not an integer"
+
+
 def test_read_theory_needs_section():
     with pytest.raises(TheoryFormatError):
         read_theory("x\n")
