@@ -508,9 +508,9 @@ def _enumerate_engine(
     root).  So cred is no when that closure fails to entail the goal, and
     skep is yes when W entails it: the bound fails the goal test that
     ``_stable_extensions`` puts to each candidate, and so does every
-    extension."""
+    extension.  ext ignores a goal it is given."""
     t, ctx = _enumeration_context(theory, goal)
-    g = None if goal is None else ctx.table(goal)
+    g = None if goal is None or problem == "ext" else ctx.table(goal)
     entails = problem == "cred"
     if g is not None and t.w_models:
         bound = _fire(t, list(range(len(t.pre))), stats)[0] if entails else t.w_models

@@ -951,6 +951,18 @@ def test_a_closure_that_entails_the_goal_leaves_it_to_the_enumeration():
     assert (d.answer, d.witness.generating, d.stats.subsets_checked) == (True, (1,), 3)
 
 
+@pytest.mark.parametrize("goal", ["p", "q"])
+def test_ext_ignores_a_goal(goal):
+    # W entails p, and the one extension Th(p, q) entails q: neither goal
+    # may bound or prune ext, which answers as it does without a goal
+    t = DefaultTheory.make([f("p")], [rule("p", "q", "q")])
+    for engine_name in ("generic", "auto"):
+        with_goal = decide("ext", t, f(goal), engine_name, want_witness=True)
+        without = decide("ext", t, None, engine_name, want_witness=True)
+        assert (with_goal.answer, with_goal.witness) == (without.answer, without.witness)
+        assert (with_goal.answer, with_goal.witness.generating) == (True, (0,))
+
+
 def test_fresh_goal_variable_across_engines():
     # a goal variable foreign to the theory is only entailed by the
     # inconsistent extension
