@@ -17,6 +17,7 @@ from .clones import dispatch_case
 from .engine import decide
 from .errors import CapExceeded, InputError, ReasonerError
 from .formats import (
+    read_connective,
     read_digraph,
     read_dimacs,
     read_hypergraph,
@@ -37,8 +38,18 @@ from .reductions import (
 
 
 def _load_theory(path: str):
-    text = Path(path).read_text(encoding="utf-8")
-    return read_theory(text, filename=path)
+    return read_theory(Path(path).read_text(encoding="utf-8"), filename=path)
+
+
+def _load_query(command: str, args):
+    """The theory file and its goal; --goal overrides the file's goal:
+    line, and every command but ext needs a goal."""
+    theory, goal = _load_theory(args.theory)
+    if args.goal is not None:
+        goal = parse(args.goal, {f.name: f for f in theory.signature} | BUILTINS, allow_reserved=True)
+    if goal is None and command != "ext":
+        raise InputError(f"{command} needs a goal: line in the file or --goal")
+    return theory, goal
 
 
 def _signature_from_args(args) -> dict[str, BoolFun]:
@@ -50,17 +61,11 @@ def _signature_from_args(args) -> dict[str, BoolFun]:
                 raise InputError(f"unknown builtin connective {name!r}")
             sig[name] = BUILTINS[name]
     for decl in args.defconn or []:
-        parts = decl.split()
-        if len(parts) != 3:
-            raise InputError("--defconn wants 'NAME ARITY BITSTRING'")
-        name, arity, bits = parts
-        if name in BUILTINS:
-            raise InputError(f"cannot redefine builtin {name!r}")
         try:
-            n = int(arity)
-        except ValueError:
-            raise InputError(f"--defconn {decl!r}: arity {arity!r} is not an integer") from None
-        sig[name] = BoolFun(name, n, bits)
+            f = read_connective(decl)
+        except InputError as exc:
+            raise InputError(f"--defconn {decl!r}: {exc}") from None
+        sig[f.name] = f
     return sig
 
 
@@ -101,11 +106,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_decide(problem: str, args) -> int:
-    theory, goal = _load_theory(args.theory)
-    if args.goal is not None:
-        goal = parse(args.goal, {f.name: f for f in theory.signature} | BUILTINS, allow_reserved=True)
-    if problem in ("cred", "skep") and goal is None:
-        raise InputError(f"{problem} needs a goal: line in the file or --goal")
+    theory, goal = _load_query(problem, args)
     decision = decide(
         problem,
         theory,
@@ -118,11 +119,7 @@ def _cmd_decide(problem: str, args) -> int:
 
 
 def _cmd_imp(args) -> int:
-    theory, goal = _load_theory(args.theory)
-    if args.goal is not None:
-        goal = parse(args.goal, {f.name: f for f in theory.signature} | BUILTINS, allow_reserved=True)
-    if goal is None:
-        raise InputError("imp needs a goal: line in the file or --goal")
+    theory, goal = _load_query("imp", args)
     if theory.D:
         raise InputError("imp reads the premises from W:; the file must not have rules")
     answer = implies(list(theory.W), goal, theory.signature, engine=args.engine)

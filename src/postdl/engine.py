@@ -11,21 +11,22 @@ consequent, since a smaller subset has the same models.  The rules are tabled
 once per decision; a candidate tests each justification once, runs the
 prerequisite fixpoint over the live rules only, and is rejected as soon as
 a fired consequent cuts into its models.  The goal bounds cred and skep
-first: over consistent facts, every extension lies between the facts and
-their closure under every rule with the justifications ignored, so cred
-is no when that closure fails to entail the goal and skep is yes when the
-facts entail it, before any subset; otherwise only candidates that entail
-the goal (cred) or fail it (skep) are checked for stability.  Neither
-bound changes an answer or a witness.  Affine signatures (the
+first: every extension contains the facts and, over consistent facts,
+lies inside their closure under every rule with the justifications
+ignored, so skep is yes when the facts entail the goal and cred is no
+when that closure fails to, before any subset; otherwise only candidates
+that entail the goal (cred) or fail it (skep) are checked for stability.
+Neither bound changes an answer or a witness.  Affine signatures (the
 NP case) use the same guess-and-check enumeration: the case fixes the
 complexity of the problem, not how a guess is checked.  Every other
 engine is one rule-firing least fixpoint, for monotone, 1-reproducing and
 projection-like signatures; over the last, every formula is a constant or
-one variable and the fixpoint is graph reachability.  It is a worklist
-over one incremental entailment state per decision (a fragment state of
-``implication`` where the signature allows it, otherwise a running AND of
-truth tables), so a rule is re-tested only when an asserted formula
-changes what its prerequisite waits on.
+one variable and the fixpoint is graph reachability.  Where the signature
+has a fragment state of ``implication``, the fixpoint is a worklist over
+it, so a rule is re-tested only when an asserted formula changes what its
+prerequisite waits on; otherwise it is the enumeration's own rule closure
+(``_fire``) over the rule tables, so one closure over truth tables serves
+both engines.
 
 Justification tests ("not beta" must stay out of the extension) are always
 evaluated semantically: against a consistent candidate they reduce to
@@ -56,7 +57,7 @@ from .errors import (
     UnboundVariable,
 )
 from .formula import VAR_CAP, Formula, Var, _var_pattern, connectives, variables_of
-from .implication import EntailmentState, fragment_state, select_engine
+from .implication import fragment_state, select_engine
 from .properties import table_views
 from .theory import DefaultTheory
 
@@ -99,17 +100,18 @@ class Stats:
     that the derived formulas have the candidate's models.  The skip tables
     cost one test per consequent before the first singleton (do the facts
     entail it?) and one per ordered pair of the consequents left before
-    the first pair (do the facts and one entail the other?).  Over
-    consistent facts, cred first runs the justification-free closure of
-    the facts under every rule, one test per prerequisite test, and tests
-    the goal against it; skep tests the goal against the facts, once.  In
-    cred and skep, every candidate that the repeat skips leave makes one
-    goal test before its check.  The fixpoint engine counts
-    one test per prerequisite test its entailment state makes, when the
-    rule registers and each time an asserted formula wakes it, plus the
-    goal test.  Satisfiability checks of the facts or of a candidate on
-    its own and the all-ones evaluations of the fixpoint engine are not
-    counted.
+    the first pair (do the facts and one entail the other?).  cred first
+    runs the justification-free closure of consistent facts under every
+    rule, one test per prerequisite test, and tests the goal against it;
+    skep tests the goal against the facts, once.  In cred and skep,
+    every candidate that the repeat skips leave makes one goal test
+    before its check.  The fixpoint engine counts one test per
+    prerequisite test, plus the goal test: over a fragment state, a rule's
+    prerequisite is tested when the rule registers and each time an
+    asserted formula wakes it; in table mode, ``_fire`` tests each waiting
+    prerequisite once per pass, as in the enumeration.  Satisfiability
+    checks of the facts or of a candidate on its own and the fixpoint
+    engine's all-ones evaluations and all-ones row reads are not counted.
     """
 
     __slots__ = ("subsets_checked", "implication_calls")
@@ -146,9 +148,6 @@ class ExtensionWitness(NamedTuple):
 
     generating: tuple[int, ...]
     inconsistent: bool = False
-
-    def to_json(self):
-        return {"generating": list(self.generating), "inconsistent": self.inconsistent}
 
 
 class Decision(NamedTuple):
@@ -502,17 +501,18 @@ def _enumerate_engine(
     the first stable extension answers ext, and the first one that entails
     (cred) or fails (skep) the goal is the witness.
 
-    Over consistent facts, two bounds on every extension E decide some
-    goals before any subset is checked: W is in E, and E is in the closure
-    of W under every rule with the justifications ignored (E_out at the
-    root).  So cred is no when that closure fails to entail the goal, and
-    skep is yes when W entails it: the bound fails the goal test that
-    ``_stable_extensions`` puts to each candidate, and so does every
-    extension.  ext ignores a goal it is given."""
+    Two bounds on every extension E decide some goals before any subset is
+    checked: W is in E, and over consistent facts E is in the closure of W
+    under every rule with the justifications ignored (E_out at the root).
+    So skep is yes when W entails the goal, as inconsistent W does every
+    goal, and cred is no when that closure fails to entail it: the bound
+    fails the goal test that ``_stable_extensions`` puts to each
+    candidate, and so does every extension.  ext ignores a goal it is
+    given."""
     t, ctx = _enumeration_context(theory, goal)
     g = None if goal is None or problem == "ext" else ctx.table(goal)
     entails = problem == "cred"
-    if g is not None and t.w_models:
+    if g is not None and (t.w_models or not entails):
         bound = _fire(t, list(range(len(t.pre))), stats)[0] if entails else t.w_models
         stats.implication_calls += 1
         if (bound & g == bound) != entails:
@@ -522,39 +522,6 @@ def _enumerate_engine(
         return problem != "skep", ExtensionWitness(applied, inconsistent=models == 0)
     # skep is vacuously true when no extension exists
     return problem == "skep", None
-
-
-class _TableState(EntailmentState):
-    """The oracle mode's entailment state: the premises as a running AND of
-    the context's truth tables.  Every change of it re-tests every waiting
-    goal."""
-
-    def __init__(self, ctx: TableContext):
-        super().__init__()
-        self._ctx = ctx
-        self._models = ctx.full
-
-    def _norm(self, phi: Formula) -> int:
-        return self._ctx.table(phi)  # the context memoizes the tables
-
-    def _holds(self, table: int) -> bool:
-        return self._models & table == self._models
-
-    def _wait(self, key, table: int) -> None:
-        self._waiting[key] = table
-
-    def add(self, phi: Formula) -> list:
-        models = self._models & self._ctx.table(phi)
-        if models == self._models:
-            return []
-        self._models = models
-        if models == 0:
-            return self._refute()
-        self.tests += len(self._waiting)
-        woken = [key for key, table in self._waiting.items() if self._holds(table)]
-        for key in woken:
-            del self._waiting[key]
-        return woken
 
 
 def _fixpoint_engine(
@@ -567,20 +534,23 @@ def _fixpoint_engine(
     signatures (monotone_iterative, r1_unique, poly_fragment and
     reachability): a rule fires when its prerequisite is implied and its
     justification is not equivalent to 0; an applicable rule concluding 0
-    refutes extension existence.  The not-equivalent-to-0 tests are the
+    refutes extension existence.  The not-equivalent-to-0 tests are
     all-ones evaluations, exact for monotone formulas.  Under a
     1-reproducing signature every formula is 1 at all-ones, so these tests
     never fire and the iteration is justification-free; it yields the
-    unique stable extension.  Inconsistent facts short-circuit: the theory
-    then has the trivial extension.
+    unique stable extension.  Inconsistent facts short-circuit, before any
+    table is built: the theory then has the trivial extension.
 
-    The iteration is a worklist over one entailment state of the
-    signature's implication mode (a fragment state, or the truth tables):
-    the facts are asserted, every rule with a live justification watches
-    its prerequisite, and a fired rule asserts its consequent, which wakes
-    only the rules whose watched prerequisite it makes entailed.  Each
-    formula is normalized once.  The fixpoint is least, so the answer and
-    the generating rules do not depend on the firing order.
+    Where the signature has a fragment state of ``implication``, the
+    iteration is a worklist over it: the facts are asserted, every rule
+    with a live justification watches its prerequisite, and a fired rule
+    asserts its consequent, which wakes only the rules whose watched
+    prerequisite it makes entailed; each formula is normalized once.
+    Otherwise (table mode) the rules are tabled as for the enumeration and
+    ``_fire`` takes the closure of the facts under the live rules; a
+    justification's liveness and the consistency of the derived models are
+    read at the all-ones row of their tables.  The fixpoint is least, so
+    the answer and the generating rules do not depend on the firing order.
     """
     if len(theory.D) > POLY_RULE_CAP:
         raise RuleCountTooLarge(f"more than {POLY_RULE_CAP} rules")
@@ -588,29 +558,35 @@ def _fixpoint_engine(
         return True, None if problem == "skep" else ExtensionWitness((), inconsistent=True)
     mode = select_engine(theory.signature)
     if mode == "oracle":
-        state = _TableState(TableContext(theory.all_formulas() + ([goal] if goal is not None else [])))
+        t, ctx = _enumeration_context(theory, goal, cap=None)
+        top = ctx.rows - 1
+        models, applied = _fire(t, [i for i, j in enumerate(t.just) if j >> top & 1], stats)
+        if not models >> top & 1:
+            return problem == "skep", None
+        entails = lambda phi: models & ctx.table(phi) == models
     else:
         state = fragment_state(mode)
-    for w in theory.W:
-        state.add(w)
-    ready = [
-        i for i, d in enumerate(theory.D)
-        if _ones(d.justification) and state.watch(i, d.prerequisite)
-    ]
-    applied: set[int] = set()
-    while ready:
-        i = ready.pop()
-        if _ones(theory.D[i].consequent) == 0:
-            stats.implication_calls += state.tests
-            return problem == "skep", None
-        applied.add(i)
-        ready += state.add(theory.D[i].consequent)
-    stats.implication_calls += state.tests
+        for w in theory.W:
+            state.add(w)
+        ready = [
+            i for i, d in enumerate(theory.D)
+            if _ones(d.justification) and state.watch(i, d.prerequisite)
+        ]
+        applied = set()
+        while ready:
+            i = ready.pop()
+            if _ones(theory.D[i].consequent) == 0:
+                stats.implication_calls += state.tests
+                return problem == "skep", None
+            applied.add(i)
+            ready += state.add(theory.D[i].consequent)
+        stats.implication_calls += state.tests
+        entails = state.entails
     witness = ExtensionWitness(tuple(sorted(applied)))
     if problem == "ext":
         return True, witness
     stats.implication_calls += 1
-    holds = state.entails(goal)
+    holds = entails(goal)
     if problem == "cred":
         return holds, witness if holds else None
     return holds, None if holds else witness

@@ -54,6 +54,23 @@ def _count(token: str, what: str, filename: str, lineno: int) -> int:
     return n
 
 
+def read_connective(decl: str) -> BoolFun:
+    """A custom connective from its declaration 'NAME ARITY BITSTRING'.  A
+    builtin name, an arity that is not an integer and a bad table raise
+    InputError; the caller says where the declaration came from."""
+    parts = decl.split()
+    if len(parts) != 3:
+        raise InputError("expected 'NAME ARITY BITSTRING'")
+    name, arity, bits = parts
+    if name in BUILTINS:
+        raise InputError(f"cannot redefine builtin {name!r}")
+    try:
+        n = int(arity)
+    except ValueError:
+        raise InputError(f"arity {arity!r} is not an integer") from None
+    return BoolFun(name, n, bits)
+
+
 def read_theory(text: str, filename: str = "<input>"):
     """Parse a theory file; returns (DefaultTheory, goal | None)."""
     declared: dict[str, BoolFun] = {}
@@ -72,21 +89,11 @@ def read_theory(text: str, filename: str = "<input>"):
         low = line.lower()
         parts = line.split()
         if parts[0].lower() == "defconn" and len(parts) > 1:
-            if len(parts) != 4:
-                raise TheoryFormatError("defconn NAME ARITY BITSTRING", filename, lineno)
-            name, arity_s, bits = parts[1], parts[2], parts[3]
-            if name in BUILTINS:
-                raise TheoryFormatError(f"cannot redefine builtin {name!r}", filename, lineno)
             try:
-                arity = int(arity_s)
-            except ValueError:
-                raise TheoryFormatError(
-                    f"defconn {name!r}: arity {arity_s!r} is not an integer", filename, lineno
-                ) from None
-            try:
-                declared[name] = BoolFun(name, arity, bits)
-            except Exception as exc:
-                raise TheoryFormatError(str(exc), filename, lineno) from None
+                f = read_connective(line.split(None, 1)[1])
+            except InputError as exc:
+                raise TheoryFormatError(f"defconn {parts[1]!r}: {exc}", filename, lineno) from None
+            declared[f.name] = f
             continue
         if low == "w:":
             section = "W"

@@ -32,7 +32,7 @@ from postdl.errors import (
 )
 from postdl.formula import App, Var, parse, table_int
 from postdl.gen import FAMILIES, random_cnf3, random_formula, random_goal, random_snsat, random_theory
-from postdl.implication import truth_table_implies
+from postdl.implication import select_engine, truth_table_implies
 from postdl.reductions import SnsatInstance, snsat_eval, snsat_to_ext, threesat_to_default
 from postdl.selftest import _from_extensions
 from postdl.theory import DefaultRule, DefaultTheory
@@ -145,6 +145,35 @@ def test_reachability_witness_on_inconsistent_facts_matches_generic():
         assert (d.answer, d.witness) == (want.answer, want.witness)
     witness = cred(t, f("q"), want_witness=True).witness
     assert witness == engine.ExtensionWitness((), inconsistent=True)
+
+
+def test_table_mode_fixpoint_reads_bottom_like_generic():
+    # {and, or, bot, top} is monotone but in none of E, V and L, so the
+    # fixpoint runs in table mode.  Facts that contain (bot), a fired rule
+    # that concludes (bot) and a (bot) justification answer, with the
+    # same witness, as the generic oracle does
+    sig = [B["and"], B["or"], B["bot"], B["top"]]
+    assert select_engine(sig) == "oracle"
+    chain = [rule("(or r s)", "(top)", "t"), rule("p", "(bot)", "q"), rule("p", "(and p s)", "(or r s)")]
+    theories = [
+        DefaultTheory.make([f("(bot)"), f("p")], [rule("p", "q", "(or q r)")], sig),
+        DefaultTheory.make([f("p")], [rule("p", "q", "(or q r)"), rule("(or q r)", "(top)", "(bot)")], sig),
+        DefaultTheory.make([f("p")], chain, sig),
+    ]
+    goals = [None, f("q"), f("t"), f("(or r s)"), f("(bot)")]
+    for t in theories:
+        for problem in ("ext", "cred", "skep"):
+            for goal in goals[:1] if problem == "ext" else goals[1:]:
+                d = decide(problem, t, goal, want_witness=True)
+                want = decide(problem, t, goal, engine="generic", want_witness=True)
+                assert d.engine == "monotone_iterative"
+                assert (d.answer, d.witness) == (want.answer, want.witness), (problem, t, goal)
+    # rule 1's justification is (bot), so rules 0 and 2 are live.  The
+    # first pass tests both prerequisites and fires rule 2, the second
+    # tests rule 0's again and fires it; then the goal test
+    d = cred(theories[2], f("t"), want_witness=True)
+    assert (d.answer, d.witness.generating) == (True, (0, 2))
+    assert (d.stats.subsets_checked, d.stats.implication_calls) == (0, 3 + 1)
 
 
 def test_rule_free_theory_cred_equals_implication():
@@ -495,8 +524,10 @@ def test_decisions_are_pinned_on_a_seeded_corpus():
     # the sha256 of the decisions' JSON, witnesses and stats included; a
     # change of the tabling kernel leaves it as it is.  The second digest
     # leaves out implication_calls, the third all of stats: a cred-no or
-    # skep-yes decision that the goal settles at the root visits no subset,
-    # and the root and goal tests count as implication calls, but no
+    # skep-yes decision that the goal settles at the root (skep over
+    # inconsistent facts included) visits no subset, the root and goal
+    # tests count as implication calls, and the fixpoint's table mode
+    # counts one test per prerequisite test per pass of ``_fire``, but no
     # answer, engine, case or witness changes
     digest, without_calls, without_stats = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
     count = 0
@@ -514,8 +545,8 @@ def test_decisions_are_pinned_on_a_seeded_corpus():
                 count += 1
     assert count == 885
     assert without_stats.hexdigest() == "0ec0ac6c6efbbc40ad91c328f7f4e3dce7f261607ee857b6e57a22d980d2cd35"
-    assert without_calls.hexdigest() == "197bcc77250b0bcfb2d89e936651f1a0a3a760a14013e1d7bc0c8f6557e83fcd"
-    assert digest.hexdigest() == "77811002f9ee0f7345d6d851835d124d762de859c9b4cef2f9bb3ac639153f2a"
+    assert without_calls.hexdigest() == "6ce5e68f82c674fcb202ed8b0486ffb84537ecb85b518f27716dbe3fcf6df936"
+    assert digest.hexdigest() == "78f03c09b8ed68f04d0dbc849ed42d98d926d848d12b75385e3c2d70855937ba"
 
 
 # -- engine equivalence + witnesses ------------------------------------------------------
@@ -930,11 +961,16 @@ def test_cred_no_is_settled_at_the_root():
 
 
 def test_skep_yes_is_settled_at_the_root():
-    # every extension contains the facts, and p entails (or p r)
-    t = DefaultTheory.make([f("p")], [rule("p", "(not q)", "r"), rule("p", "(not r)", "q")])
-    d = skep(t, f("(or p r)"), engine="generic", want_witness=True)
-    assert (d.answer, d.witness) == (True, None)
-    assert (d.stats.subsets_checked, d.stats.implication_calls) == (0, 1)
+    # every extension contains the facts, and p entails (or p r); facts
+    # {x, not x} entail every goal, so none of the 2^17 consequent subsets
+    # of the second theory is visited
+    for t, goal in [
+        (DefaultTheory.make([f("p")], [rule("p", "(not q)", "r"), rule("p", "(not r)", "q")]), f("(or p r)")),
+        (DefaultTheory.make([f("x"), f("(not x)")], [rule(f"a{i}", f"a{i}", f"a{i}") for i in range(17)]), f("a0")),
+    ]:
+        d = skep(t, goal, engine="generic", want_witness=True)
+        assert (d.answer, d.witness) == (True, None)
+        assert (d.stats.subsets_checked, d.stats.implication_calls) == (0, 1)
 
 
 def test_a_closure_that_entails_the_goal_leaves_it_to_the_enumeration():
