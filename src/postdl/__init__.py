@@ -26,7 +26,6 @@ from .engine import (
     ext,
     is_consistent_W,
     skep,
-    unique_extension_r1,
 )
 from .formula import (
     App,
@@ -71,7 +70,6 @@ __all__ = [
     "ext",
     "is_consistent_W",
     "skep",
-    "unique_extension_r1",
     "App",
     "Formula",
     "Var",

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .boolfun import BUILTINS, BoolFun
 from .clones import dispatch_case
-from .engine import decide
+from .engine import ENGINES, decide
 from .errors import CapExceeded, InputError, ReasonerError
 from .formats import (
     read_connective,
@@ -26,7 +26,7 @@ from .formats import (
     write_theory,
 )
 from .formula import parse, serialize
-from .implication import implies
+from .implication import ENGINES as IMP_ENGINES, implies
 from .reductions import (
     gap_to_default,
     hgap_to_ext,
@@ -65,6 +65,8 @@ def _signature_from_args(args) -> dict[str, BoolFun]:
             f = read_connective(decl)
         except InputError as exc:
             raise InputError(f"--defconn {decl!r}: {exc}") from None
+        if f.name in sig:
+            raise InputError(f"--defconn {decl!r}: connective {f.name!r} is already declared")
         sig[f.name] = f
     return sig
 
@@ -94,6 +96,8 @@ def _emit(payload: dict, as_json: bool) -> None:
 
 def _cmd_classify(args) -> int:
     if args.theory:
+        if args.conns or args.defconn:
+            raise InputError("give a theory file or --conns/--defconn, not both")
         theory, _ = _load_theory(args.theory)
         signature = theory.signature
     else:
@@ -107,13 +111,7 @@ def _cmd_classify(args) -> int:
 
 def _cmd_decide(problem: str, args) -> int:
     theory, goal = _load_query(problem, args)
-    decision = decide(
-        problem,
-        theory,
-        goal if problem != "ext" else None,
-        engine=args.engine,
-        want_witness=args.witness,
-    )
+    decision = decide(problem, theory, goal, engine=args.engine, want_witness=args.witness)
     _emit(decision.to_json(), args.json)
     return 0
 
@@ -181,22 +179,14 @@ def build_parser() -> argparse.ArgumentParser:
         dp = sub.add_parser(problem, help=f"decide {problem} for a theory file")
         dp.add_argument("theory")
         dp.add_argument("--goal", help="goal formula (overrides the file's goal: line)")
-        dp.add_argument(
-            "--engine",
-            default="auto",
-            choices=["auto", "generic", "monotone", "r1", "affine", "reachability"],
-        )
+        dp.add_argument("--engine", default="auto", choices=ENGINES)
         dp.add_argument("--witness", action="store_true")
         dp.add_argument("--json", action="store_true")
 
     ip = sub.add_parser("imp", help="premises (W:) entail the goal?")
     ip.add_argument("theory")
     ip.add_argument("--goal")
-    ip.add_argument(
-        "--engine",
-        default="auto",
-        choices=["auto", "oracle", "affine", "conjunctive", "disjunctive"],
-    )
+    ip.add_argument("--engine", default="auto", choices=IMP_ENGINES)
     ip.add_argument("--json", action="store_true")
 
     rd = sub.add_parser("reduce", help="map a source instance to a theory file")

@@ -28,6 +28,12 @@ prerequisite waits on; otherwise it is the enumeration's own rule closure
 (``_fire``) over the rule tables, so one closure over truth tables serves
 both engines.
 
+The signature alone picks the engine (``clones.dispatch_case``): a
+fixpoint engine exactly when it lies within the monotone clone M or the
+1-reproducing clone R1, an enumerating one otherwise.  ``decide`` runs
+that pick (engine "auto") or the generic enumerator (engine "generic"),
+which is sound for every signature; no other engine can be asked for.
+
 Justification tests ("not beta" must stay out of the extension) are always
 evaluated semantically: against a consistent candidate they reduce to
 joint satisfiability with beta, which the truth-table context decides even
@@ -49,7 +55,6 @@ from .boolfun import BoolFun
 from .clones import dispatch_case, subset_of_clone
 from .errors import (
     DefaultCountTooLarge,
-    EngineCloneMismatch,
     InputError,
     NestingTooDeep,
     RuleCountTooLarge,
@@ -65,20 +70,8 @@ PROBLEMS = ("ext", "cred", "skep")
 GENERIC_CONSEQUENT_CAP = 20
 POLY_RULE_CAP = 10_000
 
-_OVERRIDE_LABELS = {
-    "generic": "generic",
-    "monotone": "monotone_iterative",
-    "r1": "r1_unique",
-    "affine": "affine_guess",
-    "reachability": "reachability",
-}
-
-_SOUNDNESS = {
-    "monotone_iterative": "M",
-    "r1_unique": "R1",
-    "affine_guess": "L",
-    "reachability": "I",
-}
+# the settable engines: the signature's own pick, or the reference oracle
+ENGINES = ("auto", "generic")
 
 
 class Stats:
@@ -507,10 +500,9 @@ def _enumerate_engine(
     So skep is yes when W entails the goal, as inconsistent W does every
     goal, and cred is no when that closure fails to entail it: the bound
     fails the goal test that ``_stable_extensions`` puts to each
-    candidate, and so does every extension.  ext ignores a goal it is
-    given."""
+    candidate, and so does every extension."""
     t, ctx = _enumeration_context(theory, goal)
-    g = None if goal is None or problem == "ext" else ctx.table(goal)
+    g = None if goal is None else ctx.table(goal)
     entails = problem == "cred"
     if g is not None and (t.w_models or not entails):
         bound = _fire(t, list(range(len(t.pre))), stats)[0] if entails else t.w_models
@@ -592,14 +584,6 @@ def _fixpoint_engine(
     return holds, None if holds else witness
 
 
-def unique_extension_r1(theory: DefaultTheory) -> ExtensionWitness:
-    """Generating defaults of the unique stable extension of a theory over
-    a 1-reproducing signature."""
-    if not subset_of_clone(theory.signature, "R1"):
-        raise EngineCloneMismatch("signature is not contained in the 1-reproducing clone")
-    return _fixpoint_engine("ext", theory, None, Stats())[1]
-
-
 def _run_engine(
     label: str,
     problem: str,
@@ -626,32 +610,28 @@ def decide(
     engine: str = "auto",
     want_witness: bool = False,
 ) -> Decision:
-    """Decide one of the three problems, with the engine chosen by the
-    clone analysis unless overridden.  The goal's connectives join the
-    signature before the case and the engine are picked, so every engine
-    reads the goal within its clone.  An override that is unsound for the
-    signature is refused rather than silently wrong, and a formula nested
-    too deep for the recursive walks raises NestingTooDeep."""
+    """Decide one of the three problems.  The signature alone picks the
+    case and the engine (``dispatch_case``); engine="generic" runs the
+    reference oracle instead, which is sound for every signature.  ext
+    reads no goal, so a goal given with it is dropped before dispatch; the
+    connectives of a cred or skep goal join the signature before the case
+    and the engine are picked, so every engine reads the goal within its
+    clone.  A formula nested too deep for the recursive walks raises
+    NestingTooDeep."""
     if problem not in PROBLEMS:
         raise InputError(f"unknown problem {problem!r}")
-    if problem in ("cred", "skep") and goal is None:
+    if engine not in ENGINES:
+        raise InputError(f"unknown engine {engine!r}")
+    if problem == "ext":
+        goal = None
+    elif goal is None:
         raise InputError(f"{problem} needs a goal formula")
     used = connectives(goal) if goal is not None else set()
     if not used <= theory.signature:
         theory = DefaultTheory(theory.W, theory.D, theory.signature | used)
     report = dispatch_case(theory.signature)
     case = {"ext": report.ext_case, "cred": report.cred_case, "skep": report.skep_case}[problem]
-    if engine == "auto":
-        label = report.engines[problem]
-    else:
-        label = _OVERRIDE_LABELS.get(engine)
-        if label is None:
-            raise InputError(f"unknown engine {engine!r}")
-        needed = _SOUNDNESS.get(label)
-        if needed is not None and not subset_of_clone(theory.signature, needed):
-            raise EngineCloneMismatch(
-                f"engine {engine!r} requires the signature to stay within clone {needed}"
-            )
+    label = report.engines[problem] if engine == "auto" else "generic"
     stats = Stats()
     try:
         answer, witness = _run_engine(label, problem, theory, goal, stats, want_witness)

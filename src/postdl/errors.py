@@ -80,10 +80,6 @@ class ShapeMismatch(InputError):
     pass
 
 
-class EngineCloneMismatch(InputError):
-    """Requested decision engine is not sound for the theory's connectives."""
-
-
 class NotThreeCnf(InputError):
     pass
 

@@ -93,6 +93,9 @@ def read_theory(text: str, filename: str = "<input>"):
                 f = read_connective(line.split(None, 1)[1])
             except InputError as exc:
                 raise TheoryFormatError(f"defconn {parts[1]!r}: {exc}", filename, lineno) from None
+            if f.name in declared:
+                # formulas read so far keep the first table; the signature would hold the second
+                raise TheoryFormatError(f"defconn {f.name!r}: already declared", filename, lineno)
             declared[f.name] = f
             continue
         if low == "w:":

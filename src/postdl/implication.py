@@ -7,10 +7,11 @@ affine clone L a formula is c xor (xor of a variable set), so the premises
 become GF(2) equations and entailment is Gaussian elimination; over the
 conjunctive clone E (or the disjunctive clone V) a formula is bottom, top,
 or the conjunction (disjunction) of a variable set, and entailment is
-containment bookkeeping.  Engine "auto" selects the cheapest sound engine
-from the signature; premises that mix conjunction and disjunction stay on
-the oracle.  An explicit fragment engine refuses a formula with a
-connective outside its clone.
+containment bookkeeping.  ``implies`` takes engine "auto", which selects
+the cheapest sound engine from the signature (premises that mix
+conjunction and disjunction stay on the oracle), or "oracle".  The
+fragment engines, called by name, refuse a formula with a connective
+outside their clone.
 
 Each fragment has one entailment implementation, an incremental state
 (``EntailmentState``): premises are added one at a time, goals are tested
@@ -33,7 +34,8 @@ from .clones import subset_of_clone
 from .errors import NestingTooDeep, NotAffine, ShapeMismatch
 from .formula import Formula, Var, connectives_of, table_int, variables_of
 
-_ENGINES = ("auto", "oracle", "affine", "conjunctive", "disjunctive")
+# the settable engines: the signature's own pick, or the reference oracle
+ENGINES = ("auto", "oracle")
 
 # shape: the fragment clone, the shape's operation on constants, and the
 # error for a connective outside the clone
@@ -408,12 +410,12 @@ def implies(
     """Decide whether the premises entail the goal.
 
     With engine="auto" the signature, joined with the connectives of the
-    premises and the goal, picks the fragment engine; explicit engines
-    skip the analysis and refuse a connective outside their clone
-    (ShapeMismatch, NotAffine).  A formula nested too deep for the
-    recursive walks raises NestingTooDeep.
+    premises and the goal, picks the engine (``select_engine``), so a
+    fragment engine never meets a connective outside its clone;
+    engine="oracle" runs the truth-table check.  A formula nested too deep
+    for the recursive walks raises NestingTooDeep.
     """
-    if engine not in _ENGINES:
+    if engine not in ENGINES:
         raise ValueError(f"unknown implication engine {engine!r}")
     if engine == "auto":
         sig = set(signature_map(signature or ()).values()) | connectives_of([*premises, goal])

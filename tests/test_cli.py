@@ -1,8 +1,10 @@
+import argparse
 import json
 
 import pytest
 
-from postdl.cli import main
+from postdl import engine, implication
+from postdl.cli import build_parser, main
 
 THEORY = """
 W:
@@ -55,6 +57,20 @@ def test_classify_defconn_refuses_a_builtin_name(capsys):
     # "and" would report L for a signature the user did not give
     code, out, err = run(capsys, "classify", "--conns", "and", "--defconn", "and 2 0110", "--json")
     assert code == 2 and not out and "cannot redefine builtin 'and'" in err
+
+
+def test_classify_defconn_refuses_a_second_declaration(capsys):
+    # only one table can stand for a name; the last one must not win silently
+    code, out, err = run(capsys, "classify", "--defconn", "f 2 0100", "--defconn", "f 2 0001")
+    assert code == 2 and not out
+    assert err.splitlines() == ["error: --defconn 'f 2 0001': connective 'f' is already declared"]
+
+
+def test_classify_refuses_a_file_with_conns(theory_file, capsys):
+    # the file's signature would be classified and the flags dropped
+    for flags in (["--conns", "and,not"], ["--defconn", "nand 2 1110"]):
+        code, out, err = run(capsys, "classify", theory_file, *flags)
+        assert code == 2 and not out and "not both" in err
 
 
 def test_classify_defconn_names_a_non_integer_arity(capsys):
@@ -110,9 +126,19 @@ def test_missing_goal_is_input_error(tmp_path, capsys):
     assert code == 2 and "goal" in err
 
 
-def test_engine_mismatch_exit_2(theory_file, capsys):
-    code, _, err = run(capsys, "ext", theory_file, "--engine", "affine")
-    assert code == 2 and "clone" in err
+def test_unknown_engine_exit_2(theory_file, capsys):
+    # the signature picks the engine; --engine offers the values decide and
+    # implies check, auto and the reference oracle, and nothing else
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for command, values in (("ext", engine.ENGINES), ("skep", engine.ENGINES), ("imp", implication.ENGINES)):
+        assert sub.choices[command]._option_string_actions["--engine"].choices is values
+    for command, name in (("ext", "affine"), ("cred", "monotone"), ("skep", "r1"), ("imp", "conjunctive")):
+        with pytest.raises(SystemExit) as exc:
+            main([command, theory_file, "--engine", name])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+    code, out, _ = run(capsys, "skep", theory_file, "--engine", "generic", "--json")
+    assert code == 0 and json.loads(out)["engine"] == "generic"
 
 
 def test_cap_exit_3(tmp_path, capsys):

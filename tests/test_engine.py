@@ -21,11 +21,9 @@ from postdl.engine import (
     ext,
     is_consistent_W,
     skep,
-    unique_extension_r1,
 )
 from postdl.errors import (
     DefaultCountTooLarge,
-    EngineCloneMismatch,
     InputError,
     TooManyVariables,
     UnboundVariable,
@@ -184,22 +182,23 @@ def test_rule_free_theory_cred_equals_implication():
         assert cred(t, goal).answer == truth_table_implies(list(t.W), goal)
 
 
-# -- unique_extension_r1 ------------------------------------------------------------
+# -- the unique extension over R1 ----------------------------------------------------
 
 
 def test_unique_extension_examples():
+    # over a 1-reproducing signature ext is trivially yes; the witness is the
+    # generating defaults of the one extension, named by the fixpoint
+    def unique(t):
+        d = decide("ext", t, want_witness=True)
+        assert (d.answer, d.engine, d.case) == (True, "trivial_yes", "trivial")
+        return d.witness.generating
+
     t = DefaultTheory.make([f("x")], [rule("x", "y", "y")], [B["or"]])
-    assert unique_extension_r1(t).generating == (0,)
+    assert unique(t) == (0,)
     t2 = DefaultTheory.make([], [rule("x", "x", "y")], [B["or"]])
-    assert unique_extension_r1(t2).generating == ()
+    assert unique(t2) == ()
     t3 = DefaultTheory.make([f("(or x y)")], [rule("x", "(top)", "z")], [B["or"], B["top"]])
-    assert unique_extension_r1(t3).generating == ()
-
-
-def test_unique_extension_requires_r1():
-    t = DefaultTheory.make([f("(not x)")], [], [B["not"]])
-    with pytest.raises(EngineCloneMismatch):
-        unique_extension_r1(t)
+    assert unique(t3) == ()
 
 
 # -- clone-law invariants -------------------------------------------------------------
@@ -616,23 +615,6 @@ def test_var_cap():
         ext(t)
 
 
-def test_engine_override_soundness():
-    t = DefaultTheory.make([f("(not x)")], [], [B["not"]])
-    with pytest.raises(EngineCloneMismatch):
-        ext(t, engine="monotone")
-    with pytest.raises(EngineCloneMismatch):
-        ext(t, engine="r1")
-    with pytest.raises(EngineCloneMismatch):
-        ext(t, engine="reachability")
-    assert ext(t, engine="affine").answer == ext(t, engine="generic").answer
-    # a goal connective outside I joins the signature: an explicit
-    # reachability override is refused, and auto dispatch answers like generic
-    t = DefaultTheory.make([f("x")], [], [B["id"], B["bot"]])
-    with pytest.raises(EngineCloneMismatch):
-        cred(t, f("(and x x)"), engine="reachability")
-    assert cred(t, f("(and x x)")).answer == cred(t, f("(and x x)"), engine="generic").answer
-
-
 def test_goal_connectives_join_the_signature():
     # over {and, top} an "or" goal is answered as the generic oracle does,
     # not refused by the conjunctive fragment
@@ -643,6 +625,12 @@ def test_goal_connectives_join_the_signature():
             assert decide(problem, t, f(goal)).answer == want, (problem, goal)
     assert cred(t, f("(or x y)")).answer and cred(t, f("(or x x)")).answer
     assert not cred(t, f("(or q y)")).answer
+    # an "and" goal takes {id, bot} out of I, so cred leaves reachability
+    # and answers like generic
+    t = DefaultTheory.make([f("x")], [], [B["id"], B["bot"]])
+    d = cred(t, f("(and x x)"))
+    assert d.engine != "reachability"
+    assert d.answer == cred(t, f("(and x x)"), engine="generic").answer
 
 
 def test_decide_validates_problem_and_goal():
@@ -651,6 +639,27 @@ def test_decide_validates_problem_and_goal():
         decide("foo", t)
     with pytest.raises(InputError):
         decide("cred", t)
+    # the signature picks the engine; only the reference oracle can be asked for
+    assert engine.ENGINES == ("auto", "generic")
+    for name in ("monotone", "r1", "affine", "reachability", "affine_guess", "bogus"):
+        with pytest.raises(InputError, match="unknown engine"):
+            decide("ext", t, engine=name)
+
+
+def test_dispatch_picks_a_fixpoint_engine_exactly_within_m_or_r1():
+    # so a fixpoint engine, asked for by name, would run only where auto
+    # already runs one, and the enumerating ones are the generic code
+    from postdl.clones import dispatch_case, subset_of_clone
+
+    fixpoint = {"monotone_iterative", "r1_unique", "poly_fragment", "reachability", "trivial_yes"}
+    # every ternary connective, alone and with bot, top or both: 1,024 signatures
+    for bits in range(256):
+        g = BoolFun("g", 3, format(bits, "08b"))
+        for sig in ([g], [g, B["bot"]], [g, B["top"]], [g, B["bot"], B["top"]]):
+            within = subset_of_clone(sig, "M") or subset_of_clone(sig, "R1")
+            for problem, label in dispatch_case(sig).engines.items():
+                assert (label in fixpoint) == within, (sig, problem, label)
+                assert label in fixpoint or label in ("generic", "affine_guess"), label
 
 
 def test_decision_json_schema():
@@ -990,13 +999,23 @@ def test_a_closure_that_entails_the_goal_leaves_it_to_the_enumeration():
 @pytest.mark.parametrize("goal", ["p", "q"])
 def test_ext_ignores_a_goal(goal):
     # W entails p, and the one extension Th(p, q) entails q: neither goal
-    # may bound or prune ext, which answers as it does without a goal
+    # may bound or prune ext, which answers as it does without a goal; nor
+    # may a goal connective outside the signature move ext to another case
+    # or engine
     t = DefaultTheory.make([f("p")], [rule("p", "q", "q")])
     for engine_name in ("generic", "auto"):
-        with_goal = decide("ext", t, f(goal), engine_name, want_witness=True)
-        without = decide("ext", t, None, engine_name, want_witness=True)
-        assert (with_goal.answer, with_goal.witness) == (without.answer, without.witness)
-        assert (with_goal.answer, with_goal.witness.generating) == (True, (0,))
+        without = decide("ext", t, None, engine_name, want_witness=True).to_json()
+        assert (without["answer"], without["witness"]) == (True, [0])
+        for g in (f(goal), f(f"(not {goal})")):
+            assert decide("ext", t, g, engine_name, want_witness=True).to_json() == without
+    # over {or}, W = {x} and 21 rules x : y_i / y_i, ext is trivial; a
+    # "not" goal must not send it to the enumeration, over its cap
+    t = DefaultTheory.make([f("x")], [rule("x", f"y{i}", f"y{i}") for i in range(21)], [B["or"]])
+    without = decide("ext", t, None, want_witness=True).to_json()
+    assert (without["engine"], without["case"]) == ("trivial_yes", "trivial")
+    assert decide("ext", t, f(f"(not {goal})"), want_witness=True).to_json() == without
+    with pytest.raises(DefaultCountTooLarge):
+        decide("ext", t, f(goal), "generic")
 
 
 def test_fresh_goal_variable_across_engines():
@@ -1046,24 +1065,3 @@ def test_high_arity_signature_dispatches_like_l0():
             if problem != "ext":
                 extension = list(t.W) + [t.D[i].consequent for i in gen]
                 assert truth_table_implies(extension, goal) == (problem == "cred")
-
-
-def test_every_licensed_engine_agrees_with_generic():
-    # not only the auto-selected engine: any override the signature
-    # licenses must answer like the oracle
-    from postdl.clones import subset_of_clone
-
-    licenses = {"monotone": "M", "r1": "R1", "affine": "L", "reachability": "I"}
-    for family in sorted(FAMILIES):
-        rng = random.Random(f"licensed:{family}")
-        for _ in range(25):
-            t = random_theory(rng, family, max_vars=4, max_rules=4)
-            goal = random_goal(rng, t, family)
-            engines = [e for e, c in licenses.items() if subset_of_clone(t.signature, c)]
-            for problem in ("ext", "cred", "skep"):
-                g = None if problem == "ext" else goal
-                want = decide(problem, t, g, engine="generic").answer
-                for e in engines:
-                    assert decide(problem, t, g, engine=e).answer == want, (
-                        family, problem, e,
-                    )

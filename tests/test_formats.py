@@ -48,6 +48,17 @@ def test_read_theory_rejects_builtin_redefinition():
         read_theory("defconn and 2 0001\nW:\nx\n")
 
 
+def test_read_theory_refuses_a_second_declaration():
+    # formulas before the second line read the first table; the signature
+    # would hold only the second, and cred would answer for the wrong one
+    text = "defconn f 2 0100\nD:\n(default x (f y z) w)\ndefconn f 2 0001\nW:\nx\ngoal: w\n"
+    with pytest.raises(TheoryFormatError) as exc:
+        read_theory(text, filename="dup.dt")
+    assert str(exc.value) == "dup.dt:4: defconn 'f': already declared"
+    with pytest.raises(TheoryFormatError):
+        read_theory("defconn f 2 0100\ndefconn f 2 0100\nW:\nx\n")
+
+
 def test_read_theory_names_a_non_integer_defconn_arity():
     with pytest.raises(TheoryFormatError) as exc:
         read_theory("defconn f x 01\nW:\nx\n", filename="bad.dt")

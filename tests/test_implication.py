@@ -8,6 +8,7 @@ from postdl.errors import NotAffine, ShapeMismatch
 from postdl.formula import Var, balanced_composition, evaluate, parse
 from postdl.gen import random_formula, random_fragment_formula
 from postdl.implication import (
+    ENGINES,
     affine_implies,
     conjunctive_implies,
     disjunctive_implies,
@@ -109,11 +110,16 @@ def test_normalize_shape_mismatch():
 def test_explicit_engine_refuses_foreign_connective():
     # the refusal is per connective, not by semantics: (and x x) is x
     with pytest.raises(ShapeMismatch):
-        implies([f("(and x x)")], f("x"), engine="disjunctive")
+        disjunctive_implies([f("(and x x)")], f("x"))
     with pytest.raises(ShapeMismatch):
-        implies([f("x")], f("(or x x)"), engine="conjunctive")
+        conjunctive_implies([f("x")], f("(or x x)"))
     with pytest.raises(NotAffine):
-        implies([f("(or x x)")], f("x"), engine="affine")
+        affine_implies([f("(or x x)")], f("x"))
+    # implies takes no fragment by name: the signature picks it
+    assert ENGINES == ("auto", "oracle")
+    for name in ("affine", "conjunctive", "disjunctive", "bogus"):
+        with pytest.raises(ValueError, match="unknown implication engine"):
+            implies([f("x")], f("x"), engine=name)
 
 
 def test_fragments_beyond_truth_table_cap():
@@ -124,9 +130,9 @@ def test_fragments_beyond_truth_table_cap():
     assert not implies([big_and], balanced_composition(SIG["and"], v[5:] + [Var("w")]))
     # the parity of all 30 and v1..v29 force v0 = 0
     prems = [balanced_composition(SIG["xor"], v)] + v[1:]
-    assert implies(prems, f("(xor v0 (top))"), engine="affine")
-    assert implies(prems, f("(xor v0 v1)"), engine="affine")
-    assert not implies(prems[:-1], f("(xor v0 (top))"), engine="affine")
+    assert affine_implies(prems, f("(xor v0 (top))"))
+    assert affine_implies(prems, f("(xor v0 v1)"))
+    assert not affine_implies(prems[:-1], f("(xor v0 (top))"))
 
 
 # -- dispatch ------------------------------------------------------------------
@@ -155,7 +161,7 @@ def test_implies_auto_joins_the_formulas_to_the_signature():
         assert implies(prems, f(goal), sig) == truth_table_implies(prems, f(goal))
     assert implies([f("x")], f("(or x y)"), sig)
     with pytest.raises(ShapeMismatch):
-        implies([f("x")], f("(or x y)"), sig, engine="conjunctive")
+        conjunctive_implies([f("x")], f("(or x y)"))
 
 
 # -- randomized cross-checks -----------------------------------------------------
