@@ -7,10 +7,11 @@ Theory file layout (lines; '#' starts a comment):
     (and x y)                        # one formula per line
     D:
     (default PRE JUST CON)           # one rule per line
-    goal: (or x y)                   # optional
+    goal: (or x y)                   # optional, at most once
 
 The signature of the parsed theory is the declared custom connectives
-plus the builtins actually used.  Machine-written files may contain
+plus the builtins actually used, collected while parsing; all formulas of
+a file share one Var per variable name.  Machine-written files may contain
 reserved "_"-prefixed variables (reductions generate them), so the reader
 parses with allow_reserved.
 """
@@ -21,7 +22,7 @@ import re
 
 from .boolfun import BUILTINS, BoolFun
 from .errors import InputError, TheoryFormatError
-from .formula import Formula, connectives_of, parse, parse_formulas, serialize
+from .formula import Formula, Var, _parse, serialize
 from .reductions import CnfFormula, Digraph, Hypergraph, SnsatInstance
 from .theory import DefaultRule, DefaultTheory
 
@@ -31,15 +32,6 @@ def _strip(line: str) -> str:
 
 
 _RULE_RE = re.compile(r"\(default\b(.*)\)")
-
-
-def _parse_at(read, text: str, signature, filename: str, lineno: int):
-    """read(text, signature) with reserved names allowed; an input error is
-    reported at the file and line, a cap (CapExceeded) passes through."""
-    try:
-        return read(text, signature, allow_reserved=True)
-    except InputError as exc:
-        raise TheoryFormatError(str(exc), filename, lineno) from None
 
 
 def _count(token: str, what: str, filename: str, lineno: int) -> int:
@@ -72,48 +64,58 @@ def read_connective(decl: str) -> BoolFun:
 
 
 def read_theory(text: str, filename: str = "<input>"):
-    """Parse a theory file; returns (DefaultTheory, goal | None)."""
+    """Parse a theory file; returns (DefaultTheory, goal | None).  A
+    formula error names the line and an offset from its start."""
+    sig = dict(BUILTINS)  # grows at each defconn
     declared: dict[str, BoolFun] = {}
+    names: dict[str, Var] = {}
+    used: dict[str, BoolFun] = {}
     w_forms: list[Formula] = []
     rules: list[DefaultRule] = []
     goal: Formula | None = None
     section = None
 
-    def sig():
-        return {**BUILTINS, **declared}
+    def read(line: str, lineno: int, many: bool = False, start: int = 0, end: int | None = None):
+        try:  # a cap (CapExceeded) passes through
+            return _parse(line, sig, True, many, names, used, start, end)
+        except InputError as exc:
+            raise TheoryFormatError(str(exc), filename, lineno) from None
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _strip(raw)
         if not line:
             continue
-        low = line.lower()
-        parts = line.split()
-        if parts[0].lower() == "defconn" and len(parts) > 1:
-            try:
-                f = read_connective(line.split(None, 1)[1])
-            except InputError as exc:
-                raise TheoryFormatError(f"defconn {parts[1]!r}: {exc}", filename, lineno) from None
-            if f.name in declared:
-                # formulas read so far keep the first table; the signature would hold the second
-                raise TheoryFormatError(f"defconn {f.name!r}: already declared", filename, lineno)
-            declared[f.name] = f
-            continue
-        if low == "w:":
-            section = "W"
-            continue
-        if low == "d:":
-            section = "D"
-            continue
-        if low.startswith("goal:"):
-            goal = _parse_at(parse, line[5:].strip(), sig(), filename, lineno)
-            continue
+        if line[0] != "(":  # a keyword line (or a W line of one variable)
+            low = line.lower()
+            parts = line.split()
+            if parts[0].lower() == "defconn" and len(parts) > 1:
+                try:
+                    f = read_connective(line.split(None, 1)[1])
+                except InputError as exc:
+                    raise TheoryFormatError(f"defconn {parts[1]!r}: {exc}", filename, lineno) from None
+                if f.name in declared:
+                    # formulas read so far keep the first table; the signature would hold the second
+                    raise TheoryFormatError(f"defconn {f.name!r}: already declared", filename, lineno)
+                declared[f.name] = sig[f.name] = f
+                continue
+            if low == "w:":
+                section = "W"
+                continue
+            if low == "d:":
+                section = "D"
+                continue
+            if low.startswith("goal:"):
+                if goal is not None:  # as with defconn: one per file (--goal still overrides it)
+                    raise TheoryFormatError("goal: already given", filename, lineno)
+                goal = read(line, lineno, start=5)
+                continue
         if section == "W":
-            w_forms.append(_parse_at(parse, line, sig(), filename, lineno))
+            w_forms.append(read(line, lineno))
         elif section == "D":
             m = _RULE_RE.fullmatch(line)
             if not m:
                 raise TheoryFormatError("rules look like (default PRE JUST CON)", filename, lineno)
-            formulas = _parse_at(parse_formulas, m.group(1), sig(), filename, lineno)
+            formulas = read(line, lineno, True, m.start(1), m.end(1))
             if len(formulas) != 3:
                 raise TheoryFormatError(
                     f"a rule needs exactly 3 formulas, got {len(formulas)}", filename, lineno
@@ -122,8 +124,7 @@ def read_theory(text: str, filename: str = "<input>"):
         else:
             raise TheoryFormatError("expected a 'W:' or 'D:' section first", filename, lineno)
 
-    used = connectives_of(w_forms + [x for d in rules for x in d.formulas()] + ([goal] if goal else []))
-    signature = frozenset(set(declared.values()) | {f for f in used if f.name in BUILTINS})
+    signature = frozenset([*declared.values(), *used.values()])
     theory = DefaultTheory(tuple(dict.fromkeys(w_forms)), tuple(rules), signature)
     return theory, goal
 

@@ -11,7 +11,9 @@ Grammar (UTF-8 text):
 Constants are 0-ary connective applications, e.g. ``(top)``; there is no
 separate constant node kind.  Formulas are immutable and structurally
 hashable, so every operation here is safe to run concurrently on shared
-inputs.
+inputs; the parser reads a text's tokens in one regex scan, and a reader
+of many texts can share one Var per name and collect the connectives
+met (see _parse).
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .errors import (
 VAR_CAP = 20  # hard cap on truth-table construction, 2**20 rows
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_TOKEN_RE = re.compile(r"[()]|[A-Za-z_][A-Za-z0-9_]*|\S")  # \S: a character no token starts with
 
 
 class Formula:
@@ -151,25 +154,6 @@ def serialize(phi: Formula) -> str:
     return "(" + " ".join(parts) + ")"
 
 
-def _tokenize(text: str) -> list[tuple[str, int]]:
-    tokens: list[tuple[str, int]] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "()":
-            tokens.append((ch, i))
-            i += 1
-        else:
-            m = _NAME_RE.match(text, i)
-            if not m:
-                raise FormulaSyntaxError(f"unexpected character {ch!r}", i)
-            tokens.append((m.group(), i))
-            i = m.end()
-    return tokens
-
-
 def parse(text: str, signature, allow_reserved: bool = False) -> Formula:
     """Parse prefix-notation text against a connective signature.
 
@@ -178,70 +162,95 @@ def parse(text: str, signature, allow_reserved: bool = False) -> Formula:
     accepted with allow_reserved=True (the theory-file reader sets it, so
     reduction outputs round-trip).
     """
-    return _parse(text, signature, allow_reserved, many=False)
+    return _parse(text, signature_map(signature), allow_reserved, False, {}, {})
 
 
 def parse_formulas(text: str, signature, allow_reserved: bool = False) -> list[Formula]:
     """The formulas of text, read one after another as parse reads one."""
-    return _parse(text, signature, allow_reserved, many=True)
+    return _parse(text, signature_map(signature), allow_reserved, True, {}, {})
 
 
-def _parse(text: str, signature, allow_reserved: bool, many: bool):
-    sig = signature_map(signature)
-    tokens = _tokenize(text)
-    pos = 0
+def _parse(text, sig, allow_reserved, many, names, used, start=0, end=None):
+    """The formula of text[start:end] over the name map sig, or with many
+    the list of its formulas.  names (to Var) and used (to BoolFun) grow as
+    names are met, so a caller passing the same two for every formula of a
+    file gets one Var per name and the connectives the file uses.  The
+    tokens come from one regex scan; an error's offset, from the start of
+    text, is found by scanning again."""
+    end = len(text) if end is None else end
+    tokens = _TOKEN_RE.findall(text, start, end)
+    n = len(tokens)
+    tokens.reverse()
+    pop = tokens.pop
 
-    def need(what: str) -> tuple[str, int]:
-        nonlocal pos
-        if pos >= len(tokens):
-            raise FormulaSyntaxError(f"unexpected end of input, expected {what}", len(text))
-        tok = tokens[pos]
-        pos += 1
-        return tok
+    def error(cls, message, k=None):
+        # cls(message) at token k, by default the last popped, or at the end
+        # when k is past the last.  But a token that is neither a name nor a
+        # parenthesis is a character no token starts with, and the first
+        # such is reported instead, wherever it stands.
+        found = list(_TOKEN_RE.finditer(text, start, end))
+        for m in found:
+            if m.group() not in "()" and not _NAME_RE.match(m.group()):
+                return FormulaSyntaxError(f"unexpected character {m.group()!r}", m.start())
+        k = n - len(tokens) - 1 if k is None else k
+        return cls() if cls is NestingTooDeep else cls(message, found[k].start() if k < n else end)
 
-    def formula() -> Formula:
-        nonlocal pos
-        tok, at = need("a variable or '('")
-        if tok == ")":
-            raise FormulaSyntaxError("unexpected ')'", at)
-        if tok != "(":
-            if tok.startswith("_") and not allow_reserved:
-                raise FormulaSyntaxError(
-                    f"variable {tok!r} uses the reserved '_' prefix", at
-                )
-            return Var(tok)
-        name, at = need("a connective name")
+    def var(tok):  # a variable met for the first time (not a name: see error)
+        if not _NAME_RE.match(tok) or (tok[0] == "_" and not allow_reserved):
+            raise error(FormulaSyntaxError, f"variable {tok!r} uses the reserved '_' prefix")
+        v = names[tok] = Var(tok)
+        return v
+
+    def connective(name):  # a connective met for the first time
         if name in "()":
-            raise FormulaSyntaxError("expected a connective name after '('", at)
-        conn = sig.get(name)
+            raise error(FormulaSyntaxError, "expected a connective name after '('")
+        conn = sig.get(name) if _NAME_RE.match(name) else None
         if conn is None:
-            raise UnknownConnective(f"unknown connective {name!r}", at)
-        args: list[Formula] = []
+            raise error(UnknownConnective, f"unknown connective {name!r}")
+        used[name] = conn
+        return conn
+
+    def app() -> App:  # the rest of an application after its '(': one frame per level
+        name = pop()
+        at = len(tokens)
+        conn = used.get(name) or connective(name)
+        args = []
         while True:
-            if pos >= len(tokens):
-                raise FormulaSyntaxError("missing ')'", len(text))
-            if tokens[pos][0] == ")":
-                pos += 1
+            tok = pop()
+            if tok == "(":
+                args.append(app())
+            elif tok == ")":
                 break
-            args.append(formula())
+            else:
+                args.append(names.get(tok) or var(tok))
         if len(args) != conn.arity:
-            raise ArityMismatch(
-                f"connective {name!r} expects {conn.arity} arguments, got {len(args)}", at
-            )
+            raise error(ArityMismatch, f"connective {name!r} expects {conn.arity} arguments, "
+                        f"got {len(args)}", n - at - 1)
         return App(conn, args)
 
-    try:  # formula() recurses once per nesting level
-        if many:
-            formulas = []
-            while pos < len(tokens):
-                formulas.append(formula())
-            return formulas
-        result = formula()
+    formulas: list[Formula] = []
+    try:
+        while tokens:
+            tok = pop()
+            if tok == "(":
+                formulas.append(app())
+            elif tok == ")":
+                raise error(FormulaSyntaxError, "unexpected ')'")
+            else:
+                formulas.append(names.get(tok) or var(tok))
+            if not many:
+                break
     except RecursionError:
-        raise NestingTooDeep() from None
-    if pos != len(tokens):
-        raise FormulaSyntaxError("trailing input after formula", tokens[pos][1])
-    return result
+        raise error(NestingTooDeep, "") from None
+    except IndexError:  # the tokens ran out inside an application
+        if text[:end].rstrip().endswith("("):
+            raise error(FormulaSyntaxError, "unexpected end of input, expected a connective name", n) from None
+        raise error(FormulaSyntaxError, "missing ')'", n) from None
+    if not (many or formulas):
+        raise error(FormulaSyntaxError, "unexpected end of input, expected a variable or '('", n)
+    if not many and tokens:
+        raise error(FormulaSyntaxError, "trailing input after formula", n - len(tokens))
+    return formulas if many else formulas[0]
 
 
 def evaluate(phi: Formula, assignment: dict[str, int]) -> int:

@@ -573,6 +573,36 @@ def test_engines_agree_with_generic(family):
                 assert truth_table_implies(extension, goal) == (problem == "cred")
 
 
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_engines_agree_with_generic_beyond_the_facts(family):
+    # most random theories have Th(W) as their only extension, where a
+    # query is settled by the facts alone; these keep only theories with an
+    # extension stronger than W and ask about its own consequents
+    rng = random.Random(f"beyond:{family}")
+    kept = 0
+    while kept < 20:
+        t = random_theory(rng, family)
+        infos, _ = enumerate_extensions(t)
+        fresh = [
+            t.D[i].consequent
+            for info in infos
+            for i in info.generating
+            if not truth_table_implies(list(t.W), t.D[i].consequent)
+        ]
+        if not fresh:
+            continue
+        kept += 1
+        goal = rng.choice(fresh)
+        answers = {}
+        for problem in ("cred", "skep"):
+            auto = decide(problem, t, goal, want_witness=True)
+            slow = decide(problem, t, goal, engine="generic", want_witness=True)
+            assert (auto.answer, auto.witness) == (slow.answer, slow.witness), (family, problem, t, goal)
+            answers[problem] = auto.answer
+        # the goal holds in the extension it was drawn from
+        assert answers["cred"], (family, t, goal)
+
+
 def test_cred_witness_passes_check_stable():
     rng = random.Random(31)
     for _ in range(30):

@@ -1,6 +1,8 @@
+import random
+
 import pytest
 
-from postdl.boolfun import BUILTINS
+from postdl.boolfun import BUILTINS, BoolFun
 from postdl.errors import TheoryFormatError
 from postdl.formats import (
     read_digraph,
@@ -10,7 +12,8 @@ from postdl.formats import (
     read_theory,
     write_theory,
 )
-from postdl.formula import serialize
+from postdl.formula import connectives, serialize
+from postdl.gen import FAMILIES, random_formula, random_goal, random_theory
 from postdl.reductions import (
     CnfFormula,
     gap_to_default,
@@ -18,6 +21,7 @@ from postdl.reductions import (
     snsat_to_ext,
     threesat_to_default,
 )
+from postdl.theory import DefaultRule, DefaultTheory
 B = BUILTINS
 
 
@@ -57,6 +61,33 @@ def test_read_theory_refuses_a_second_declaration():
     assert str(exc.value) == "dup.dt:4: defconn 'f': already declared"
     with pytest.raises(TheoryFormatError):
         read_theory("defconn f 2 0100\ndefconn f 2 0100\nW:\nx\n")
+
+
+def test_read_theory_refuses_a_second_goal():
+    # the second line used to replace the first silently; --goal still
+    # overrides the file's one goal
+    text = "W:\nx\ngoal: x\nD:\n(default x y y)\ngoal: y\n"
+    with pytest.raises(TheoryFormatError) as exc:
+        read_theory(text, filename="goals.dt")
+    assert str(exc.value) == "goals.dt:6: goal: already given"
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("(default x y y) (default x y y)", "unexpected ')' (at offset 14)"),
+        ("(default x (and y) y)", "connective 'and' expects 2 arguments, got 1 (at offset 12)"),
+        ("(default x y (and y)", "missing ')' (at offset 19)"),
+        ("goal: (and x y", "missing ')' (at offset 14)"),
+        ("goal:  (nope x)", "unknown connective 'nope' (at offset 8)"),
+        ("goal: x y", "trailing input after formula (at offset 8)"),
+        ("goal:", "unexpected end of input, expected a variable or '(' (at offset 5)"),
+    ],
+)
+def test_rule_and_goal_offsets_count_from_the_line_start(line, message):
+    with pytest.raises(TheoryFormatError) as exc:
+        read_theory(f"D:\n{line}\n", filename="t.dt")
+    assert str(exc.value) == f"t.dt:2: {message}"
 
 
 def test_read_theory_names_a_non_integer_defconn_arity():
@@ -103,6 +134,46 @@ def test_roundtrip_plain():
     assert theory2.D == theory.D
     assert goal2 == goal
     assert theory2.signature == theory.signature
+
+
+def _written_signature(theory, goal):
+    """The signature a theory file gives back: its declared connectives
+    and the builtins its formulas, the goal among them, use."""
+    used = theory.used_connectives() | (connectives(goal) if goal is not None else set())
+    declared = {f for f in theory.signature if f.name not in BUILTINS}
+    return theory._replace(signature=frozenset(used | declared))
+
+
+def test_roundtrip_random_theories_of_every_family():
+    nand3 = BoolFun("nand3", 3, "11111110")
+    rng = random.Random("formats:roundtrip")
+    for family in sorted(FAMILIES):
+        for _ in range(30):
+            theory = random_theory(rng, family)
+            goal = random_goal(rng, theory, family) if rng.random() < 0.7 else None
+            theory = _written_signature(theory, goal)
+            assert read_theory(write_theory(theory, goal)) == (theory, goal), family
+    # a declared connective, used or not, stays in the signature
+    conns, pool = [nand3, BUILTINS["or"]], [f"v{i}" for i in range(1, 5)]
+    for _ in range(30):
+        w = [random_formula(rng, conns, pool, 2)]
+        d = [DefaultRule(*(random_formula(rng, conns, pool, 2) for _ in range(3)))]
+        theory = _written_signature(DefaultTheory.make(w, d, conns), None)
+        assert nand3 in theory.signature
+        assert read_theory(write_theory(theory)) == (theory, None)
+
+
+def test_a_connective_only_the_goal_uses_joins_the_signature():
+    theory, goal = read_theory("W:\n(and x y)\nD:\n(default x y y)\ngoal: (or x (not y))\n")
+    assert {f.name for f in theory.signature} == {"and", "or", "not"}
+    assert serialize(goal) == "(or x (not y))"
+
+
+def test_a_file_reads_one_var_per_name():
+    theory, goal = read_theory("W:\n(and x y)\nD:\n(default x y (or y x))\ngoal: x\n")
+    (w,), (d,) = theory.W, theory.D
+    assert goal is w.args[0] is d.prerequisite is d.consequent.args[1]
+    assert w.args[1] is d.justification is d.consequent.args[0]
 
 
 def test_roundtrip_reduction_output_with_reserved_vars():

@@ -28,6 +28,7 @@ from postdl.formula import (
     evaluate,
     fresh_name,
     parse,
+    parse_formulas,
     serialize,
     substitute,
     truth_table_of,
@@ -85,6 +86,47 @@ def test_parse_positions_reported():
         assert exc.position == 8
     else:
         pytest.fail("expected UnknownConnective")
+
+
+_PARSE_ERRORS = [
+    # (text, class, message, offset); both readers unless the reader is named
+    ("", FormulaSyntaxError, "unexpected end of input, expected a variable or '('", 0, parse),
+    ("(and x y", FormulaSyntaxError, "missing ')'", 8, None),
+    (")", FormulaSyntaxError, "unexpected ')'", 0, None),
+    ("(and x y) z", FormulaSyntaxError, "trailing input after formula", 10, parse),
+    ("(and (x) y)", UnknownConnective, "unknown connective 'x'", 6, None),
+    ("( )", FormulaSyntaxError, "expected a connective name after '('", 2, None),
+    ("1x", FormulaSyntaxError, "unexpected character '1'", 0, None),
+    ("_t", FormulaSyntaxError, "variable '_t' uses the reserved '_' prefix", 0, None),
+    ("(and x (nope y z))", UnknownConnective, "unknown connective 'nope'", 8, None),
+    ("(and x)", ArityMismatch, "connective 'and' expects 2 arguments, got 1", 1, None),
+    (" (and x (", FormulaSyntaxError, "unexpected end of input, expected a connective name", 9, None),
+    ("x)", FormulaSyntaxError, "trailing input after formula", 1, parse),
+    ("x)", FormulaSyntaxError, "unexpected ')'", 1, parse_formulas),
+    # a character that starts no token is reported before an earlier error
+    (") (and x) $", FormulaSyntaxError, "unexpected character '$'", 10, None),
+]
+
+
+@pytest.mark.parametrize(
+    "read, text, cls, message, offset",
+    [
+        (read, text, cls, message, offset)
+        for text, cls, message, offset, only in _PARSE_ERRORS
+        for read in (parse, parse_formulas)
+        if only in (None, read)
+    ],
+)
+def test_parse_errors_are_pinned(read, text, cls, message, offset):
+    with pytest.raises(FormulaSyntaxError) as exc:
+        read(text, SIG)
+    assert type(exc.value) is cls
+    assert (str(exc.value), exc.value.position) == (f"{message} (at offset {offset})", offset)
+
+
+def test_parse_formulas_reads_what_parse_refuses_as_trailing():
+    assert parse_formulas("", SIG) == []
+    assert parse_formulas("(and x y) z", SIG) == [f("(and x y)"), Var("z")]
 
 
 # -- evaluation ------------------------------------------------------------
