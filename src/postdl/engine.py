@@ -42,8 +42,12 @@ when negation is not in the signature.
 Every truth table a decision reads comes from one ``TableContext``, the
 engines' tabling kernel: it tables each distinct formula once per decision
 (structurally equal formulas share the entry) and applies each connective
-in the cheaper of two bitwise forms.  ``formula.table_int`` stays the
-reference that the tests compare it against.
+in the cheaper of two bitwise forms, compiled once per connective into
+one straight-line function (``_kernel``); a form larger than
+KERNEL_CUTOFF runs as a loop over its terms instead.  The fixpoint's
+all-ones evaluations (``_ones``) run the same kernel on a one-row table.
+``formula.table_int`` and ``BoolFun.value`` stay the references that the
+tests compare them against.
 """
 
 from __future__ import annotations
@@ -174,8 +178,10 @@ class TableContext:
     formula is tabled once: the memo is keyed by the formula itself, and
     formulas hash and compare structurally, so an equal formula built
     elsewhere reads the same entry.  Only requested formulas are kept, not
-    their subformulas, since each table holds 2^n bits.  A walk applies each
-    connective in its cheaper bitwise form (``_bitwise_form``), so it does
+    their subformulas, since each table holds 2^n bits.  A walk returns a
+    variable's pattern and applies a connective through its compiled
+    kernel (``_kernel``, the cheaper ``_bitwise_form`` written out once),
+    which walks the arguments and reads ``full`` at each call, so it does
     bitwise work only; ``formula.table_int`` stays the reference.
     """
 
@@ -207,19 +213,51 @@ class TableContext:
                 return self._patterns[node.name]
             except KeyError:
                 raise UnboundVariable(f"variable {node.name!r} not in the context's order") from None
-        negs, terms = _bitwise_form(node.conn)
-        vals = [self._walk(a) for a in node.args]
-        full = self.full
-        vals.append(full)
-        for j in negs:
-            vals.append(full ^ vals[j])
-        out = None
-        for term in terms:
-            t = vals[term[0]]
-            for j in term[1:]:
-                t &= vals[j]
-            out = t if out is None else out ^ t
-        return 0 if out is None else out
+        return _kernel(node.conn)(self._walk, node.args, self.full)
+
+
+# a form costing more (len(negs) + total term length) runs as a loop: one
+# expression of a random 16-ary form's 32,707 terms overflows the
+# compiler's recursion
+KERNEL_CUTOFF = 128
+
+
+@lru_cache(maxsize=1024)
+def _kernel(f: BoolFun):
+    """f's ``_bitwise_form`` as one function kernel(walk, args, full): it
+    walks each argument in order, takes each needed complement once (full ^
+    the argument) and returns the XOR of the AND-terms.  A form within
+    KERNEL_CUTOFF is compiled into one straight-line expression, whose source
+    is built from argument indices only; a larger one runs the terms in a
+    loop.  Each argument is walked by a direct call, so a nesting level
+    costs two Python frames (the walk and the kernel) either way."""
+    negs, terms = _bitwise_form(f)
+    k = f.arity
+    if len(negs) + sum(map(len, terms)) > KERNEL_CUTOFF:
+
+        def kernel(walk, args, full):
+            vals = []
+            for a in args:
+                vals.append(walk(a))
+            vals.append(full)
+            for j in negs:
+                vals.append(full ^ vals[j])
+            out = None
+            for term in terms:
+                t = vals[term[0]]
+                for j in term[1:]:
+                    t &= vals[j]
+                out = t if out is None else out ^ t
+            return 0 if out is None else out
+
+        return kernel
+    lits = [f"a{j}" for j in range(k)] + ["full"] + [f"n{j}" for j in negs]
+    body = [f"a{j} = walk(args[{j}])" for j in range(k)] + [f"n{j} = full ^ a{j}" for j in negs]
+    value = " ^ ".join(" & ".join(lits[i] for i in term) for term in terms) or "0"
+    source = "def kernel(walk, args, full):\n" + "".join(f"    {s}\n" for s in body + [f"return {value}"])
+    scope: dict = {}
+    exec(compile(source, f"<kernel of arity {k}>", "exec"), scope)
+    return scope["kernel"]
 
 
 @lru_cache(maxsize=1024)
@@ -254,10 +292,11 @@ def _bitwise_form(f: BoolFun) -> tuple[tuple[int, ...], tuple[tuple[int, ...], .
 
 def _ones(phi: Formula) -> int:
     """Value of phi under the all-ones assignment; for monotone formulas
-    this decides equivalence to the constant 0."""
-    if isinstance(phi, Var):
+    this decides equivalence to the constant 0.  It is the one-row table
+    of phi: the kernel with full = 1 and every variable 1."""
+    if phi.__class__ is Var:
         return 1
-    return phi.conn.value(tuple(_ones(a) for a in phi.args))
+    return _kernel(phi.conn)(_ones, phi.args, 1)
 
 
 def is_consistent_W(theory: DefaultTheory) -> bool:

@@ -22,7 +22,7 @@ import re
 
 from .boolfun import BUILTINS, BoolFun
 from .errors import InputError, TheoryFormatError
-from .formula import Formula, Var, _parse, serialize
+from .formula import _NAME_RE, Formula, Var, _parse, serialize
 from .reductions import CnfFormula, Digraph, Hypergraph, SnsatInstance
 from .theory import DefaultRule, DefaultTheory
 
@@ -48,12 +48,16 @@ def _count(token: str, what: str, filename: str, lineno: int) -> int:
 
 def read_connective(decl: str) -> BoolFun:
     """A custom connective from its declaration 'NAME ARITY BITSTRING'.  A
-    builtin name, an arity that is not an integer and a bad table raise
-    InputError; the caller says where the declaration came from."""
+    name the formula grammar cannot read, a builtin name, an arity that is
+    not an integer and a bad table raise InputError; the caller says where
+    the declaration came from."""
     parts = decl.split()
     if len(parts) != 3:
         raise InputError("expected 'NAME ARITY BITSTRING'")
     name, arity, bits = parts
+    if not _NAME_RE.fullmatch(name):
+        # no formula could apply it, yet it would join the signature and move the dispatch
+        raise InputError(f"name {name!r} is not an identifier ([A-Za-z_][A-Za-z0-9_]*)")
     if name in BUILTINS:
         raise InputError(f"cannot redefine builtin {name!r}")
     try:

@@ -79,6 +79,26 @@ def test_classify_defconn_names_a_non_integer_arity(capsys):
     assert err.splitlines() == ["error: --defconn 'f x 01': arity 'x' is not an integer"]
 
 
+def test_defconn_refuses_a_name_no_formula_can_use(tmp_path, capsys):
+    # "1x" is not a token of the formula grammar, so no formula could apply
+    # it; the declaration alone used to put the signature in case NP
+    p = tmp_path / "bad.dt"
+    p.write_text("defconn 1x 1 10\nW:\nx\nD:\n(default x y y)\ngoal: y\n", encoding="utf-8")
+    for problem in ("ext", "cred", "skep", "classify"):
+        code, out, err = run(capsys, problem, str(p), "--json")
+        assert (code, out) == (2, ""), problem
+        assert err.splitlines() == [
+            f"error: {p}:1: defconn '1x': name '1x' is not an identifier ([A-Za-z_][A-Za-z0-9_]*)"
+        ]
+    code, out, err = run(capsys, "classify", "--defconn", "1x 1 10", "--json")
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [
+        "error: --defconn '1x 1 10': name '1x' is not an identifier ([A-Za-z_][A-Za-z0-9_]*)"
+    ]
+    code, out, _ = run(capsys, "classify", "--defconn", "_x1 1 10", "--json")
+    assert code == 0 and json.loads(out)["cases"]["ext"] == "NP"
+
+
 def test_ext_yes_no(theory_file, capsys):
     code, out, _ = run(capsys, "ext", theory_file)
     assert code == 0

@@ -96,6 +96,15 @@ def test_read_theory_names_a_non_integer_defconn_arity():
     assert str(exc.value) == "bad.dt:1: defconn 'f': arity 'x' is not an integer"
 
 
+@pytest.mark.parametrize("name", ["1x", "a-b", "f(", "\u00e9"])
+def test_read_theory_refuses_a_connective_name_outside_the_grammar(name):
+    with pytest.raises(TheoryFormatError) as exc:
+        read_theory(f"defconn {name} 1 10\nW:\nx\n", filename="bad.dt")
+    assert str(exc.value) == (
+        f"bad.dt:1: defconn {name!r}: name {name!r} is not an identifier ([A-Za-z_][A-Za-z0-9_]*)"
+    )
+
+
 def test_read_theory_needs_section():
     with pytest.raises(TheoryFormatError):
         read_theory("x\n")
