@@ -108,7 +108,8 @@ class Stats:
     asserted formula wakes it; in table mode, ``_fire`` tests each waiting
     prerequisite once per pass, as in the enumeration.  Satisfiability
     checks of the facts or of a candidate on its own and the fixpoint
-    engine's all-ones evaluations and all-ones row reads are not counted.
+    engine's all-ones evaluations, all-ones row reads and reads of a fired
+    consequent's normal form (does it conclude 0?) are not counted.
     """
 
     __slots__ = ("subsets_checked", "implication_calls")
@@ -576,7 +577,12 @@ def _fixpoint_engine(
     iteration is a worklist over it: the facts are asserted, every rule
     with a live justification watches its prerequisite, and a fired rule
     asserts its consequent, which wakes only the rules whose watched
-    prerequisite it makes entailed; each formula is normalized once.
+    prerequisite it makes entailed; each formula is normalized once, in
+    one walk.  Whether a fired consequent concludes 0 is read off that
+    cached normal form (``is_bottom``: "bot", or the row 0 = 1) rather
+    than by a second walk; the signatures with a fragment state lie in E,
+    V or L1, where the normal form is exact and agrees with the all-ones
+    test.
     Otherwise (table mode) the rules are tabled as for the enumeration and
     ``_fire`` takes the closure of the facts under the live rules; a
     justification's liveness and the consistency of the derived models are
@@ -606,11 +612,12 @@ def _fixpoint_engine(
         applied = set()
         while ready:
             i = ready.pop()
-            if _ones(theory.D[i].consequent) == 0:
+            consequent = theory.D[i].consequent
+            if state.is_bottom(consequent):
                 stats.implication_calls += state.tests
                 return problem == "skep", None
             applied.add(i)
-            ready += state.add(theory.D[i].consequent)
+            ready += state.add(consequent)
         stats.implication_calls += state.tests
         entails = state.entails
     witness = ExtensionWitness(tuple(sorted(applied)))

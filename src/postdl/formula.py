@@ -74,6 +74,11 @@ class Var(Formula):
 
 
 class App(Formula):
+    """conn applied to args.  The hash is computed once (``_fill``), from
+    the connective's and the arguments' stored hashes, so equal formulas
+    hash equal whether built here or by the parser, which skips the arity
+    check it has already made."""
+
     __slots__ = ("conn", "args")
 
     def __init__(self, conn: BoolFun, args: Sequence[Formula] = ()):
@@ -82,9 +87,7 @@ class App(Formula):
             raise ArityMismatch(
                 f"connective {conn.name!r} expects {conn.arity} arguments, got {len(args)}"
             )
-        object.__setattr__(self, "conn", conn)
-        object.__setattr__(self, "args", args)
-        object.__setattr__(self, "_hash", hash(("a", conn.name, conn.arity, conn.bits, args)))
+        _fill(self, conn, args)
 
     def __setattr__(self, key, value):
         raise AttributeError("App is immutable")
@@ -104,6 +107,20 @@ class App(Formula):
 
     def __repr__(self):
         return f"App({self.conn.name}, {list(self.args)!r})"
+
+
+# App's slots, written past its immutability guard
+_set_conn, _set_args, _set_hash = App.conn.__set__, App.args.__set__, Formula._hash.__set__
+
+
+def _fill(node: App, conn: BoolFun, args: tuple) -> App:
+    """node, an App not yet filled, as conn applied to the tuple args; the
+    arity is the caller's to check.  The parser, which has checked it,
+    fills object.__new__(App) itself."""
+    _set_conn(node, conn)
+    _set_args(node, args)
+    _set_hash(node, hash(("a", conn._hash, tuple([a._hash for a in args]))))
+    return node
 
 
 def subformulas(phi: Formula) -> Iterator[Formula]:
@@ -226,7 +243,7 @@ def _parse(text, sig, allow_reserved, many, names, used, start=0, end=None):
         if len(args) != conn.arity:
             raise error(ArityMismatch, f"connective {name!r} expects {conn.arity} arguments, "
                         f"got {len(args)}", n - at - 1)
-        return App(conn, args)
+        return _fill(object.__new__(App), conn, tuple(args))
 
     formulas: list[Formula] = []
     try:

@@ -7,30 +7,34 @@ affine clone L a formula is c xor (xor of a variable set), so the premises
 become GF(2) equations and entailment is Gaussian elimination; over the
 conjunctive clone E (or the disjunctive clone V) a formula is bottom, top,
 or the conjunction (disjunction) of a variable set, and entailment is
-containment bookkeeping.  ``implies`` takes engine "auto", which selects
-the cheapest sound engine from the signature (premises that mix
-conjunction and disjunction stay on the oracle), or "oracle".  The
-fragment engines, called by name, refuse a formula with a connective
-outside their clone.
+containment bookkeeping.  The walk is one module-level recursion over the
+applications, with no per-call closure: a variable is read in place, and
+each connective's constant and essential arguments are computed once per
+truth table and shape and then read from a dict keyed by the table.
+``implies`` takes engine "auto", which selects the cheapest sound engine
+from the signature (premises that mix conjunction and disjunction stay on
+the oracle), or "oracle".  The fragment engines, called by name, refuse a
+formula with a connective outside their clone.
 
 Each fragment has one entailment implementation, an incremental state
 (``EntailmentState``): premises are added one at a time, goals are tested
 against them, and a watched goal is handed back when an added premise
 makes it entailed.  ``conjunctive_implies``, ``disjunctive_implies`` and
 ``affine_implies`` add their premises to a fresh state and test the goal;
-the rule-firing fixpoint of ``engine`` keeps one state per decision.
+the rule-firing fixpoint of ``engine`` keeps one state per decision, and
+reads from the same cached normal form whether a fired consequent is
+equivalent to 0 (``is_bottom``), so each formula is walked once.
 
 Entailment is classical: inconsistent premises imply everything.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from operator import and_, or_, xor
 from typing import Sequence
 
 from .boolfun import BoolFun, signature_map
-from .clones import subset_of_clone
+from .clones import _common_family, subset_of_clone
 from .errors import NestingTooDeep, NotAffine, ShapeMismatch
 from .formula import Formula, Var, connectives_of, table_int, variables_of
 
@@ -60,48 +64,78 @@ def truth_table_implies(premises: Sequence[Formula], goal: Formula) -> bool:
     return prem & table_int(goal, order) == prem
 
 
-@lru_cache(maxsize=1024)
+# shape -> table -> the connective's (c, essential argument indices), for
+# the connectives inside the shape's clone: one dict per shape, read with
+# the table string (whose hash the string keeps), not the BoolFun.  The
+# form depends on the table alone, so a renamed copy of a connective shares
+# its entry; a connective outside the clone never gets one, so it is
+# refused on every call.  A shape's dict is cleared at _FORMS_CAP entries.
+_FORMS: dict[str, dict[str, tuple[int, tuple[int, ...]]]] = {shape: {} for shape in _SHAPES}
+_FORMS_CAP = 1024
+
+
 def _connective_form(f: BoolFun, shape: str) -> tuple[int, tuple[int, ...]]:
     """f as c op (op of its arguments at the returned indices), for f in
-    the shape's clone.  c is f at the shape's base point (all ones for
-    "and", all zeros otherwise), and an argument counts exactly when
-    flipping it there changes f."""
+    the shape's clone, stored in _FORMS.  c is f at the shape's base point
+    (all ones for "and", all zeros otherwise), and an argument counts
+    exactly when flipping it there changes f."""
     clone, _, mismatch = _SHAPES[shape]
     if not subset_of_clone([f], clone):
         raise mismatch(f"connective {f.name!r} is outside the clone {clone}")
     base = f.n_points - 1 if shape == "and" else 0
     c = f.value_at(base)
-    return c, tuple(j for j in range(f.arity) if f.value_at(base ^ 1 << j) != c)
+    forms = _FORMS[shape]
+    if len(forms) >= _FORMS_CAP:
+        forms.clear()
+    form = forms[f.table] = c, tuple(j for j in range(f.arity) if f.value_at(base ^ 1 << j) != c)
+    return form
+
+
+def _walk(node: Formula, shape: str, forms: dict, op, support: set[str]) -> int:
+    """The constant of the application node's normal form, combined by op
+    from its connective's constant and its essential arguments' constants.
+    A variable argument is op's identity and leaves the constant as it is:
+    its name joins support, or for "xor" is toggled in it (x xor x = 0).
+    One frame per application level; a variable costs no call."""
+    conn = node.conn
+    try:
+        c, essential = forms[conn.table]
+    except KeyError:
+        c, essential = _connective_form(conn, shape)
+    args = node.args
+    for j in essential:
+        arg = args[j]
+        if arg.__class__ is Var:
+            name = arg.name
+            if op is xor and name in support:
+                support.remove(name)
+            else:
+                support.add(name)
+        else:
+            c = op(c, _walk(arg, shape, forms, op, support))
+    return c
 
 
 def normal_form(phi: Formula, shape: str) -> tuple[int, frozenset[str]]:
     """(c, S) with phi = c op (op of the variables in S), op being the
     shape's connective: "and", "or" or "xor".
 
-    Read off the connectives in one walk, linear in the size of phi: the
-    constants combine by op, the variable sets by union ("and", "or") or
+    A variable is read at once: (1, {x}) for "and", (0, {x}) otherwise.
+    Any other formula is read off its connectives in one walk (``_walk``),
+    linear in the size of phi: each connective's constant and essential
+    arguments come from the shape's table store (_FORMS), the constants
+    combine by op, and the variable sets by union ("and", "or") or
     symmetric difference ("xor").  S is empty when c absorbs ("and" with
     0, "or" with 1), so S holds exactly the essential variables of phi.
     A connective outside the shape's clone raises ShapeMismatch ("and",
-    "or") or NotAffine ("xor").
+    "or") or NotAffine ("xor"), on every call.
     """
-    _, op, _ = _SHAPES[shape]
     identity = int(shape == "and")
+    if phi.__class__ is Var:
+        return identity, frozenset((phi.name,))
+    _, op, _ = _SHAPES[shape]
     support: set[str] = set()
-
-    def walk(node: Formula) -> int:
-        if isinstance(node, Var):
-            if shape == "xor" and node.name in support:
-                support.remove(node.name)  # x xor x = 0
-            else:
-                support.add(node.name)
-            return identity
-        c, essential = _connective_form(node.conn, shape)
-        for j in essential:
-            c = op(c, walk(node.args[j]))
-        return c
-
-    c = walk(phi)
+    c = _walk(phi, shape, _FORMS[shape], op, support)
     if shape != "xor" and c != identity:
         return c, frozenset()
     return c, frozenset(support)
@@ -145,11 +179,15 @@ class EntailmentState:
     phi made entailed.  entails(phi) tests phi now.  watch(key, phi) tests
     phi now and, when it does not hold yet, keeps it waiting under key
     until an add entails it; each waiting key is returned at most once.
-    tests counts the tests made by watch and by the wakes of waiting
-    goals.  Each formula is normalized once per state.  A formula with a
-    connective outside the fragment's clone is refused (ShapeMismatch,
-    NotAffine), and inconsistent premises entail everything.
+    is_bottom(phi) tells whether phi is equivalent to 0, read off its
+    normal form, and is no test.  tests counts the tests made by watch and
+    by the wakes of waiting goals.  Each formula is normalized once per
+    state.  A formula with a connective outside the fragment's clone is
+    refused (ShapeMismatch, NotAffine), and inconsistent premises entail
+    everything.
     """
+
+    _bottom = "bot"  # the normal form of every formula equivalent to 0
 
     def __init__(self):
         self.inconsistent = False
@@ -166,6 +204,9 @@ class EntailmentState:
     def entails(self, phi: Formula) -> bool:
         n = self._norm(phi)
         return self.inconsistent or self._holds(n)
+
+    def is_bottom(self, phi: Formula) -> bool:
+        return self._norm(phi) == self._bottom
 
     def watch(self, key, phi: Formula) -> bool:
         self.tests += 1
@@ -293,8 +334,10 @@ class AffineState(EntailmentState):
     bit when it is added, so it holds no lower bit, and it is never
     rewritten afterwards.  A waiting goal keeps its row reduced against
     the pivots and indexed by its bits; a new pivot re-reduces only the
-    goals that hold its bit.
+    goals that hold its bit.  A formula equivalent to 0 is the row 0 = 1.
     """
+
+    _bottom = (0, 1)
 
     def __init__(self):
         super().__init__()
@@ -391,12 +434,15 @@ def select_engine(signature) -> str:
     the truth-table oracle.  Monotone signatures with both conjunction and
     disjunction deliberately stay on the oracle.  E comes before L since
     the signatures in both are those of I, where the conjunctive state is
-    linear-time Horn chaining and the affine one GF(2) elimination."""
-    if subset_of_clone(signature, "E"):
+    linear-time Horn chaining and the affine one GF(2) elimination.  The
+    clone families of the signature are read once, and E, L and V are
+    each one family of ``clones.FAMILY_CLONES``."""
+    family = _common_family(signature_map(signature).values())
+    if "E" in family:
         return "conjunctive"
-    if subset_of_clone(signature, "L"):
+    if "L" in family:
         return "affine"
-    if subset_of_clone(signature, "V"):
+    if "V" in family:
         return "disjunctive"
     return "oracle"
 

@@ -25,6 +25,7 @@ from postdl.engine import (
 from postdl.errors import (
     DefaultCountTooLarge,
     InputError,
+    NestingTooDeep,
     TooManyVariables,
     UnboundVariable,
 )
@@ -172,6 +173,84 @@ def test_table_mode_fixpoint_reads_bottom_like_generic():
     d = cred(theories[2], f("t"), want_witness=True)
     assert (d.answer, d.witness.generating) == (True, (0, 2))
     assert (d.stats.subsets_checked, d.stats.implication_calls) == (0, 3 + 1)
+
+
+# signatures with a fragment state, and consequents over them equivalent
+# to 0 (no formula over L1 is: each is 1 at all ones)
+_FRAGMENT_FAMILIES = {
+    "E": (("and", "bot", "top"), ("(and v1 (bot))", "(bot)", "(and (and v2 v1) (and (bot) v1))")),
+    "V": (("or", "bot"), ("(or (bot) (bot))", "(bot)")),
+    "L1": (("xor3", "eq", "top"), ()),
+}
+
+
+def _fragment_corpus():
+    """Seeded theories and goals over E, V and L1, where the E and V rules
+    include rules that conclude a formula equivalent to 0."""
+    for family, (names, bottoms) in _FRAGMENT_FAMILIES.items():
+        conns = [B[n] for n in names]
+        rng = random.Random(f"fragment-bottom:{family}")
+        for _ in range(60):
+            pool = [f"v{i}" for i in range(1, rng.randint(2, 6) + 1)]
+
+            def form():
+                return random_formula(rng, conns, pool, 2)
+
+            w = [Var(rng.choice(pool)) for _ in range(rng.randint(0, 2))] + [form() for _ in range(rng.randint(0, 1))]
+            rules = [DefaultRule(form(), form(), form()) for _ in range(rng.randint(1, 6))]
+            for _ in range(rng.randint(0, 2) if bottoms else 0):
+                bottom = DefaultRule(Var(rng.choice(pool)), form(), f(rng.choice(bottoms)))
+                rules.insert(rng.randrange(len(rules) + 1), bottom)
+            yield family, DefaultTheory.make(w, rules, conns), form()
+
+
+def test_fragment_fixpoint_reads_a_bottom_consequent_like_table_mode(monkeypatch):
+    # the fragment states read "concludes 0" off a fired consequent's
+    # normal form; table mode reads the all-ones row.  Both give the same
+    # answer and witness, and the fragment decisions' answers, witnesses
+    # and implication_calls are pinned to the values they had when the
+    # fragment states read it with an all-ones walk: the bottom test makes
+    # no test of its own
+    records, refuted = [], Counter()
+    for family, t, goal in _fragment_corpus():
+        assert select_engine(t.signature) != "oracle"
+        for problem in ("ext", "cred", "skep"):
+            g = None if problem == "ext" else goal
+            stats = engine.Stats()
+            got = engine._fixpoint_engine(problem, t, g, stats)
+            with monkeypatch.context() as m:
+                m.setattr(engine, "select_engine", lambda sig: "oracle")
+                want = engine._fixpoint_engine(problem, t, g, engine.Stats())
+            assert got == want, (family, problem, t, goal)
+            refuted[family] += problem == "ext" and not got[0]
+            records.append([got[0], got[1] and list(got[1].generating), stats.implication_calls])
+    assert refuted["E"] >= 10 and refuted["V"] >= 10 and refuted["L1"] == 0
+    digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
+    assert digest == "0a1f89aa6ec00fa6ac8748e0f4332d8cc4a485b4a45d076ce3d9fb649ba0e0df"
+
+
+def test_fragment_walk_past_the_recursion_limit_ends_in_nesting_too_deep():
+    # a prerequisite nested deeper than the recursion limit, over E, V and
+    # L1: the fragment state's walk ends in NestingTooDeep (or, were it to
+    # answer, in the generic answer), never in a bare RecursionError
+    depth = sys.getrecursionlimit() + 200
+    for names in (("and", "bot"), ("or", "bot"), ("xor3",)):
+        conn = B[names[0]]
+        deep = Var("x")
+        for i in range(depth):
+            deep = App(conn, (deep, *(Var(f"y{j}") for j in range(conn.arity - 1))))
+        t = DefaultTheory.make([Var("x")], [DefaultRule(deep, Var("y0"), Var("z"))], [B[n] for n in names])
+        report = engine.dispatch_case(t.signature)
+        for problem, goal in (("ext", None), ("cred", Var("z")), ("skep", Var("z"))):
+            assert report.engines[problem] in ("poly_fragment", "trivial_yes"), (names, problem)
+            outcomes = []
+            for name in ("auto", "generic"):
+                try:
+                    d = decide(problem, t, goal, engine=name, want_witness=True)
+                    outcomes.append((d.answer, d.witness))
+                except NestingTooDeep:
+                    outcomes.append(NestingTooDeep)
+            assert outcomes[0] is NestingTooDeep or outcomes[0] == outcomes[1], (names, problem)
 
 
 def test_rule_free_theory_cred_equals_implication():

@@ -1,5 +1,7 @@
+import copy
 import math
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -267,6 +269,18 @@ def test_roundtrip_parse_serialize(phi):
 def test_serialize_parse_canonical(phi):
     text = serialize(phi)
     assert serialize(parse(text, SIG)) == text
+
+
+@given(_formulas())
+@settings(max_examples=100, deadline=None)
+def test_parsed_and_built_formulas_hash_alike(phi):
+    # the parser builds its nodes without App's arity check; a parsed
+    # formula hashes and compares as the App-built one, also once pickled
+    # or deep-copied
+    parsed = parse(serialize(phi), SIG)
+    for other in (parsed, pickle.loads(pickle.dumps(parsed)), copy.deepcopy(parsed)):
+        assert other == phi and hash(other) == hash(phi) and other in {phi}
+        assert type(other) is type(phi)
 
 
 @given(_formulas(), _formulas())

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from postdl import implication
 from postdl.boolfun import BUILTINS, BoolFun
 from postdl.clones import subset_of_clone
 from postdl.errors import NotAffine, ShapeMismatch
@@ -107,6 +108,57 @@ def test_normalize_shape_mismatch():
         normalize_flat(f("(xor x y)"), "or")
 
 
+def _outcome(phi, shape):
+    try:
+        return normal_form(phi, shape)
+    except (ShapeMismatch, NotAffine) as e:
+        return type(e)
+
+
+def test_renamed_connective_has_the_builtin_normal_form():
+    # the connective forms are read by truth table, not by name: a copy of
+    # and, or or xor under another name gives the builtin's normal form in
+    # every shape, on its first call and after, and is refused where the
+    # builtin is
+    texts = ["(C x y)", "(C x (C y (top)))", "(C (C x (bot)) y)", "(C (C x y) (C y z))", "(C x x)"]
+    for name, builtin in [("andd", "and"), ("orr", "or"), ("xorr", "xor")]:
+        sig = {**SIG, name: BoolFun(name, 2, SIG[builtin].table)}
+        for text in texts:
+            renamed = parse(text.replace("C", name), sig)
+            original = parse(text.replace("C", builtin), sig)
+            for shape in ("and", "or", "xor"):
+                first = _outcome(renamed, shape)
+                assert first == _outcome(original, shape) == _outcome(renamed, shape), (name, text, shape)
+        assert _outcome(parse(f"({name} x y)", sig), builtin) == (builtin == "and", frozenset({"x", "y"}))
+
+
+def test_connective_outside_the_clone_is_refused_on_every_call():
+    # a refused connective leaves no entry behind, so it is refused again
+    nand = BoolFun("nand_once", 2, "1110")
+    sig = {**SIG, "nand_once": nand}
+    cases = [
+        (parse("(or x y)", SIG), "and", ShapeMismatch),
+        (parse("(and x (or y z))", SIG), "and", ShapeMismatch),
+        (parse("(xor x y)", SIG), "or", ShapeMismatch),
+        (parse("(and x y)", SIG), "xor", NotAffine),
+        (parse("(nand_once x y)", sig), "and", ShapeMismatch),
+        (parse("(xor x (nand_once x y))", sig), "xor", NotAffine),
+    ]
+    for phi, shape, error in cases:
+        for _ in range(3):
+            with pytest.raises(error):
+                normal_form(phi, shape)
+    assert "1110" not in implication._FORMS["and"] and "1110" not in implication._FORMS["xor"]
+
+
+def test_a_variable_is_its_own_normal_form():
+    x = Var("x")
+    assert normal_form(x, "and") == (1, frozenset({"x"}))
+    assert normal_form(x, "or") == (0, frozenset({"x"}))
+    assert normal_form(x, "xor") == (0, frozenset({"x"}))
+    assert normalize_flat(x, "and") == normalize_flat(x, "or") == frozenset({"x"})
+
+
 def test_explicit_engine_refuses_foreign_connective():
     # the refusal is per connective, not by semantics: (and x x) is x
     with pytest.raises(ShapeMismatch):
@@ -145,6 +197,29 @@ def test_select_engine():
     assert select_engine([SIG["and"], SIG["or"]]) == "oracle"
     # I lies in both E and L; its signatures go to the Horn state
     assert select_engine([SIG["id"], SIG["bot"]]) == "conjunctive"
+
+
+def _select_by_three_subset_tests(signature) -> str:
+    # the engine choice as three clone tests, each over the whole signature
+    if subset_of_clone(signature, "E"):
+        return "conjunctive"
+    if subset_of_clone(signature, "L"):
+        return "affine"
+    if subset_of_clone(signature, "V"):
+        return "disjunctive"
+    return "oracle"
+
+
+def test_select_engine_matches_the_subset_tests_on_every_ternary_signature():
+    picked = set()
+    for bits in range(256):
+        g = BoolFun("g", 3, format(bits, "08b"))
+        for sig in ([g], [g, SIG["bot"]], [g, SIG["top"]], [g, SIG["bot"], SIG["top"]]):
+            want = _select_by_three_subset_tests(sig)
+            assert select_engine(sig) == want, (bits, [h.name for h in sig])
+            assert select_engine({h.name: h for h in sig}) == want
+            picked.add(want)
+    assert picked == {"conjunctive", "affine", "disjunctive", "oracle"}
 
 
 def test_implies_auto_infers_signature():
