@@ -9,7 +9,6 @@ set in the clone lattice licenses.
 from .boolfun import BUILTINS, BoolFun, dual
 from .clones import (
     CloneReport,
-    Slice3,
     contains_clone,
     dispatch_case,
     slice3_closure,
@@ -55,7 +54,6 @@ __all__ = [
     "BoolFun",
     "dual",
     "CloneReport",
-    "Slice3",
     "contains_clone",
     "dispatch_case",
     "slice3_closure",

@@ -120,7 +120,7 @@ def _cmd_imp(args) -> int:
     theory, goal = _load_query("imp", args)
     if theory.D:
         raise InputError("imp reads the premises from W:; the file must not have rules")
-    answer = implies(list(theory.W), goal, theory.signature, engine=args.engine)
+    answer = implies(list(theory.W), goal, engine=args.engine)
     payload = {
         "problem": "imp",
         "answer": answer,

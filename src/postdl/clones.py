@@ -41,22 +41,6 @@ SUBSET_CLONES = ("R1", "M", "L", "L1", "V", "E", "N", "I")
 CONTAINS_CLONES = ("S1", "D", "S11", "S00", "S10", "D2", "N2", "L0", "L2", "V2", "E2", "I2")
 
 
-class Slice3(NamedTuple):
-    """The arity-3 members of [B], as a set of 8-bit truth-table codes.
-    ``len`` and ``in`` read the member set, not the one-field tuple."""
-
-    members: frozenset[int]
-
-    def __contains__(self, table8: int) -> bool:
-        return table8 in self.members
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __le__(self, other: "Slice3") -> bool:
-        return self.members <= other.members
-
-
 def ternary_lift(f: BoolFun) -> int:
     """f as a ternary function on its first arity arguments (8-bit code)."""
     if f.arity > 3:
@@ -128,11 +112,12 @@ def _closure(conns: frozenset[BoolFun]) -> frozenset[int]:
     return frozenset(current)
 
 
-def slice3_closure(signature) -> Slice3:
-    """Least set of ternary tables containing the projections and closed
-    under applying every connective of the signature."""
+def slice3_closure(signature) -> frozenset[int]:
+    """The arity-3 members of [B] as 8-bit truth-table codes: the least set
+    of ternary tables containing the projections and closed under applying
+    every connective of the signature."""
     sig = signature_map(signature)
-    return Slice3(_closure(frozenset(sig.values())))
+    return _closure(frozenset(sig.values()))
 
 
 # Bases of the named clones used in contains tests, from the standard
@@ -154,7 +139,7 @@ _CONTAINS_BASES: dict[str, tuple[BoolFun, ...]] = {
 }
 
 
-def contains_clone(slice3: Slice3, clone: str) -> bool:
+def contains_clone(slice3: frozenset[int], clone: str) -> bool:
     """True iff the named clone is contained in [B], decided by base
     membership in the ternary slice."""
     base = _CONTAINS_BASES.get(clone)

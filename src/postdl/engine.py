@@ -123,22 +123,13 @@ class Stats:
     def __eq__(self, other):
         if other.__class__ is not Stats:
             return NotImplemented
-        return (self.subsets_checked, self.implication_calls) == (
-            other.subsets_checked,
-            other.implication_calls,
-        )
+        return self.to_json() == other.to_json()
 
     def __repr__(self):
-        return (
-            f"Stats(subsets_checked={self.subsets_checked!r}, "
-            f"implication_calls={self.implication_calls!r})"
-        )
+        return "Stats(" + ", ".join(f"{k}={v!r}" for k, v in self.to_json().items()) + ")"
 
     def to_json(self) -> dict:
-        return {
-            "subsets_checked": self.subsets_checked,
-            "implication_calls": self.implication_calls,
-        }
+        return {k: getattr(self, k) for k in self.__slots__}
 
 
 class ExtensionWitness(NamedTuple):
@@ -314,14 +305,13 @@ def is_consistent_W(theory: DefaultTheory) -> bool:
 
 class _RuleTables(NamedTuple):
     """The truth tables one enumeration reads, built once per decision: the
-    facts' models, each rule's prerequisite, justification and consequent,
-    the distinct consequents in first-occurrence order, and the index of
-    each rule's consequent among them."""
+    facts' models, each rule's prerequisite and justification, and the
+    distinct consequents in first-occurrence order; rule i's consequent is
+    conseqs[conseq_of[i]]."""
 
     w_models: int
     pre: list[int]
     just: list[int]
-    con: list[int]
     conseqs: list[int]
     conseq_of: list[int]
 
@@ -341,7 +331,6 @@ def _enumeration_context(
         ctx.and_of(theory.W),
         [ctx.table(d.prerequisite) for d in theory.D],
         [ctx.table(d.justification) for d in theory.D],
-        [ctx.table(d.consequent) for d in theory.D],
         [ctx.table(c) for c in index],
         conseq_of,
     ), ctx
@@ -356,7 +345,7 @@ def _fire(
     fired rules, or None as soon as a fired consequent outside the chosen
     ones (chosen masks the distinct consequents; -1 chooses them all) does
     not cover ehat."""
-    pre, con, conseq_of = t.pre, t.con, t.conseq_of
+    pre, conseqs, conseq_of = t.pre, t.conseqs, t.conseq_of
     gens = t.w_models
     applied: list[int] = []
     while waiting:
@@ -367,10 +356,11 @@ def _fire(
                 rest.append(i)
                 continue
             applied.append(i)
-            gens &= con[i]
-            if not chosen >> conseq_of[i] & 1:
+            j = conseq_of[i]
+            gens &= conseqs[j]
+            if not chosen >> j & 1:
                 stats.implication_calls += 1
-                if ehat & con[i] != ehat:
+                if ehat & conseqs[j] != ehat:
                     return None
         if len(rest) == len(waiting):
             break
@@ -415,8 +405,9 @@ def check_stable(theory: DefaultTheory, generating: Iterable[int]) -> bool:
     t, _ = _enumeration_context(theory, None, cap=None)
     ehat, chosen = t.w_models, 0
     for i in idx:
-        ehat &= t.con[i]
-        chosen |= 1 << t.conseq_of[i]
+        j = t.conseq_of[i]
+        ehat &= t.conseqs[j]
+        chosen |= 1 << j
     return _stable(t, ehat, chosen, Stats())[0]
 
 
@@ -579,7 +570,7 @@ def _fixpoint_engine(
     asserts its consequent, which wakes only the rules whose watched
     prerequisite it makes entailed; each formula is normalized once, in
     one walk.  Whether a fired consequent concludes 0 is read off that
-    cached normal form (``is_bottom``: "bot", or the row 0 = 1) rather
+    cached normal form (``is_bottom``: (0, {}), or the row 0 = 1) rather
     than by a second walk; the signatures with a fragment state lie in E,
     V or L1, where the normal form is exact and agrees with the all-ones
     test.

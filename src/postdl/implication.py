@@ -12,9 +12,9 @@ applications, with no per-call closure: a variable is read in place, and
 each connective's constant and essential arguments are computed once per
 truth table and shape and then read from a dict keyed by the table.
 ``implies`` takes engine "auto", which selects the cheapest sound engine
-from the signature (premises that mix conjunction and disjunction stay on
-the oracle), or "oracle".  The fragment engines, called by name, refuse a
-formula with a connective outside their clone.
+from the formulas' own connectives (premises that mix conjunction and
+disjunction stay on the oracle), or "oracle".  The fragment engines,
+called by name, refuse a formula with a connective outside their clone.
 
 Each fragment has one entailment implementation, an incremental state
 (``EntailmentState``): premises are added one at a time, goals are tested
@@ -34,7 +34,7 @@ from operator import and_, or_, xor
 from typing import Sequence
 
 from .boolfun import BoolFun, signature_map
-from .clones import _common_family, subset_of_clone
+from .clones import _classified, _common_family
 from .errors import NestingTooDeep, NotAffine, ShapeMismatch
 from .formula import Formula, Var, connectives_of, table_int, variables_of
 
@@ -75,19 +75,19 @@ _FORMS_CAP = 1024
 
 
 def _connective_form(f: BoolFun, shape: str) -> tuple[int, tuple[int, ...]]:
-    """f as c op (op of its arguments at the returned indices), for f in
-    the shape's clone, stored in _FORMS.  c is f at the shape's base point
-    (all ones for "and", all zeros otherwise), and an argument counts
-    exactly when flipping it there changes f."""
+    """f as c op (op of its essential arguments), for f in the shape's
+    clone, stored in _FORMS.  c is f at the shape's base point (all ones
+    for "and", all zeros otherwise); clone membership and the essential
+    arguments are read from the connective's classification."""
     clone, _, mismatch = _SHAPES[shape]
-    if not subset_of_clone([f], clone):
+    props, family = _classified(f)
+    if clone not in family:
         raise mismatch(f"connective {f.name!r} is outside the clone {clone}")
-    base = f.n_points - 1 if shape == "and" else 0
-    c = f.value_at(base)
+    c = f.value_at(f.n_points - 1 if shape == "and" else 0)
     forms = _FORMS[shape]
     if len(forms) >= _FORMS_CAP:
         forms.clear()
-    form = forms[f.table] = c, tuple(j for j in range(f.arity) if f.value_at(base ^ 1 << j) != c)
+    form = forms[f.table] = c, tuple(sorted(props.depends_on))
     return form
 
 
@@ -174,6 +174,8 @@ def _toggle(index: dict, key, mask: int) -> None:
 class EntailmentState:
     """Premises asserted one at a time, with entailment tests against them;
     one subclass per fragment, and the rule-firing fixpoint's worklist.
+    The E and V states keep each formula as its ``normal_form`` (c, S), the
+    L state as its GF(2) row (``linear_row``).
 
     add(phi) asserts phi and returns the keys of the watched goals that
     phi made entailed.  entails(phi) tests phi now.  watch(key, phi) tests
@@ -187,7 +189,7 @@ class EntailmentState:
     everything.
     """
 
-    _bottom = "bot"  # the normal form of every formula equivalent to 0
+    _bottom = (0, frozenset())  # the normal form of every formula equivalent to 0
 
     def __init__(self):
         self.inconsistent = False
@@ -226,10 +228,11 @@ class EntailmentState:
 
 
 class ConjunctiveState(EntailmentState):
-    """E fragment: the premises force the union of their variable sets.
-    A waiting goal keeps the count of its variables not yet forced and
-    wakes when it reaches 0, so a fixpoint over this state is Horn forward
-    chaining in linear time (Dowling & Gallier, J. Logic Programming 1984).
+    """E fragment: a formula (c, S) is 0 when c is 0, else the conjunction
+    of S.  The premises force the union of their variable sets.  A waiting
+    goal keeps the count of its variables not yet forced and wakes when it
+    reaches 0, so a fixpoint over this state is Horn forward chaining in
+    linear time (Dowling & Gallier, J. Logic Programming 1984).
     """
 
     def __init__(self):
@@ -238,26 +241,27 @@ class ConjunctiveState(EntailmentState):
         self._watchers: dict[str, list] = {}  # variable -> waiting keys
 
     def _normalize(self, phi: Formula):
-        return normalize_flat(phi, "and")
+        return normal_form(phi, "and")
 
     def _holds(self, n) -> bool:
-        return n == "top" or (n != "bot" and n <= self.forced)
+        c, support = n
+        return c == 1 and support <= self.forced
 
     def _wait(self, key, n) -> None:
-        # a bottom goal waits on no variable: only an inconsistency wakes it
-        missing = () if n == "bot" else n - self.forced
+        # a bottom goal has no variable to wait on: only an inconsistency wakes it
+        missing = n[1] - self.forced
         self._waiting[key] = len(missing)
         for v in missing:
             self._watchers.setdefault(v, []).append(key)
 
     def add(self, phi: Formula) -> list:
-        n = self._norm(phi)
-        if self.inconsistent or n == "top":
+        c, support = self._norm(phi)
+        if self.inconsistent:
             return []
-        if n == "bot":
+        if not c:
             return self._refute()
         woken = []
-        for v in n - self.forced:
+        for v in support - self.forced:
             self.forced.add(v)
             for key in self._watchers.pop(v, ()):
                 self._waiting[key] -= 1
@@ -269,10 +273,11 @@ class ConjunctiveState(EntailmentState):
 
 
 class DisjunctiveState(EntailmentState):
-    """V fragment: a disjunction follows when some premise's variable set
-    lies inside its own.  Premises are indexed by their least variable,
-    which a goal must hold for the premise to lie inside it; waiting goals
-    are indexed by each of their variables, and a new premise re-tests only
+    """V fragment: a formula (c, S) is 1 when c is 1, else the disjunction
+    of S.  A disjunction follows when some premise's variable set lies
+    inside its own.  Premises are indexed by their least variable, which a
+    goal must hold for the premise to lie inside it; waiting goals are
+    indexed by each of their variables, and a new premise re-tests only
     the goals under its variable with the fewest of them."""
 
     def __init__(self):
@@ -281,23 +286,22 @@ class DisjunctiveState(EntailmentState):
         self._watchers: dict[str, list] = {}  # variable -> waiting keys
 
     def _normalize(self, phi: Formula):
-        return normalize_flat(phi, "or")
+        return normal_form(phi, "or")
 
     def _holds(self, n) -> bool:
-        if isinstance(n, str):
-            return n == "top"
-        return any(p <= n for v in n for p in self._premises.get(v, ()))
+        c, support = n
+        return c == 1 or any(p <= support for v in support for p in self._premises.get(v, ()))
 
     def _wait(self, key, n) -> None:
-        self._waiting[key] = n
-        for v in () if n == "bot" else n:
+        support = self._waiting[key] = n[1]
+        for v in support:
             self._watchers.setdefault(v, []).append(key)
 
     def add(self, phi: Formula) -> list:
-        n = self._norm(phi)
-        if self.inconsistent or n == "top":
+        c, n = self._norm(phi)
+        if self.inconsistent or c:
             return []
-        if n == "bot":
+        if not n:
             return self._refute()
         self._premises.setdefault(min(n), []).append(n)
         # ties go to the least name, not to the set's hash order
@@ -429,14 +433,15 @@ def disjunctive_implies(premises: Sequence[Formula], goal: Formula) -> bool:
 
 
 def select_engine(signature) -> str:
-    """Cheapest sound engine for the signature: conjunctive, affine, or
-    disjunctive fragments when the clone analysis licenses them, otherwise
-    the truth-table oracle.  Monotone signatures with both conjunction and
-    disjunction deliberately stay on the oracle.  E comes before L since
-    the signatures in both are those of I, where the conjunctive state is
-    linear-time Horn chaining and the affine one GF(2) elimination.  The
-    clone families of the signature are read once, and E, L and V are
-    each one family of ``clones.FAMILY_CLONES``."""
+    """Cheapest sound engine for the signature (a list, set or name map of
+    connectives): conjunctive, affine, or disjunctive fragments when the
+    clone analysis licenses them, otherwise the truth-table oracle.
+    Monotone signatures with both conjunction and disjunction deliberately
+    stay on the oracle.  E comes before L since the signatures in both are
+    those of I, where the conjunctive state is linear-time Horn chaining
+    and the affine one GF(2) elimination.  The clone families of the
+    signature are read once, and E, L and V are each one family of
+    ``clones.FAMILY_CLONES``."""
     family = _common_family(signature_map(signature).values())
     if "E" in family:
         return "conjunctive"
@@ -447,25 +452,19 @@ def select_engine(signature) -> str:
     return "oracle"
 
 
-def implies(
-    premises: Sequence[Formula],
-    goal: Formula,
-    signature=None,
-    engine: str = "auto",
-) -> bool:
+def implies(premises: Sequence[Formula], goal: Formula, engine: str = "auto") -> bool:
     """Decide whether the premises entail the goal.
 
-    With engine="auto" the signature, joined with the connectives of the
-    premises and the goal, picks the engine (``select_engine``), so a
-    fragment engine never meets a connective outside its clone;
-    engine="oracle" runs the truth-table check.  A formula nested too deep
-    for the recursive walks raises NestingTooDeep.
+    With engine="auto" the connectives of the premises and the goal pick
+    the engine (``select_engine``), so a fragment engine never meets a
+    connective outside its clone, and a connective declared but not used
+    moves nothing; engine="oracle" runs the truth-table check.  A formula
+    nested too deep for the recursive walks raises NestingTooDeep.
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown implication engine {engine!r}")
     if engine == "auto":
-        sig = set(signature_map(signature or ()).values()) | connectives_of([*premises, goal])
-        engine = select_engine(sig)
+        engine = select_engine(connectives_of([*premises, goal]))
     try:
         if engine == "oracle":
             return truth_table_implies(premises, goal)

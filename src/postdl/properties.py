@@ -37,22 +37,7 @@ class FunSignature(NamedTuple):
     is_or_shape: bool   # equivalent to a constant or a disjunction of variables
 
     def to_json(self) -> dict:
-        d = {
-            k: getattr(self, k)
-            for k in (
-                "reproducing0",
-                "reproducing1",
-                "monotone",
-                "self_dual",
-                "linear",
-                "separating0",
-                "separating1",
-                "is_projection",
-                "is_constant",
-                "is_and_shape",
-                "is_or_shape",
-            )
-        }
+        d = self._asdict()
         d["depends_on"] = sorted(self.depends_on)
         return d
 

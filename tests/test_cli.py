@@ -187,6 +187,18 @@ def test_imp(tmp_path, capsys):
     assert code == 0 and out.strip() == "answer: yes"
 
 
+def test_imp_ignores_a_declared_but_unused_connective(tmp_path, capsys):
+    # 25 variables under "and" are past the truth table's cap; the unused
+    # xor-like g must not push the premises off the conjunctive state
+    conj = "v0"
+    for i in range(1, 25):
+        conj = f"(and {conj} v{i})"
+    p = tmp_path / "unused.dt"
+    p.write_text(f"defconn g 2 0110\nW:\n{conj}\ngoal: (and v24 v3)\n", encoding="utf-8")
+    code, out, err = run(capsys, "imp", str(p))
+    assert (code, out.strip(), err) == (0, "answer: yes", "")
+
+
 def test_reduce_gap_roundtrip(tmp_path, capsys):
     src = tmp_path / "g.edges"
     src.write_text(GAP, encoding="utf-8")

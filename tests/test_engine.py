@@ -719,6 +719,31 @@ def test_engines_agree_with_generic_beyond_the_facts(family):
         assert answers["cred"], (family, t, goal)
 
 
+@pytest.mark.parametrize("names", [("not",), ("and", "not"), ("or", "not")])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_engines_agree_with_generic_on_even_loops(names, m):
+    # W = {r} and, per i, r : not q_i / p_i and r : not p_i / q_i: each pair
+    # picks p_i or q_i, so there are 2^m extensions, skep(p0) is no, and
+    # the first extension (p0 chosen) is no cred(q0) witness
+    rules = []
+    for i in range(m):
+        rules += [rule("r", f"(not q{i})", f"p{i}"), rule("r", f"(not p{i})", f"q{i}")]
+    t = DefaultTheory.make([f("r")], rules, [B[n] for n in names])
+    infos, _ = enumerate_extensions(t)
+    assert len(infos) == 2**m
+    witnesses = {}
+    for problem, goal, answer in [("skep", f("p0"), False), ("cred", f("q0"), True)]:
+        auto = decide(problem, t, goal, want_witness=True)
+        slow = decide(problem, t, goal, engine="generic", want_witness=True)
+        assert (auto.answer, auto.witness) == (slow.answer, slow.witness), (names, m, problem, auto.engine)
+        assert auto.answer is answer, (names, m, problem)
+        gen = witnesses[problem] = auto.witness.generating
+        assert check_stable(t, gen)
+        extension = list(t.W) + [t.D[i].consequent for i in gen]
+        assert truth_table_implies(extension, goal) == (problem == "cred")
+    assert witnesses["cred"] != infos[0].generating
+
+
 def test_cred_witness_passes_check_stable():
     rng = random.Random(31)
     for _ in range(30):
