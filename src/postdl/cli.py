@@ -81,7 +81,7 @@ def _emit(payload: dict, as_json: bool) -> None:
             print(f"{key}:", payload[key])
         if payload.get("witness") is not None:
             flag = " (inconsistent)" if payload.get("witness_inconsistent") else ""
-            print("witness:", payload["witness"], flag, sep="")
+            print("witness:", f"{payload['witness']}{flag}")
         stats = payload["stats"]
         print(
             f"stats: subsets_checked={stats['subsets_checked']} "

@@ -13,8 +13,9 @@ that contains B also contains X's base.  Each connective is tested
 once on its own truth table, so any arity up to
 ``PROPERTY_ARITY_CAP`` is classified.  The arity-3 slice closure
 (``slice3_closure`` with ``contains_clone``) decides the same flags
-from the generated ternary tables; it is kept as the reference oracle
-for connectives of arity at most 3 and needs numpy.
+from the generated ternary tables, in integer arithmetic; it is kept as
+the reference oracle for connectives of arity at most 3, and the tests
+read the lattice order of the clones with a ternary base from it.
 
 ``dispatch_case`` evaluates the complexity-case conditions for
 extension existence, credulous and skeptical reasoning, hardest cases
@@ -25,17 +26,19 @@ from __future__ import annotations
 
 from functools import lru_cache, reduce
 from operator import add, and_, mul
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .boolfun import BUILTINS, BoolFun, signature_map
 from .errors import ArityUnsupported, UnknownClone
+from .formula import _var_pattern
 from .properties import FunSignature, function_signature
 
-if TYPE_CHECKING:
-    import numpy as np
-
-# ternary projections as 8-bit tables (bit i = value at assignment i)
+# ternary projections as 8-bit tables (bit i = value at assignment i); a
+# set of such tables is a 256-bit int with bit c set for table c, and
+# _HIGH[j] is the set of the tables with bit j set
 _PROJ = (0xAA, 0xCC, 0xF0)
+_HIGH = tuple(_var_pattern(j, 8) for j in range(8))
+_ALL = (1 << 256) - 1
 
 SUBSET_CLONES = ("R1", "M", "L", "L1", "V", "E", "N", "I")
 CONTAINS_CLONES = ("S1", "D", "S11", "S00", "S10", "D2", "N2", "L0", "L2", "V2", "E2", "I2")
@@ -53,71 +56,65 @@ def ternary_lift(f: BoolFun) -> int:
     return out
 
 
-def _apply_bitwise(f: BoolFun, args: list[np.ndarray]) -> np.ndarray:
-    """Apply f pointwise to ternary tables packed as uint8 arrays."""
-    import numpy as np
-
-    shape = np.broadcast_shapes(*(a.shape for a in args)) if args else ()
-    res = np.zeros(shape, dtype=np.uint8)
-    for r in range(f.n_points):
-        if not f.value_at(r):
-            continue
-        term = np.full(shape, 0xFF, dtype=np.uint8)
-        for j, a in enumerate(args):
-            term &= a if (r >> j) & 1 else ~a
-        res |= term
-    return res
+def _members(codes: int) -> list[int]:
+    return [c for c in range(256) if codes >> c & 1]
 
 
-def _closure(conns: frozenset[BoolFun]) -> frozenset[int]:
-    for f in conns:
-        if f.arity > 3:
-            raise ArityUnsupported(
-                f"connective {f.name!r} has arity {f.arity} > 3; slice closure unsupported"
-            )
-    import numpy as np
+def _image(codes: int, zero: int, one: int) -> int:
+    """The tables that take, at each bit j, zero's bit where a table of
+    codes has 0 and one's bit where it has 1: one shift-and-mask step per
+    bit moves every table of the set at once."""
+    for j, high in enumerate(_HIGH):
+        s, hi = 1 << j, codes & high
+        lo = codes ^ hi
+        codes = (lo << s if zero >> j & 1 else lo) | (hi if one >> j & 1 else hi >> s)
+    return codes
 
-    current: set[int] = set(_PROJ)
-    frontier: set[int] = set(current)
-    while frontier and len(current) < 256:
-        full = np.array(sorted(current), dtype=np.uint8)
-        new = np.array(sorted(frontier), dtype=np.uint8)
-        seen = np.zeros(256, dtype=bool)
-        seen[full] = True
 
-        def applications():
-            for f in conns:
-                if f.arity == 0:
-                    yield np.array([0xFF if f.bits & 1 else 0x00], dtype=np.uint8)
-                elif f.arity == 1:
-                    yield _apply_bitwise(f, [new])
-                elif f.arity == 2:
-                    a, b = new[:, None], full[None, :]
-                    yield _apply_bitwise(f, [a, b])
-                    yield _apply_bitwise(f, [b, a])
-                else:
-                    n1, f1 = new[:, None, None], full[:, None, None]
-                    n2, f2 = new[None, :, None], full[None, :, None]
-                    n3, f3 = new[None, None, :], full[None, None, :]
-                    for combo in ([n1, f2, f3], [f1, n2, f3], [f1, f2, n3]):
-                        yield _apply_bitwise(f, combo)
-
-        for arr in applications():
-            seen[arr.ravel()] = True
-            if seen.all():  # all 256 tables reached: the rest of the round adds nothing
-                break
-        produced = set(np.flatnonzero(seen).tolist())
-        frontier = produced - current
-        current |= frontier
-    return frozenset(current)
+def _maps(t: list[int], have: int, new: int) -> set[tuple[int, int]]:
+    """The pairs (f(a, b, 0), f(a, b, 1)) of the ternary connective f with
+    per-bit table t, for tables a and b of ``have`` one of which is in
+    ``new``: with a and b fixed, f reads its last argument c bit by bit,
+    so _image applies f(a, b, c) to a whole set of tables c."""
+    t0, t1, t2, t3, t4, t5, t6, t7 = t
+    full, fresh, maps = _members(have), _members(new), set()
+    # one a stands for all when the connective does not read a
+    for a in full if t[::2] != t[1::2] else [0]:
+        u0, u1 = t0 ^ (a & (t0 ^ t1)), t2 ^ (a & (t2 ^ t3))  # f(a, 0|1, 0)
+        v0, v1 = t4 ^ (a & (t4 ^ t5)), t6 ^ (a & (t6 ^ t7))  # f(a, 0|1, 1)
+        for b in full if new >> a & 1 else fresh:
+            maps.add((u0 ^ (b & (u0 ^ u1)), v0 ^ (b & (v0 ^ v1))))
+    return maps
 
 
 def slice3_closure(signature) -> frozenset[int]:
     """The arity-3 members of [B] as 8-bit truth-table codes: the least set
     of ternary tables containing the projections and closed under applying
     every connective of the signature."""
-    sig = signature_map(signature)
-    return _closure(frozenset(sig.values()))
+    conns = signature_map(signature).values()
+    for f in conns:
+        if f.arity > 3:
+            raise ArityUnsupported(
+                f"connective {f.name!r} has arity {f.arity} > 3; slice closure unsupported"
+            )
+    # each connective read as a ternary one of its last arguments (padding
+    # changes no clone), every table bit spread over the 8 bits, with the
+    # pairs that have been applied to every table reached
+    forms = [([0xFF if f.table[i >> 3 - f.arity] == "1" else 0 for i in range(8)], set()) for f in conns]
+    have = new = sum(1 << p for p in _PROJ)
+    while new and have != _ALL:
+        out = have
+        for t, seen in forms:
+            maps = _maps(t, have, new) - seen
+            for zero, one in seen:
+                out |= _image(new, zero, one)
+            for zero, one in maps:
+                out |= _image(have, zero, one)
+            seen |= maps
+            if out == _ALL:
+                break
+        new, have = out ^ have, out
+    return frozenset(_members(have))
 
 
 # Bases of the named clones used in contains tests, from the standard

@@ -647,14 +647,15 @@ def decide(
     engine: str = "auto",
     want_witness: bool = False,
 ) -> Decision:
-    """Decide one of the three problems.  The signature alone picks the
-    case and the engine (``dispatch_case``); engine="generic" runs the
-    reference oracle instead, which is sound for every signature.  ext
-    reads no goal, so a goal given with it is dropped before dispatch; the
-    connectives of a cred or skep goal join the signature before the case
-    and the engine are picked, so every engine reads the goal within its
-    clone.  A formula nested too deep for the recursive walks raises
-    NestingTooDeep."""
+    """Decide one of the three problems.  The declared signature B alone
+    picks the case and the engine (``dispatch_case``), a declared but
+    unused connective included, as the paper classifies each problem by
+    B; engine="generic" runs the reference oracle instead, which is sound
+    for every signature.  ext reads no goal, so a goal given with it is
+    dropped before dispatch; the connectives of a cred or skep goal join
+    the signature before the case and the engine are picked, so every
+    engine reads the goal within its clone.  A formula nested too deep for
+    the recursive walks raises NestingTooDeep."""
     if problem not in PROBLEMS:
         raise InputError(f"unknown problem {problem!r}")
     if engine not in ENGINES:

@@ -196,3 +196,18 @@ GOLDEN_ROWS_ARITY4 = {
     "S0^3": (("imp", T2_OF_4), GOLDEN_ROWS["S0"][1:]),
     "BF4": ((G4,), GOLDEN_ROWS["BF"][1:]),
 }
+
+# One generating set of ternary connectives (8-bit table codes, bit i the
+# value at assignment i) for each of the 46 clones that have a ternary
+# base, in order of slice size.  Found once, offline: the slices of the
+# 256 single ternary connectives, closed under pairwise joins of their
+# generating sets until no new arity-3 slice appeared (about 20 s).
+TERNARY_CLONE_BASES = (
+    (0xAA,), (0x00,), (0x96,), (0xE8,), (0xFF,), (0x00, 0xFF), (0x0F,), (0x80,),
+    (0xEE,), (0x00, 0x0F), (0x00, 0x80), (0x00, 0xEE), (0x3C,), (0x69,), (0x80, 0xFF),
+    (0x8E,), (0x99,), (0xEE, 0xFF), (0x00, 0x80, 0xFF), (0x00, 0xEE, 0xFF), (0xA8,),
+    (0xEA,), (0x00, 0xA8), (0x80, 0xE8), (0xE8, 0xEA), (0xEA, 0xFF), (0x00, 0xE8),
+    (0xE8, 0xFF), (0x00, 0x69), (0x17,), (0x80, 0xEA), (0x00, 0xEA), (0x82,),
+    (0xA8, 0xFF), (0xAE,), (0x00, 0xA8, 0xFF), (0x82, 0xE8), (0xAE, 0xE8), (0x02,),
+    (0xAB,), (0x68,), (0xE9,), (0x86,), (0x06,), (0x81,), (0x01,),
+)

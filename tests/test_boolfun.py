@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from postdl.boolfun import BUILTINS, BoolFun, dual
+from postdl.boolfun import BUILTINS, BoolFun, dual, signature_map
 from postdl.errors import InputError
 
 EXPECTED_TABLES = {
@@ -82,3 +82,10 @@ def test_bits_and_value_at_follow_the_table():
             for i, ch in enumerate(table):
                 assert (fn.bits >> i) & 1 == fn.value_at(i) == int(ch)
             assert fn.bits >> (1 << arity) == 0
+
+
+def test_signature_map_refuses_one_name_with_two_tables():
+    f, g = BoolFun("f", 2, "0110"), BoolFun("f", 2, "0001")
+    assert signature_map([f, BUILTINS["and"], f]) == {"f": f, "and": BUILTINS["and"]}
+    with pytest.raises(InputError, match="'f' twice"):
+        signature_map([f, g])

@@ -5,6 +5,9 @@ import pytest
 
 from postdl import engine, implication
 from postdl.cli import build_parser, main
+from postdl.errors import RuleCountTooLarge
+from postdl.formats import read_hypergraph, read_theory
+from postdl.reductions import hgap_reach
 
 THEORY = """
 W:
@@ -105,6 +108,20 @@ def test_ext_yes_no(theory_file, capsys):
     assert out.startswith("answer: yes")
 
 
+def test_ext_witness_text(theory_file, tmp_path, capsys):
+    code, out, _ = run(capsys, "ext", theory_file, "--witness")
+    assert code == 0 and "\nwitness: [0]\n" in out
+    # facts without a model: the one extension is inconsistent, and no
+    # rule generates it
+    p = tmp_path / "inc.dt"
+    p.write_text("W:\nx\n(not x)\nD:\n(default x y y)\n", encoding="utf-8")
+    code, out, _ = run(capsys, "ext", str(p), "--witness")
+    assert code == 0
+    assert out.splitlines()[:5] == [
+        "answer: yes", "problem: ext", "engine: affine_guess", "case: NP", "witness: [] (inconsistent)",
+    ]
+
+
 def test_cred_json_schema(theory_file, capsys):
     code, out, _ = run(capsys, "cred", theory_file, "--json", "--witness")
     assert code == 0
@@ -169,6 +186,24 @@ def test_cap_exit_3(tmp_path, capsys):
     assert code == 3 and "cap" in err
 
 
+def test_rule_cap_exit_3(tmp_path, capsys):
+    # one rule more than the fixpoint takes, over {and}: cred and skep run
+    # the fixpoint and are refused; ext over this 1-reproducing signature
+    # answers without reading a rule, and runs the fixpoint for a witness
+    n = engine.POLY_RULE_CAP + 1
+    text = "W:\nx\nD:\n" + "".join(f"(default x y{i} (and x y{i}))\n" for i in range(n)) + "goal: y1\n"
+    theory, goal = read_theory(text)
+    with pytest.raises(RuleCountTooLarge):
+        engine.decide("cred", theory, goal)
+    p = tmp_path / "many.dt"
+    p.write_text(text, encoding="utf-8")
+    for argv in (["cred", str(p)], ["skep", str(p)], ["ext", str(p), "--witness"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "") and f"more than {engine.POLY_RULE_CAP} rules" in err
+    code, out, _ = run(capsys, "ext", str(p))
+    assert code == 0 and out.startswith("answer: yes")
+
+
 def test_parse_error_exit_2(tmp_path, capsys):
     p = tmp_path / "bad.dt"
     p.write_text("W:\n(and x\n", encoding="utf-8")
@@ -185,6 +220,10 @@ def test_imp(tmp_path, capsys):
     p.write_text("W:\n(and x (top))\ngoal: (or x y)\n", encoding="utf-8")
     code, out, _ = run(capsys, "imp", str(p))
     assert code == 0 and out.strip() == "answer: yes"
+    # the premises are W: alone; a file with rules is refused
+    p.write_text("W:\nx\nD:\n(default x y y)\ngoal: y\n", encoding="utf-8")
+    code, out, err = run(capsys, "imp", str(p))
+    assert code == 2 and not out and "must not have rules" in err
 
 
 def test_imp_ignores_a_declared_but_unused_connective(tmp_path, capsys):
@@ -197,6 +236,46 @@ def test_imp_ignores_a_declared_but_unused_connective(tmp_path, capsys):
     p.write_text(f"defconn g 2 0110\nW:\n{conj}\ngoal: (and v24 v3)\n", encoding="utf-8")
     code, out, err = run(capsys, "imp", str(p))
     assert (code, out.strip(), err) == (0, "answer: yes", "")
+
+
+def test_decisions_follow_the_declared_language(tmp_path, capsys):
+    # the paper classifies each problem by the declared connective set B,
+    # so a connective that no formula uses still moves cred's case and
+    # engine (imp follows its formulas instead; see above)
+    rules = "".join(f"(default x y{i} y{i})\n" for i in (1, 2, 3))
+    p = tmp_path / "lang.dt"
+    for decl, label, case in [("", "reachability", "NL"), ("defconn g 2 0110\n", "affine_guess", "NP")]:
+        p.write_text(f"{decl}W:\nx\nD:\n{rules}goal: y3\n", encoding="utf-8")
+        code, out, _ = run(capsys, "cred", str(p), "--json")
+        js = json.loads(out)
+        assert (code, js["answer"], js["engine"], js["case"]) == (0, True, label, case)
+
+
+def test_reduce_hgap_and_xorhgap_read_back(tmp_path, capsys):
+    # each image reads back and answers as hypergraph reachability does:
+    # an hgap image has no extension exactly when the target is reachable,
+    # and the xorhgap image's cred goal holds exactly then
+    cases = [
+        ("hgap", "conjunctive", "hedge a b\nhedge a,b t\n"),
+        ("hgap", "conjunctive", "node c\nhedge a b\nhedge b,c t\n"),
+        ("hgap", "disjunctive", "hedge a b\nhedge b t\n"),
+        ("hgap", "disjunctive", "node c\nhedge a b\nhedge c t\n"),
+        ("xorhgap", "conjunctive", "hedge a b\nhedge a,b t\n"),
+        ("xorhgap", "conjunctive", "node c\nhedge a b\nhedge b,c t\n"),
+    ]
+    src, image = tmp_path / "h.edges", tmp_path / "h.dt"
+    reached = []
+    for source, variant, edges in cases:
+        text = "source a\ntarget t\n" + edges
+        src.write_text(text, encoding="utf-8")
+        reachable = hgap_reach(*read_hypergraph(text))
+        reached.append(reachable)
+        code, _, _ = run(capsys, "reduce", source, str(src), "--variant", variant, "-o", str(image))
+        assert code == 0
+        problem = "ext" if source == "hgap" else "cred"
+        code, out, _ = run(capsys, problem, str(image), "--json")
+        assert code == 0 and json.loads(out)["answer"] == (reachable if problem == "cred" else not reachable)
+    assert reached == [True, False] * 3
 
 
 def test_reduce_gap_roundtrip(tmp_path, capsys):

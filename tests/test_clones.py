@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 import subprocess
@@ -21,7 +22,7 @@ from postdl.clones import (
 )
 from postdl.errors import ArityUnsupported, UnknownClone
 
-from golden import GOLDEN_ROWS, GOLDEN_ROWS_ARITY4
+from golden import GOLDEN_ROWS, GOLDEN_ROWS_ARITY4, TERNARY_CLONE_BASES
 
 
 def conns(*names):
@@ -225,6 +226,24 @@ def test_dispatch_arity16_within_bound():
     assert rep.ext_case in {"SigmaP2", "DeltaP2", "NP", "P", "NL", "trivial"}
 
 
+def test_dispatch_is_monotone_in_the_lattice():
+    # [B] within [B'] never makes a problem easier.  Each pinned base
+    # generates its own clone, and a clone with a ternary base lies in
+    # another exactly when its slice does.  NP and coNP are incomparable.
+    rank = {"trivial": 0, "NL": 1, "P": 2, "NP": 3, "coNP": 3, "DeltaP2": 4, "SigmaP2": 5, "PiP2": 5}
+    clones = []
+    for codes in TERNARY_CLONE_BASES:
+        sig = [BoolFun(f"g{i}", 3, table(c, 3)) for i, c in enumerate(codes)]
+        rep = dispatch_case(sig)
+        clones.append((slice3_closure(sig), (rep.ext_case, rep.cred_case, rep.skep_case), codes))
+    assert len({sl for sl, _, _ in clones}) == 46
+    pairs = [(s, b) for s, b in itertools.permutations(clones, 2) if s[0] < b[0]]
+    assert len(pairs) == 333
+    for (_, small, base), (_, large, above) in pairs:
+        for problem, a, b in zip(("ext", "cred", "skep"), small, large):
+            assert a == b or rank[a] < rank[b], (problem, base, a, above, b)
+
+
 # -- property route against the slice oracle -----------------------------------
 
 
@@ -300,7 +319,8 @@ def test_empty_meet_counts_match_pointwise_superset_sums():
 
 
 def test_import_leaves_numpy_out():
-    # numpy is a test-only dependency: the slice oracle imports it lazily
+    # no postdl module needs numpy, the slice oracle included; importing
+    # the package must not pull it in
     import postdl
 
     src = str(Path(postdl.__file__).resolve().parents[1])

@@ -254,16 +254,21 @@ def test_fragments_agree_with_oracle(kind, frag):
         assert frag(prems, goal) == truth_table_implies(prems, goal)
 
 
-@pytest.mark.parametrize("shape,clone", [("and", "E"), ("or", "V"), ("xor", "L")])
-def test_normal_form_matches_truth_table(shape, clone):
-    # every connective of arity <= 3 in the clone, inessential arguments
-    # included: phi = c op (op of S), and S is phi's essential variables
+def _clone_connectives(clone):
+    """Every connective of arity <= 3 in the clone, inessential arguments
+    included."""
     conns = [
         BoolFun(f"g{n}_{bits}", n, format(bits, f"0{1 << n}b")[::-1])
         for n in range(4)
         for bits in range(1 << (1 << n))
     ]
-    conns = [g for g in conns if subset_of_clone([g], clone)]
+    return [g for g in conns if subset_of_clone([g], clone)]
+
+
+@pytest.mark.parametrize("shape,clone", [("and", "E"), ("or", "V"), ("xor", "L")])
+def test_normal_form_matches_truth_table(shape, clone):
+    # phi = c op (op of S), and S is phi's essential variables
+    conns = _clone_connectives(clone)
     order = ["a", "b", "c", "d"]
     rng = random.Random(f"normal_form:{shape}")
     for _ in range(200):
@@ -278,6 +283,19 @@ def test_normal_form_matches_truth_table(shape, clone):
             values.append(want[shape])
         essential = {v for j, v in enumerate(order) if any(values[i] != values[i ^ 1 << j] for i in range(16))}
         assert support == essential
+
+
+@pytest.mark.parametrize("shape,clone", [("and", "E"), ("or", "V"), ("xor", "L")])
+def test_normal_forms_survive_clearing_the_form_store(monkeypatch, shape, clone):
+    # at a cap of two entries nearly every new connective clears the
+    # shape's store, also in the middle of a walk
+    rng = random.Random(f"forms-cap:{shape}")
+    phis = [random_formula(rng, _clone_connectives(clone), ["a", "b", "c"], 3) for _ in range(40)]
+    want = [normal_form(phi, shape) for phi in phis]
+    monkeypatch.setattr(implication, "_FORMS_CAP", 2)
+    monkeypatch.setitem(implication._FORMS, shape, {})
+    assert [normal_form(phi, shape) for phi in phis] == want
+    assert len(implication._FORMS[shape]) <= 2
 
 
 def _random_general(rng, n_prems):
