@@ -19,14 +19,17 @@ read the lattice order of the clones with a ternary base from it.
 
 ``dispatch_case`` evaluates the complexity-case conditions for
 extension existence, credulous and skeptical reasoning, hardest cases
-first, and selects an engine per problem.
+first, and selects an engine per problem.  The conditions read only the
+clone family of [B], so each family's cases and engines are worked out
+once (``_route``), and ``route`` hands them to ``engine.decide``.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache, reduce
 from operator import add, and_, mul
-from typing import NamedTuple
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 from .boolfun import BUILTINS, BoolFun, signature_map
 from .errors import ArityUnsupported, UnknownClone
@@ -227,9 +230,12 @@ def _family(f: BoolFun) -> frozenset[str]:
     return _classified(f)[1]
 
 
+_EVERY_FAMILY = frozenset(FAMILY_CLONES)
+
+
 def _common_family(conns) -> frozenset[str]:
     """The members of FAMILY_CLONES that contain every connective of conns."""
-    return reduce(and_, map(_family, conns), frozenset(FAMILY_CLONES))
+    return reduce(and_, map(_family, conns), _EVERY_FAMILY)
 
 
 _CONTAINS_FAMILIES = {clone: _common_family(base) for clone, base in _CONTAINS_BASES.items()}
@@ -284,16 +290,18 @@ def _pick(problem: str, named: list[tuple[bool, str, str]]) -> tuple[str, str]:
     return hits[0]
 
 
-def dispatch_case(signature) -> CloneReport:
-    """Classify [B] and pick a sound engine per decision problem.
+@lru_cache(maxsize=None)
+def _route(family: frozenset[str]) -> tuple[frozenset[str], frozenset[str], Mapping[str, tuple[str, str]]]:
+    """The subset and contains flags of a clone family (the members of
+    FAMILY_CLONES that contain [B]) and each problem's (case, engine), in
+    a read-only mapping, computed once per family.  Families are clones of
+    Post's lattice, so the keys are few whatever the connectives are
+    called.
 
     Case conditions are checked from hardest to easiest; the derived
     predicates are pairwise disjoint and a loud assertion fires if the
     analysis ever matches zero or two cases.
     """
-    sig = signature_map(signature)
-    props = {name: _classified(f)[0] for name, f in sig.items()}
-    family = _common_family(sig.values())
     subset = frozenset(c for c, need in _SUBSET_FAMILIES.items() if need <= family)
     contains = frozenset(c for c in CONTAINS_CLONES if family <= _CONTAINS_FAMILIES[c])
 
@@ -309,7 +317,7 @@ def dispatch_case(signature) -> CloneReport:
     ev_p = (sub("E") or sub("V")) and not sub("R1") and not sub("I")
     nl_proper = sub("I") and not sub("R1")
 
-    ext_case, ext_engine = _pick(
+    ext = _pick(
         "ext",
         [
             (top_hard, "SigmaP2", "generic"),
@@ -327,7 +335,7 @@ def dispatch_case(signature) -> CloneReport:
         or (has("E2") and sub("E"))
         or (sub("L1") and not sub("I"))
     )
-    cred_case, cred_engine = _pick(
+    cred = _pick(
         "cred",
         [
             (top_hard, "SigmaP2", "generic"),
@@ -346,7 +354,7 @@ def dispatch_case(signature) -> CloneReport:
         and (sub("R1") or sub("M") or sub("L"))
         and not delta
     )
-    skep_case, skep_engine = _pick(
+    skep = _pick(
         "skep",
         [
             (top_hard, "PiP2", "generic"),
@@ -356,13 +364,27 @@ def dispatch_case(signature) -> CloneReport:
             (sub("I"), "NL", "reachability"),
         ],
     )
+    return subset, contains, MappingProxyType({"ext": ext, "cred": cred, "skep": skep})
 
+
+def route(signature) -> Mapping[str, tuple[str, str]]:
+    """Each problem's (case, engine) for the signature, read from its clone
+    family's route (``_route``); a signature that names one connective with
+    two tables is refused."""
+    return _route(_common_family(signature_map(signature).values()))[2]
+
+
+def dispatch_case(signature) -> CloneReport:
+    """Classify [B] and pick a sound engine per decision problem: the
+    connectives' property flags and their family's route (``_route``)."""
+    sig = signature_map(signature)
+    subset, contains, picks = _route(_common_family(sig.values()))
     return CloneReport(
-        properties=props,
+        properties={name: _classified(f)[0] for name, f in sig.items()},
         subset=subset,
         contains=contains,
-        ext_case=ext_case,
-        cred_case=cred_case,
-        skep_case=skep_case,
-        engines={"ext": ext_engine, "cred": cred_engine, "skep": skep_engine},
+        ext_case=picks["ext"][0],
+        cred_case=picks["cred"][0],
+        skep_case=picks["skep"][0],
+        engines={problem: engine for problem, (_, engine) in picks.items()},
     )

@@ -7,10 +7,12 @@ stable extension is axiomatized by the facts plus a subset of the distinct
 rule consequents, so enumeration runs over consequent subsets (ascending
 popcount, then index), not over raw rule subsets, and skips a subset that
 chooses a consequent the facts entail alone or with one other chosen
-consequent, since a smaller subset has the same models.  The rules are tabled
-once per decision; a candidate tests each justification once, runs the
-prerequisite fixpoint over the live rules only, and is rejected as soon as
-a fired consequent cuts into its models.  The goal bounds cred and skep
+consequent, since a smaller subset has the same models.  Each rule's
+prerequisite, justification and consequent is tabled on its first read, at
+most once per decision, so a decision pays only for the tables it reads; a
+candidate tests each justification once, runs the prerequisite fixpoint
+over the live rules only, and is rejected as soon as a fired consequent
+cuts into its models.  The goal bounds cred and skep
 first: every extension contains the facts and, over consistent facts,
 lies inside their closure under every rule with the justifications
 ignored, so skep is yes when the facts entail the goal and cred is no
@@ -26,9 +28,10 @@ has a fragment state of ``implication``, the fixpoint is a worklist over
 it, so a rule is re-tested only when an asserted formula changes what its
 prerequisite waits on; otherwise it is the enumeration's own rule closure
 (``_fire``) over the rule tables, so one closure over truth tables serves
-both engines.
+both engines, and a justification's liveness is its all-ones value
+(``_ones``), which tables nothing.
 
-The signature alone picks the engine (``clones.dispatch_case``): a
+The signature alone picks the engine (``clones.route``): a
 fixpoint engine exactly when it lies within the monotone clone M or the
 1-reproducing clone R1, an enumerating one otherwise.  ``decide`` runs
 that pick (engine "auto") or the generic enumerator (engine "generic"),
@@ -42,10 +45,11 @@ when negation is not in the signature.
 Every truth table a decision reads comes from one ``TableContext``, the
 engines' tabling kernel: it tables each distinct formula once per decision
 (structurally equal formulas share the entry) and applies each connective
-in the cheaper of two bitwise forms, compiled once per connective into
-one straight-line function (``_kernel``); a form larger than
-KERNEL_CUTOFF runs as a loop over its terms instead.  The fixpoint's
-all-ones evaluations (``_ones``) run the same kernel on a one-row table.
+in the cheaper of two bitwise forms, compiled once per truth table into
+one straight-line function (``_kernel``) and found by the table string
+(``_KERNELS``); a form larger than KERNEL_CUTOFF runs as a loop over its
+terms instead.  The fixpoint's all-ones evaluations (``_ones``) run the
+same kernel on a one-row table.
 ``formula.table_int`` and ``BoolFun.value`` stay the references that the
 tests compare them against.
 """
@@ -56,7 +60,7 @@ from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple
 
 from .boolfun import BoolFun
-from .clones import dispatch_case, subset_of_clone
+from .clones import route, subset_of_clone
 from .errors import (
     DefaultCountTooLarge,
     InputError,
@@ -172,8 +176,9 @@ class TableContext:
     elsewhere reads the same entry.  Only requested formulas are kept, not
     their subformulas, since each table holds 2^n bits.  A walk returns a
     variable's pattern and applies a connective through its compiled
-    kernel (``_kernel``, the cheaper ``_bitwise_form`` written out once),
-    which walks the arguments and reads ``full`` at each call, so it does
+    kernel (``_kernel``, the cheaper ``_bitwise_form`` written out once,
+    found by the connective's table string in ``_KERNELS``), which walks
+    the arguments and reads ``full`` at each call, so it does
     bitwise work only; ``formula.table_int`` stays the reference.
     """
 
@@ -205,13 +210,33 @@ class TableContext:
                 return self._patterns[node.name]
             except KeyError:
                 raise UnboundVariable(f"variable {node.name!r} not in the context's order") from None
-        return _kernel(node.conn)(self._walk, node.args, self.full)
+        try:
+            kernel = _KERNELS[node.conn.table]
+        except KeyError:
+            kernel = _store_kernel(node.conn)
+        return kernel(self._walk, node.args, self.full)
 
 
 # a form costing more (len(negs) + total term length) runs as a loop: one
 # expression of a random 16-ary form's 32,707 terms overflows the
 # compiler's recursion
 KERNEL_CUTOFF = 128
+
+
+# table -> compiled kernel, read with the table string (whose hash the
+# string keeps, so a read makes no Python-level call), not the BoolFun.
+# A kernel depends on the table alone, so a renamed copy of a connective
+# shares its entry.  The store is cleared at _KERNELS_CAP entries.
+_KERNELS: dict = {}
+_KERNELS_CAP = 1024
+
+
+def _store_kernel(f: BoolFun):
+    """f's kernel, compiled (``_kernel``) and stored in _KERNELS."""
+    if len(_KERNELS) >= _KERNELS_CAP:
+        _KERNELS.clear()
+    kernel = _KERNELS[f.table] = _kernel(f)
+    return kernel
 
 
 @lru_cache(maxsize=1024)
@@ -288,7 +313,11 @@ def _ones(phi: Formula) -> int:
     of phi: the kernel with full = 1 and every variable 1."""
     if phi.__class__ is Var:
         return 1
-    return _kernel(phi.conn)(_ones, phi.args, 1)
+    try:
+        kernel = _KERNELS[phi.conn.table]
+    except KeyError:
+        kernel = _store_kernel(phi.conn)
+    return kernel(_ones, phi.args, 1)
 
 
 def is_consistent_W(theory: DefaultTheory) -> bool:
@@ -303,25 +332,41 @@ def is_consistent_W(theory: DefaultTheory) -> bool:
 # stable-extension checking and enumeration
 
 
+class _Tables(dict):
+    """formulas[i]'s truth table under key i, tabled through ``table`` on
+    the first read: a read of a tabled key is a plain dict subscript."""
+
+    def __init__(self, formulas: list[Formula], table):
+        super().__init__()
+        self._formulas, self._table = formulas, table
+
+    def __missing__(self, i: int) -> int:
+        bits = self[i] = self._table(self._formulas[i])
+        return bits
+
+
 class _RuleTables(NamedTuple):
-    """The truth tables one enumeration reads, built once per decision: the
-    facts' models, each rule's prerequisite and justification, and the
-    distinct consequents in first-occurrence order; rule i's consequent is
-    conseqs[conseq_of[i]]."""
+    """The truth tables one enumeration reads: the facts' models, tabled
+    with the context, and each rule's prerequisite and justification and
+    the distinct consequents in first-occurrence order, each tabled on its
+    first read (``_Tables``), so a decision pays only for the tables it
+    reads.  conseq_of has one entry per rule: rule i's consequent is
+    conseqs[conseq_of[i]], and k counts the distinct consequents."""
 
     w_models: int
-    pre: list[int]
-    just: list[int]
-    conseqs: list[int]
+    pre: _Tables
+    just: _Tables
+    conseqs: _Tables
     conseq_of: list[int]
+    k: int
 
 
 def _enumeration_context(
     theory: DefaultTheory, goal: Formula | None, cap: int | None = GENERIC_CONSEQUENT_CAP
 ) -> tuple[_RuleTables, TableContext]:
     """The rule tables and the instance's table context.  The distinct
-    consequents are indexed first, so a count over the cap raises before any
-    truth table is built; ``check_stable`` (one candidate) passes no cap."""
+    consequents are indexed first, so a count over the cap raises before the
+    context is built; ``check_stable`` (one candidate) passes no cap."""
     index: dict[Formula, int] = {}
     conseq_of = [index.setdefault(d.consequent, len(index)) for d in theory.D]
     if cap is not None and len(index) > cap:
@@ -329,10 +374,11 @@ def _enumeration_context(
     ctx = TableContext(theory.all_formulas() + ([goal] if goal is not None else []))
     return _RuleTables(
         ctx.and_of(theory.W),
-        [ctx.table(d.prerequisite) for d in theory.D],
-        [ctx.table(d.justification) for d in theory.D],
-        [ctx.table(c) for c in index],
+        _Tables([d.prerequisite for d in theory.D], ctx.table),
+        _Tables([d.justification for d in theory.D], ctx.table),
+        _Tables(list(index), ctx.table),
         conseq_of,
+        len(index),
     ), ctx
 
 
@@ -384,8 +430,9 @@ def _stable(
     comparison."""
     if ehat == 0:
         return t.w_models == 0, ()
-    stats.implication_calls += len(t.just)
-    fired = _fire(t, [i for i, j in enumerate(t.just) if ehat & j], stats, ehat, chosen)
+    just, n = t.just, len(t.conseq_of)
+    stats.implication_calls += n
+    fired = _fire(t, [i for i in range(n) if ehat & just[i]], stats, ehat, chosen)
     if fired is None:
         return False, ()
     stats.implication_calls += 1
@@ -461,13 +508,12 @@ def _stable_extensions(
     on to the stability check; the goal test comes after the repeat skips
     and costs one test per candidate, so the visit order, and with it the
     first answering subset, stay the same."""
-    w, conseqs = t.w_models, t.conseqs
-    k = len(conseqs)
+    w, conseqs, k = t.w_models, t.conseqs, t.k
     by_facts, by_one = 0, [0] * k
     for ones in range(k + 1):
         if ones == 1:
             stats.implication_calls += k
-            by_facts = sum(1 << j for j, c in enumerate(conseqs) if w & c == w)
+            by_facts = sum(1 << j for j in range(k) if w & conseqs[j] == w)
         elif ones == 2:
             free = [j for j in range(k) if not by_facts >> j & 1]
             stats.implication_calls += len(free) * (len(free) - 1)
@@ -536,7 +582,7 @@ def _enumerate_engine(
     g = None if goal is None else ctx.table(goal)
     entails = problem == "cred"
     if g is not None and (t.w_models or not entails):
-        bound = _fire(t, list(range(len(t.pre))), stats)[0] if entails else t.w_models
+        bound = _fire(t, list(range(len(t.conseq_of))), stats)[0] if entails else t.w_models
         stats.implication_calls += 1
         if (bound & g == bound) != entails:
             return problem == "skep", None
@@ -574,11 +620,13 @@ def _fixpoint_engine(
     than by a second walk; the signatures with a fragment state lie in E,
     V or L1, where the normal form is exact and agrees with the all-ones
     test.
-    Otherwise (table mode) the rules are tabled as for the enumeration and
-    ``_fire`` takes the closure of the facts under the live rules; a
-    justification's liveness and the consistency of the derived models are
-    read at the all-ones row of their tables.  The fixpoint is least, so
-    the answer and the generating rules do not depend on the firing order.
+    Otherwise (table mode) a justification's liveness is its all-ones
+    value (``_ones``), so no justification is tabled, and ``_fire`` takes
+    the closure of the facts under the live rules over the enumeration's
+    rule tables, which table only the prerequisites it tests and the
+    consequents that fire; the consistency of the derived models is read
+    at the all-ones row of their table.  The fixpoint is least, so the
+    answer and the generating rules do not depend on the firing order.
     """
     if len(theory.D) > POLY_RULE_CAP:
         raise RuleCountTooLarge(f"more than {POLY_RULE_CAP} rules")
@@ -587,9 +635,9 @@ def _fixpoint_engine(
     mode = select_engine(theory.signature)
     if mode == "oracle":
         t, ctx = _enumeration_context(theory, goal, cap=None)
-        top = ctx.rows - 1
-        models, applied = _fire(t, [i for i, j in enumerate(t.just) if j >> top & 1], stats)
-        if not models >> top & 1:
+        live = [i for i, d in enumerate(theory.D) if _ones(d.justification)]
+        models, applied = _fire(t, live, stats)
+        if not models >> ctx.rows - 1 & 1:
             return problem == "skep", None
         entails = lambda phi: models & ctx.table(phi) == models
     else:
@@ -648,7 +696,7 @@ def decide(
     want_witness: bool = False,
 ) -> Decision:
     """Decide one of the three problems.  The declared signature B alone
-    picks the case and the engine (``dispatch_case``), a declared but
+    picks the case and the engine (``clones.route``), a declared but
     unused connective included, as the paper classifies each problem by
     B; engine="generic" runs the reference oracle instead, which is sound
     for every signature.  ext reads no goal, so a goal given with it is
@@ -667,9 +715,9 @@ def decide(
     used = connectives(goal) if goal is not None else set()
     if not used <= theory.signature:
         theory = DefaultTheory(theory.W, theory.D, theory.signature | used)
-    report = dispatch_case(theory.signature)
-    case = {"ext": report.ext_case, "cred": report.cred_case, "skep": report.skep_case}[problem]
-    label = report.engines[problem] if engine == "auto" else "generic"
+    case, label = route(theory.signature)[problem]
+    if engine == "generic":
+        label = "generic"
     stats = Stats()
     try:
         answer, witness = _run_engine(label, problem, theory, goal, stats, want_witness)

@@ -305,7 +305,11 @@ class DisjunctiveState(EntailmentState):
             return self._refute()
         self._premises.setdefault(min(n), []).append(n)
         # ties go to the least name, not to the set's hash order
-        v = min(n, key=lambda u: (len(self._watchers.get(u, ())), u))
+        watchers, v, fewest = self._watchers, None, 0
+        for u in n:
+            m = len(watchers.get(u, ()))
+            if v is None or m < fewest or m == fewest and u < v:
+                v, fewest = u, m
         woken, still = [], []
         for key in self._watchers.pop(v, ()):
             goal = self._waiting.get(key)

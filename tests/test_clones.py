@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from postdl import clones
 from postdl.boolfun import BUILTINS, BoolFun
 from postdl.clones import (
     CONTAINS_CLONES,
@@ -20,7 +21,10 @@ from postdl.clones import (
     subset_of_clone,
     ternary_lift,
 )
-from postdl.errors import ArityUnsupported, UnknownClone
+from postdl.engine import PROBLEMS, decide
+from postdl.errors import ArityUnsupported, InputError, UnknownClone
+from postdl.formula import App, Var
+from postdl.theory import DefaultTheory
 
 from golden import GOLDEN_ROWS, GOLDEN_ROWS_ARITY4, TERNARY_CLONE_BASES
 
@@ -173,6 +177,43 @@ def test_dispatch_exhaustive_singletons():
             assert "R1" in rep.subset
         ext_cases.add(rep.ext_case)
     assert "SigmaP2" in ext_cases and "trivial" in ext_cases
+
+
+def test_decide_reads_one_route_per_clone_family():
+    # decide reads its case and engine from a route stored per clone
+    # family, so signatures of one family share it: on every ternary table,
+    # alone and with bot, top or both, it agrees with a report worked out
+    # afresh, and the store holds one route per distinct family
+    t = DefaultTheory.make([], [])
+    signatures = [
+        [BoolFun("g", 3, table(bits, 3))] + conns(*extra)
+        for bits in range(256)
+        for extra in ((), ("bot",), ("top",), ("bot", "top"))
+    ]
+
+    def picks(sig):
+        theory = t._replace(signature=frozenset(sig))
+        return [(d.case, d.engine) for d in (decide(p, theory, Var("x")) for p in PROBLEMS)]
+
+    clones._route.cache_clear()
+    picked = [picks(sig) for sig in signatures]
+    families = {frozenset.intersection(*map(_family, sig)) for sig in signatures}
+    assert clones._route.cache_info().currsize == len(families)
+    for sig, got in zip(signatures, picked):
+        clones._route.cache_clear()
+        rep = dispatch_case(sig)
+        cases = (rep.ext_case, rep.cred_case, rep.skep_case)
+        assert got == [(case, rep.engines[p]) for p, case in zip(PROBLEMS, cases)], sig
+
+
+def test_decide_refuses_a_goal_that_renames_a_signature_connective():
+    # the goal's "and" has the table of "or": the signature would name one
+    # connective with two tables
+    t = DefaultTheory.make([Var("x")], [], conns("and", "not"))
+    goal = App(BoolFun("and", 2, BUILTINS["or"].table), (Var("x"), Var("y")))
+    for problem in ("cred", "skep"):
+        with pytest.raises(InputError, match="twice with different tables"):
+            decide(problem, t, goal)
 
 
 def test_subset_and_contains_flags_cohere():

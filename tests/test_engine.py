@@ -12,6 +12,7 @@ import pytest
 
 from postdl import engine
 from postdl.boolfun import BUILTINS, BoolFun
+from postdl.clones import dispatch_case
 from postdl.engine import (
     TableContext,
     check_stable,
@@ -240,7 +241,7 @@ def test_fragment_walk_past_the_recursion_limit_ends_in_nesting_too_deep():
         for i in range(depth):
             deep = App(conn, (deep, *(Var(f"y{j}") for j in range(conn.arity - 1))))
         t = DefaultTheory.make([Var("x")], [DefaultRule(deep, Var("y0"), Var("z"))], [B[n] for n in names])
-        report = engine.dispatch_case(t.signature)
+        report = dispatch_case(t.signature)
         for problem, goal in (("ext", None), ("cred", Var("z")), ("skep", Var("z"))):
             assert report.engines[problem] in ("poly_fragment", "trivial_yes"), (names, problem)
             outcomes = []
@@ -411,6 +412,31 @@ def test_kernel_tables_every_small_connective():
         assert ctx.order == list("abcde")
         for phi in formulas:
             assert ctx.table(phi) == table_int(phi, ctx.order), (conn, phi)
+
+
+def test_kernels_are_found_by_truth_table(monkeypatch):
+    # a renamed copy of a builtin reads the builtin's kernel, and with a
+    # store of two entries nearly every connective clears it, also in the
+    # middle of a walk, without changing a table
+    x, y = Var("x"), Var("y")
+    for name in ("and", "or", "xor", "maj", "not", "top"):
+        conn = B[name]
+        renamed = BoolFun(f"my{name}", conn.arity, conn.table)
+        args = [x, y, x][: conn.arity]
+        ctx = TableContext([x, y])
+        assert ctx.table(App(renamed, args)) == ctx.table(App(conn, args)), name
+        assert engine._ones(App(renamed, args)) == engine._ones(App(conn, args)), name
+        assert engine._KERNELS[renamed.table] is engine._KERNELS[conn.table]
+    rng = random.Random("kernel-store")
+    conns = [B[n] for n in ("and", "or", "not", "xor", "imp", "maj", "s10", "bot")]
+    conns += [BoolFun(f"c{k}", a, "".join(rng.choice("01") for _ in range(1 << a))) for k, a in enumerate((2, 3, 4))]
+    phis = [random_formula(rng, conns, ["a", "b", "c"], 3) for _ in range(40)]
+    monkeypatch.setattr(engine, "_KERNELS_CAP", 2)
+    monkeypatch.setattr(engine, "_KERNELS", {})
+    for phi in phis:
+        ctx = TableContext([phi])
+        assert ctx.table(phi) == table_int(phi, ctx.order), phi
+    assert len(engine._KERNELS) <= 2
 
 
 def _counted(op):
@@ -635,6 +661,15 @@ def _digest_corpus():
         yield snsat_to_ext(random_snsat(rng)), Var("_xp1"), ("auto",)
 
 
+def _corpus_queries():
+    """(problem, theory, goal, engine) for every decision of the digest
+    corpus; ext gets no goal."""
+    for t, goal, engines in _digest_corpus():
+        for engine_name in engines:
+            for problem in ("ext", "cred", "skep"):
+                yield problem, t, None if problem == "ext" else goal, engine_name
+
+
 def test_decisions_are_pinned_on_a_seeded_corpus():
     # the sha256 of the decisions' JSON, witnesses and stats included; a
     # change of the tabling kernel leaves it as it is.  The second digest
@@ -646,22 +681,70 @@ def test_decisions_are_pinned_on_a_seeded_corpus():
     # answer, engine, case or witness changes
     digest, without_calls, without_stats = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
     count = 0
-    for t, goal, engines in _digest_corpus():
-        for engine_name in engines:
-            for problem in ("ext", "cred", "skep"):
-                g = None if problem == "ext" else goal
-                d = decide(problem, t, g, engine_name, want_witness=True)
-                record = d.to_json()
-                digest.update(json.dumps(record, sort_keys=True).encode() + b"\n")
-                del record["stats"]["implication_calls"]
-                without_calls.update(json.dumps(record, sort_keys=True).encode() + b"\n")
-                del record["stats"]
-                without_stats.update(json.dumps(record, sort_keys=True).encode() + b"\n")
-                count += 1
+    for problem, t, g, engine_name in _corpus_queries():
+        d = decide(problem, t, g, engine_name, want_witness=True)
+        record = d.to_json()
+        digest.update(json.dumps(record, sort_keys=True).encode() + b"\n")
+        del record["stats"]["implication_calls"]
+        without_calls.update(json.dumps(record, sort_keys=True).encode() + b"\n")
+        del record["stats"]
+        without_stats.update(json.dumps(record, sort_keys=True).encode() + b"\n")
+        count += 1
     assert count == 885
     assert without_stats.hexdigest() == "0ec0ac6c6efbbc40ad91c328f7f4e3dce7f261607ee857b6e57a22d980d2cd35"
     assert without_calls.hexdigest() == "6ce5e68f82c674fcb202ed8b0486ffb84537ecb85b518f27716dbe3fcf6df936"
     assert digest.hexdigest() == "78f03c09b8ed68f04d0dbc849ed42d98d926d848d12b75385e3c2d70855937ba"
+
+
+def test_decisions_table_only_the_rules_they_read(monkeypatch):
+    # the rule tables are built on first read: a cred that the closure
+    # answers no at the root tables no justification, an ext whose
+    # facts-only candidate is stable tables no consequent beyond the fired
+    # rules', and the fixpoint's table mode tests liveness at the all-ones
+    # row, so it tables no justification and only the fired consequents
+    # (the corpus's snsat images, which read _xp1, are counted apart)
+    tabled = []
+    table = TableContext.table
+
+    def counted(self, phi):
+        tabled.append(phi)
+        return table(self, phi)
+
+    monkeypatch.setattr(TableContext, "table", counted)
+    seen = Counter()
+    for problem, t, g, engine_name in _corpus_queries():
+        tabled.clear()
+        d = decide(problem, t, g, engine_name, want_witness=True)
+        read = set(t.W) | {r.prerequisite for r in t.D} | {g}
+        fired = {t.D[i].consequent for i in d.witness.generating} if d.witness else set()
+        if d.engine in ("generic", "affine_guess"):
+            if problem == "cred" and not d.answer and d.stats.subsets_checked == 0:
+                seen["cred-root"] += 1
+                assert set(tabled) <= read | {r.consequent for r in t.D}
+            elif problem == "ext" and d.answer and d.stats.subsets_checked == 1:
+                seen["ext-facts"] += 1
+                assert set(tabled) <= read | {r.justification for r in t.D} | fired
+        elif problem == "ext" and d.answer and select_engine(t.signature) == "oracle":
+            seen["table-mode-snsat" if "_xp1" in t.variables() else "table-mode"] += 1
+            assert set(tabled) <= read | fired
+    assert len(seen) == 4 and min(seen.values()) >= 4, seen
+
+
+def test_lazy_rule_tables_decide_as_eager_ones(monkeypatch):
+    # answers, witnesses and every counter are those of rule tables built
+    # in full before the decision reads any
+    class Eager(engine._Tables):
+        def __init__(self, formulas, table):
+            super().__init__(formulas, table)
+            for i in range(len(formulas)):
+                self[i]
+
+    def run():
+        return [decide(p, t, g, e, want_witness=True).to_json() for p, t, g, e in _corpus_queries()]
+
+    lazy = run()
+    monkeypatch.setattr(engine, "_Tables", Eager)
+    assert run() == lazy
 
 
 # -- engine equivalence + witnesses ------------------------------------------------------
