@@ -10,6 +10,9 @@ from __future__ import annotations
 
 from .errors import InputError
 
+# entries a per-connective store holds before it is cleared
+STORE_CAP = 1024
+
 
 class BoolFun:
     """A Boolean function: name, arity and truth table.
@@ -17,8 +20,9 @@ class BoolFun:
     ``table`` is a string of '0'/'1' of length 2**arity; arity 0 encodes a
     constant (table of length 1).  ``bits`` caches the table as an integer
     with bit i equal to table[i].  Instances are immutable; equality is over
-    name, arity and table, and the hash is computed once, at construction,
-    since connectives key the per-connective caches on every call.
+    name, arity and table, and the hash is computed once, at construction.
+    What is derived from a connective alone is kept in a ``table_store``,
+    keyed by the table string, so a renamed copy reads the same entry.
     """
 
     __slots__ = ("name", "arity", "table", "bits", "_hash")
@@ -81,6 +85,26 @@ class BoolFun:
     @property
     def n_points(self) -> int:
         return 1 << self.arity
+
+
+def table_store(derive):
+    """A store of what derive(f) fixes from f's truth table alone: a plain
+    dict keyed by f.table, and its fill.  fill(f) reads f's entry, and on a
+    miss derives it and stores it, clearing the dict first once it holds
+    STORE_CAP entries.  A hot path subscripts the dict (a str key hashes
+    with no Python-level call) and calls fill only on a KeyError."""
+    store: dict = {}
+
+    def fill(f: BoolFun):
+        value = store.get(f.table)
+        if value is None:
+            value = derive(f)
+            if len(store) >= STORE_CAP:
+                store.clear()
+            store[f.table] = value
+        return value
+
+    return store, fill
 
 
 def dual(f: BoolFun) -> BoolFun:

@@ -136,24 +136,28 @@ def _cmd_imp(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
+    # --mode picks the problem of the 3sat and gap images, --variant the
+    # connective of the hgap one; no other source reads either
+    if args.mode is not None and args.source not in ("3sat", "gap"):
+        raise InputError(f"reduce {args.source} takes no --mode")
+    if args.variant is not None and args.source != "hgap":
+        raise InputError(f"reduce {args.source} takes no --variant")
     text = Path(args.instance).read_text(encoding="utf-8")
-    goal = None
+    mode, goal = args.mode or "ext", None
     if args.source == "3sat":
         cnf = pad_to_three(read_dimacs(text, args.instance))
-        theory, goal = threesat_to_default(cnf, args.mode)
+        theory, goal = threesat_to_default(cnf, mode)
     elif args.source == "gap":
         g, s, t = read_digraph(text, args.instance)
-        theory, goal = gap_to_default(g, s, t, args.mode)
+        theory, goal = gap_to_default(g, s, t, mode)
     elif args.source == "hgap":
         h, sources, t = read_hypergraph(text, args.instance)
-        theory = hgap_to_ext(h, sources, t, args.variant)
+        theory = hgap_to_ext(h, sources, t, args.variant or "conjunctive")
     elif args.source == "xorhgap":
         h, sources, t = read_hypergraph(text, args.instance)
         theory, goal = xor_hgap_to_cred(h, sources, t)
-    elif args.source == "snsat":
+    else:  # snsat
         theory = snsat_to_ext(read_snsat(text, args.instance))
-    else:
-        raise InputError(f"unknown reduction source {args.source!r}")
     out = write_theory(theory, goal)
     if args.output:
         Path(args.output).write_text(out, encoding="utf-8")
@@ -192,8 +196,8 @@ def build_parser() -> argparse.ArgumentParser:
     rd = sub.add_parser("reduce", help="map a source instance to a theory file")
     rd.add_argument("source", choices=["3sat", "gap", "hgap", "xorhgap", "snsat"])
     rd.add_argument("instance", help="DIMACS CNF, edge list, or chain-CNF file")
-    rd.add_argument("--mode", default="ext", choices=["ext", "skep", "cred"])
-    rd.add_argument("--variant", default="conjunctive", choices=["conjunctive", "disjunctive"])
+    rd.add_argument("--mode", choices=["ext", "skep", "cred"], help="3sat and gap only (default ext)")
+    rd.add_argument("--variant", choices=["conjunctive", "disjunctive"], help="hgap only (default conjunctive)")
     rd.add_argument("-o", "--output")
 
     st = sub.add_parser("selftest", help="seeded end-to-end self-check")
@@ -213,12 +217,10 @@ def main(argv=None) -> int:
             return _cmd_imp(args)
         if args.command == "reduce":
             return _cmd_reduce(args)
-        if args.command == "selftest":
-            # imported here: no other command needs selftest or gen compiled
-            from .selftest import run_selftest
+        # selftest, imported here: no other command needs selftest or gen compiled
+        from .selftest import run_selftest
 
-            return run_selftest(seed=args.seed, quick=not args.full)
-        raise InputError(f"unknown command {args.command!r}")
+        return run_selftest(seed=args.seed, quick=not args.full)
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

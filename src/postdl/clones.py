@@ -10,8 +10,10 @@ intersection of property-defined clones (Böhler, Creignou, Reith,
 Vollmer, "Playing with Boolean Blocks, Part I", SIGACT News 2003): a
 named clone X lies in [B] exactly when every clone of ``FAMILY_CLONES``
 that contains B also contains X's base.  Each connective is tested
-once on its own truth table, so any arity up to
-``PROPERTY_ARITY_CAP`` is classified.  The arity-3 slice closure
+on its own truth table, so any arity up to ``PROPERTY_ARITY_CAP`` is
+classified, and its classification is derived once per table and kept
+in a ``boolfun.table_store`` (``_classified``), which a renamed copy
+reads too.  The arity-3 slice closure
 (``slice3_closure`` with ``contains_clone``) decides the same flags
 from the generated ternary tables, in integer arithmetic; it is kept as
 the reference oracle for connectives of arity at most 3, and the tests
@@ -20,18 +22,20 @@ read the lattice order of the clones with a ternary base from it.
 ``dispatch_case`` evaluates the complexity-case conditions for
 extension existence, credulous and skeptical reasoning, hardest cases
 first, and selects an engine per problem.  The conditions read only the
-clone family of [B], so each family's cases and engines are worked out
-once (``_route``), and ``route`` hands them to ``engine.decide``.
+clone family of [B], so each family's cases and engines, and the
+entailment state its fixpoint runs on, are worked out once (``_route``,
+memoized by family: Post's lattice bounds the families), and ``route``
+hands them to ``engine.decide``.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache, reduce
-from operator import add, and_, mul
+from functools import lru_cache
+from operator import add, mul
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
-from .boolfun import BUILTINS, BoolFun, signature_map
+from .boolfun import BUILTINS, BoolFun, signature_map, table_store
 from .errors import ArityUnsupported, UnknownClone
 from .formula import _var_pattern
 from .properties import FunSignature, function_signature
@@ -160,6 +164,7 @@ FAMILY_CLONES = (
     "R0", "R1", "M", "D", "L", "V", "E", "N",
     "S0", "S1", "S0^2", "S1^2", "S0^3", "S1^3",
 )
+_EVERY_FAMILY = frozenset(FAMILY_CLONES)
 
 _SWAP01 = str.maketrans("01", "10")
 
@@ -196,12 +201,10 @@ def _empty_meet_counts(f: BoolFun, c: int) -> tuple[int, int]:
     return sum(map(mul, sign, squares)), sum(map(mul, sign, map(mul, squares, u)))
 
 
-@lru_cache(maxsize=1024)
-def _classified(f: BoolFun) -> tuple[FunSignature, frozenset[str]]:
+def _classification(f: BoolFun) -> tuple[FunSignature, frozenset[str]]:
     """The property flags of f and the members of FAMILY_CLONES that contain
-    f, computed once per connective; a 0-ary constant is tested for the
-    family as the unary constant function, so that top lies in S0 and bot
-    in S1."""
+    f; a 0-ary constant is tested for the family as the unary constant
+    function, so that top lies in S0 and bot in S1."""
     props = s = function_signature(f)
     if f.arity == 0:
         f = BoolFun(f.name, 1, f.table * 2)
@@ -225,17 +228,16 @@ def _classified(f: BoolFun) -> tuple[FunSignature, frozenset[str]]:
     return props, frozenset(name for name, ok in flags.items() if ok)
 
 
-def _family(f: BoolFun) -> frozenset[str]:
-    """The members of FAMILY_CLONES that contain f."""
-    return _classified(f)[1]
-
-
-_EVERY_FAMILY = frozenset(FAMILY_CLONES)
+# table -> the connective's classification; _classified(f) reads f's entry
+_CLASSIFIED, _classified = table_store(_classification)
 
 
 def _common_family(conns) -> frozenset[str]:
     """The members of FAMILY_CLONES that contain every connective of conns."""
-    return reduce(and_, map(_family, conns), _EVERY_FAMILY)
+    family = _EVERY_FAMILY
+    for f in conns:
+        family &= _classified(f)[1]
+    return family
 
 
 _CONTAINS_FAMILIES = {clone: _common_family(base) for clone, base in _CONTAINS_BASES.items()}
@@ -291,12 +293,12 @@ def _pick(problem: str, named: list[tuple[bool, str, str]]) -> tuple[str, str]:
 
 
 @lru_cache(maxsize=None)
-def _route(family: frozenset[str]) -> tuple[frozenset[str], frozenset[str], Mapping[str, tuple[str, str]]]:
+def _route(family: frozenset[str]) -> tuple[frozenset[str], frozenset[str], Mapping[str, tuple[str, str]], str]:
     """The subset and contains flags of a clone family (the members of
-    FAMILY_CLONES that contain [B]) and each problem's (case, engine), in
-    a read-only mapping, computed once per family.  Families are clones of
-    Post's lattice, so the keys are few whatever the connectives are
-    called.
+    FAMILY_CLONES that contain [B]), each problem's (case, engine) in a
+    read-only mapping, and the entailment state of its fixpoint, computed
+    once per family.  Families are clones of Post's lattice, so the keys
+    are few whatever the connectives are called.
 
     Case conditions are checked from hardest to easiest; the derived
     predicates are pairwise disjoint and a loud assertion fires if the
@@ -364,21 +366,25 @@ def _route(family: frozenset[str]) -> tuple[frozenset[str], frozenset[str], Mapp
             (sub("I"), "NL", "reachability"),
         ],
     )
-    return subset, contains, MappingProxyType({"ext": ext, "cred": cred, "skep": skep})
+    # the cheapest sound entailment state of ``implication``, else tables (so
+    # a monotone B with both "and" and "or" stays on them); E before L, since
+    # over I conjunctive is linear-time Horn chaining, affine GF(2) elimination
+    state = "conjunctive" if sub("E") else "affine" if sub("L") else "disjunctive" if sub("V") else "oracle"
+    return subset, contains, MappingProxyType({"ext": ext, "cred": cred, "skep": skep}), state
 
 
-def route(signature) -> Mapping[str, tuple[str, str]]:
-    """Each problem's (case, engine) for the signature, read from its clone
-    family's route (``_route``); a signature that names one connective with
-    two tables is refused."""
-    return _route(_common_family(signature_map(signature).values()))[2]
+def route(signature) -> tuple[Mapping[str, tuple[str, str]], str]:
+    """Each problem's (case, engine) for the signature and its fixpoint's
+    entailment state, read from its clone family's route (``_route``); a
+    signature that names one connective with two tables is refused."""
+    return _route(_common_family(signature_map(signature).values()))[2:]
 
 
 def dispatch_case(signature) -> CloneReport:
     """Classify [B] and pick a sound engine per decision problem: the
     connectives' property flags and their family's route (``_route``)."""
     sig = signature_map(signature)
-    subset, contains, picks = _route(_common_family(sig.values()))
+    subset, contains, picks, _ = _route(_common_family(sig.values()))
     return CloneReport(
         properties={name: _classified(f)[0] for name, f in sig.items()},
         subset=subset,

@@ -33,7 +33,8 @@ both engines, and a justification's liveness is its all-ones value
 
 The signature alone picks the engine (``clones.route``): a
 fixpoint engine exactly when it lies within the monotone clone M or the
-1-reproducing clone R1, an enumerating one otherwise.  ``decide`` runs
+1-reproducing clone R1, an enumerating one otherwise; the same route
+names the entailment state the fixpoint runs on.  ``decide`` runs
 that pick (engine "auto") or the generic enumerator (engine "generic"),
 which is sound for every signature; no other engine can be asked for.
 
@@ -46,9 +47,10 @@ Every truth table a decision reads comes from one ``TableContext``, the
 engines' tabling kernel: it tables each distinct formula once per decision
 (structurally equal formulas share the entry) and applies each connective
 in the cheaper of two bitwise forms, compiled once per truth table into
-one straight-line function (``_kernel``) and found by the table string
-(``_KERNELS``); a form larger than KERNEL_CUTOFF runs as a loop over its
-terms instead.  The fixpoint's all-ones evaluations (``_ones``) run the
+one straight-line function (``_kernel``) and kept in a
+``boolfun.table_store`` (``_KERNELS``), a plain dict read with the table
+string; a form larger than KERNEL_CUTOFF runs as a loop over its terms
+instead.  The fixpoint's all-ones evaluations (``_ones``) run the
 same kernel on a one-row table.
 ``formula.table_int`` and ``BoolFun.value`` stay the references that the
 tests compare them against.
@@ -56,10 +58,9 @@ tests compare them against.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple
 
-from .boolfun import BoolFun
+from .boolfun import BoolFun, table_store
 from .clones import route, subset_of_clone
 from .errors import (
     DefaultCountTooLarge,
@@ -70,7 +71,7 @@ from .errors import (
     UnboundVariable,
 )
 from .formula import VAR_CAP, Formula, Var, _var_pattern, connectives, variables_of
-from .implication import fragment_state, select_engine
+from .implication import fragment_state
 from .properties import table_views
 from .theory import DefaultTheory
 
@@ -213,7 +214,7 @@ class TableContext:
         try:
             kernel = _KERNELS[node.conn.table]
         except KeyError:
-            kernel = _store_kernel(node.conn)
+            kernel = _fill_kernel(node.conn)
         return kernel(self._walk, node.args, self.full)
 
 
@@ -223,23 +224,6 @@ class TableContext:
 KERNEL_CUTOFF = 128
 
 
-# table -> compiled kernel, read with the table string (whose hash the
-# string keeps, so a read makes no Python-level call), not the BoolFun.
-# A kernel depends on the table alone, so a renamed copy of a connective
-# shares its entry.  The store is cleared at _KERNELS_CAP entries.
-_KERNELS: dict = {}
-_KERNELS_CAP = 1024
-
-
-def _store_kernel(f: BoolFun):
-    """f's kernel, compiled (``_kernel``) and stored in _KERNELS."""
-    if len(_KERNELS) >= _KERNELS_CAP:
-        _KERNELS.clear()
-    kernel = _KERNELS[f.table] = _kernel(f)
-    return kernel
-
-
-@lru_cache(maxsize=1024)
 def _kernel(f: BoolFun):
     """f's ``_bitwise_form`` as one function kernel(walk, args, full): it
     walks each argument in order, takes each needed complement once (full ^
@@ -277,7 +261,6 @@ def _kernel(f: BoolFun):
     return scope["kernel"]
 
 
-@lru_cache(maxsize=1024)
 def _bitwise_form(f: BoolFun) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
     """f as an XOR of AND-terms over its k arguments, in the cheaper of two
     forms by bitwise operations, counted from the bits of f (a tie goes to
@@ -307,6 +290,11 @@ def _bitwise_form(f: BoolFun) -> tuple[tuple[int, ...], tuple[tuple[int, ...], .
     return tuple(negs), tuple(low[x & (1 << h) - 1] + high[x >> h] or (k,) for x in ones)
 
 
+# table -> compiled kernel, a ``table_store``: a kernel depends on the
+# table alone, so a renamed copy of a connective shares its entry
+_KERNELS, _fill_kernel = table_store(_kernel)
+
+
 def _ones(phi: Formula) -> int:
     """Value of phi under the all-ones assignment; for monotone formulas
     this decides equivalence to the constant 0.  It is the one-row table
@@ -316,7 +304,7 @@ def _ones(phi: Formula) -> int:
     try:
         kernel = _KERNELS[phi.conn.table]
     except KeyError:
-        kernel = _store_kernel(phi.conn)
+        kernel = _fill_kernel(phi.conn)
     return kernel(_ones, phi.args, 1)
 
 
@@ -598,6 +586,7 @@ def _fixpoint_engine(
     theory: DefaultTheory,
     goal: Formula | None,
     stats: Stats,
+    mode: str,
 ) -> tuple[bool, ExtensionWitness | None]:
     """Least fixpoint of rule firing for monotone or 1-reproducing
     signatures (monotone_iterative, r1_unique, poly_fragment and
@@ -610,29 +599,28 @@ def _fixpoint_engine(
     unique stable extension.  Inconsistent facts short-circuit, before any
     table is built: the theory then has the trivial extension.
 
-    Where the signature has a fragment state of ``implication``, the
-    iteration is a worklist over it: the facts are asserted, every rule
-    with a live justification watches its prerequisite, and a fired rule
-    asserts its consequent, which wakes only the rules whose watched
-    prerequisite it makes entailed; each formula is normalized once, in
-    one walk.  Whether a fired consequent concludes 0 is read off that
-    cached normal form (``is_bottom``: (0, {}), or the row 0 = 1) rather
-    than by a second walk; the signatures with a fragment state lie in E,
-    V or L1, where the normal form is exact and agrees with the all-ones
-    test.
-    Otherwise (table mode) a justification's liveness is its all-ones
-    value (``_ones``), so no justification is tabled, and ``_fire`` takes
-    the closure of the facts under the live rules over the enumeration's
-    rule tables, which table only the prerequisites it tests and the
-    consequents that fire; the consistency of the derived models is read
-    at the all-ones row of their table.  The fixpoint is least, so the
+    mode is the signature's entailment state (``clones.route``).  Where it
+    names a fragment state of ``implication``, the iteration is a worklist
+    over it: the facts are asserted, every rule with a live justification
+    watches its prerequisite, and a fired rule asserts its consequent,
+    which wakes only the rules whose watched prerequisite it makes
+    entailed; each formula is normalized once, in one walk.  Whether a
+    fired consequent concludes 0 is read off that cached normal form
+    (``is_bottom``: (0, {}), or the row 0 = 1) rather than by a second
+    walk; the signatures with a fragment state lie in E, V or L1, where
+    the normal form is exact and agrees with the all-ones test.
+    Otherwise (mode "oracle", table mode) a justification's liveness is
+    its all-ones value (``_ones``), so no justification is tabled, and
+    ``_fire`` takes the closure of the facts under the live rules over the
+    enumeration's rule tables, which table only the prerequisites it tests
+    and the consequents that fire; the consistency of the derived models
+    is read at the all-ones row of their table.  The fixpoint is least, so the
     answer and the generating rules do not depend on the firing order.
     """
     if len(theory.D) > POLY_RULE_CAP:
         raise RuleCountTooLarge(f"more than {POLY_RULE_CAP} rules")
     if any(_ones(w) == 0 for w in theory.W):
         return True, None if problem == "skep" else ExtensionWitness((), inconsistent=True)
-    mode = select_engine(theory.signature)
     if mode == "oracle":
         t, ctx = _enumeration_context(theory, goal, cap=None)
         live = [i for i, d in enumerate(theory.D) if _ones(d.justification)]
@@ -669,25 +657,6 @@ def _fixpoint_engine(
     return holds, None if holds else witness
 
 
-def _run_engine(
-    label: str,
-    problem: str,
-    theory: DefaultTheory,
-    goal: Formula | None,
-    stats: Stats,
-    want_witness: bool,
-) -> tuple[bool, ExtensionWitness | None]:
-    if label in ("generic", "affine_guess"):
-        return _enumerate_engine(problem, theory, goal, stats)
-    if label in ("monotone_iterative", "r1_unique", "poly_fragment", "reachability"):
-        return _fixpoint_engine(problem, theory, goal, stats)
-    if label == "trivial_yes":
-        # every theory over a 1-reproducing signature has an extension; the
-        # fixpoint is run only to name its generating defaults
-        return True, _fixpoint_engine("ext", theory, None, stats)[1] if want_witness else None
-    raise ValueError(f"unknown engine label {label!r}")
-
-
 def decide(
     problem: str,
     theory: DefaultTheory,
@@ -715,12 +684,20 @@ def decide(
     used = connectives(goal) if goal is not None else set()
     if not used <= theory.signature:
         theory = DefaultTheory(theory.W, theory.D, theory.signature | used)
-    case, label = route(theory.signature)[problem]
+    picks, mode = route(theory.signature)
+    case, label = picks[problem]
     if engine == "generic":
         label = "generic"
     stats = Stats()
     try:
-        answer, witness = _run_engine(label, problem, theory, goal, stats, want_witness)
+        if label in ("generic", "affine_guess"):
+            answer, witness = _enumerate_engine(problem, theory, goal, stats)
+        elif label != "trivial_yes":
+            answer, witness = _fixpoint_engine(problem, theory, goal, stats, mode)
+        else:
+            # every theory over a 1-reproducing signature has an extension;
+            # the fixpoint is run only to name its generating defaults
+            answer, witness = True, _fixpoint_engine("ext", theory, None, stats, mode)[1] if want_witness else None
     except RecursionError:
         raise NestingTooDeep() from None
     if not want_witness:

@@ -9,8 +9,9 @@ conjunctive clone E (or the disjunctive clone V) a formula is bottom, top,
 or the conjunction (disjunction) of a variable set, and entailment is
 containment bookkeeping.  The walk is one module-level recursion over the
 applications, with no per-call closure: a variable is read in place, and
-each connective's constant and essential arguments are computed once per
-truth table and shape and then read from a dict keyed by the table.
+each connective's constant and essential arguments are derived once per
+truth table and shape, kept in the shape's ``boolfun.table_store``, and
+read by subscripting its plain dict with the table string.
 ``implies`` takes engine "auto", which selects the cheapest sound engine
 from the formulas' own connectives (premises that mix conjunction and
 disjunction stay on the oracle), or "oracle".  The fragment engines,
@@ -33,8 +34,8 @@ from __future__ import annotations
 from operator import and_, or_, xor
 from typing import Sequence
 
-from .boolfun import BoolFun, signature_map
-from .clones import _classified, _common_family
+from .boolfun import BoolFun, table_store
+from .clones import _classified, route
 from .errors import NestingTooDeep, NotAffine, ShapeMismatch
 from .formula import Formula, Var, connectives_of, table_int, variables_of
 
@@ -64,34 +65,25 @@ def truth_table_implies(premises: Sequence[Formula], goal: Formula) -> bool:
     return prem & table_int(goal, order) == prem
 
 
-# shape -> table -> the connective's (c, essential argument indices), for
-# the connectives inside the shape's clone: one dict per shape, read with
-# the table string (whose hash the string keeps), not the BoolFun.  The
-# form depends on the table alone, so a renamed copy of a connective shares
-# its entry; a connective outside the clone never gets one, so it is
-# refused on every call.  A shape's dict is cleared at _FORMS_CAP entries.
-_FORMS: dict[str, dict[str, tuple[int, tuple[int, ...]]]] = {shape: {} for shape in _SHAPES}
-_FORMS_CAP = 1024
-
-
 def _connective_form(f: BoolFun, shape: str) -> tuple[int, tuple[int, ...]]:
     """f as c op (op of its essential arguments), for f in the shape's
-    clone, stored in _FORMS.  c is f at the shape's base point (all ones
-    for "and", all zeros otherwise); clone membership and the essential
-    arguments are read from the connective's classification."""
+    clone.  c is f at the shape's base point (all ones for "and", all
+    zeros otherwise); clone membership and the essential arguments are
+    read from the connective's classification."""
     clone, _, mismatch = _SHAPES[shape]
     props, family = _classified(f)
     if clone not in family:
         raise mismatch(f"connective {f.name!r} is outside the clone {clone}")
-    c = f.value_at(f.n_points - 1 if shape == "and" else 0)
-    forms = _FORMS[shape]
-    if len(forms) >= _FORMS_CAP:
-        forms.clear()
-    form = forms[f.table] = c, tuple(sorted(props.depends_on))
-    return form
+    return f.value_at(f.n_points - 1 if shape == "and" else 0), tuple(sorted(props.depends_on))
 
 
-def _walk(node: Formula, shape: str, forms: dict, op, support: set[str]) -> int:
+# shape -> (store, fill) of its connectives' forms, a ``table_store`` per
+# shape: a connective outside the clone never gets an entry, so it is
+# refused on every call
+_FORMS = {shape: table_store(lambda f, shape=shape: _connective_form(f, shape)) for shape in _SHAPES}
+
+
+def _walk(node: Formula, forms: dict, fill, op, support: set[str]) -> int:
     """The constant of the application node's normal form, combined by op
     from its connective's constant and its essential arguments' constants.
     A variable argument is op's identity and leaves the constant as it is:
@@ -101,7 +93,7 @@ def _walk(node: Formula, shape: str, forms: dict, op, support: set[str]) -> int:
     try:
         c, essential = forms[conn.table]
     except KeyError:
-        c, essential = _connective_form(conn, shape)
+        c, essential = fill(conn)
     args = node.args
     for j in essential:
         arg = args[j]
@@ -112,7 +104,7 @@ def _walk(node: Formula, shape: str, forms: dict, op, support: set[str]) -> int:
             else:
                 support.add(name)
         else:
-            c = op(c, _walk(arg, shape, forms, op, support))
+            c = op(c, _walk(arg, forms, fill, op, support))
     return c
 
 
@@ -123,7 +115,7 @@ def normal_form(phi: Formula, shape: str) -> tuple[int, frozenset[str]]:
     A variable is read at once: (1, {x}) for "and", (0, {x}) otherwise.
     Any other formula is read off its connectives in one walk (``_walk``),
     linear in the size of phi: each connective's constant and essential
-    arguments come from the shape's table store (_FORMS), the constants
+    arguments come from the shape's store (_FORMS), the constants
     combine by op, and the variable sets by union ("and", "or") or
     symmetric difference ("xor").  S is empty when c absorbs ("and" with
     0, "or" with 1), so S holds exactly the essential variables of phi.
@@ -134,8 +126,9 @@ def normal_form(phi: Formula, shape: str) -> tuple[int, frozenset[str]]:
     if phi.__class__ is Var:
         return identity, frozenset((phi.name,))
     _, op, _ = _SHAPES[shape]
+    forms, fill = _FORMS[shape]
     support: set[str] = set()
-    c = _walk(phi, shape, _FORMS[shape], op, support)
+    c = _walk(phi, forms, fill, op, support)
     if shape != "xor" and c != identity:
         return c, frozenset()
     return c, frozenset(support)
@@ -439,21 +432,10 @@ def disjunctive_implies(premises: Sequence[Formula], goal: Formula) -> bool:
 def select_engine(signature) -> str:
     """Cheapest sound engine for the signature (a list, set or name map of
     connectives): conjunctive, affine, or disjunctive fragments when the
-    clone analysis licenses them, otherwise the truth-table oracle.
-    Monotone signatures with both conjunction and disjunction deliberately
-    stay on the oracle.  E comes before L since the signatures in both are
-    those of I, where the conjunctive state is linear-time Horn chaining
-    and the affine one GF(2) elimination.  The clone families of the
-    signature are read once, and E, L and V are each one family of
-    ``clones.FAMILY_CLONES``."""
-    family = _common_family(signature_map(signature).values())
-    if "E" in family:
-        return "conjunctive"
-    if "L" in family:
-        return "affine"
-    if "V" in family:
-        return "disjunctive"
-    return "oracle"
+    clone analysis licenses them, otherwise the truth-table oracle.  It is
+    the entailment state of the signature's clone family, chosen beside
+    the family's case table (``clones.route``)."""
+    return route(signature)[1]
 
 
 def implies(premises: Sequence[Formula], goal: Formula, engine: str = "auto") -> bool:

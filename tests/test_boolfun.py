@@ -2,8 +2,13 @@ import random
 
 import pytest
 
+from postdl import boolfun, clones, engine, implication
 from postdl.boolfun import BUILTINS, BoolFun, dual, signature_map
+from postdl.clones import subset_of_clone
+from postdl.engine import TableContext
 from postdl.errors import InputError
+from postdl.formula import App, Var, evaluate, table_int, variables_of
+from postdl.gen import random_formula
 
 EXPECTED_TABLES = {
     "and": "0001",
@@ -89,3 +94,60 @@ def test_signature_map_refuses_one_name_with_two_tables():
     assert signature_map([f, BUILTINS["and"], f]) == {"f": f, "and": BUILTINS["and"]}
     with pytest.raises(InputError, match="'f' twice"):
         signature_map([f, g])
+
+
+def _small_tables():
+    """A connective per truth table of arity 0-3, and a seeded ten of arity 4."""
+    conns = [BoolFun(f"g{n}_{bits}", n, format(bits, f"0{1 << n}b")[::-1]) for n in range(4) for bits in range(1 << (1 << n))]
+    rng = random.Random("store-tables")
+    return conns + [BoolFun(f"r{k}", 4, "".join(rng.choice("01") for _ in range(16))) for k in range(10)]
+
+
+def _kernel_read(phi):
+    return TableContext([phi]).table(phi), engine._ones(phi)
+
+
+def _kernel_reference(phi):
+    order = sorted(variables_of([phi]))
+    return table_int(phi, order), evaluate(phi, dict.fromkeys(order, 1))
+
+
+def _memo(name):
+    """(store, connectives, read, reference) of one per-connective memo:
+    read reads an item (a formula, or for the classification a
+    connective) through the store, and reference gives what it must read."""
+    conns = _small_tables()
+    if name == "kernels":
+        return engine._KERNELS, conns, _kernel_read, _kernel_reference
+    if name == "classification":
+        return clones._CLASSIFIED, conns, clones._classified, clones._classification
+    shape, clone = name.split("-")
+    store = implication._FORMS[shape][0]
+    conns = [g for g in conns if subset_of_clone([g], clone)]
+    return store, conns, lambda phi: implication.normal_form(phi, shape), None
+
+
+@pytest.mark.parametrize("memo", ["kernels", "and-E", "or-V", "xor-L", "classification"])
+def test_store_is_found_by_truth_table_and_survives_clearing(monkeypatch, memo):
+    # a renamed copy of a connective reads the entry its table made, and
+    # with a store of two entries nearly every connective clears it, also
+    # in the middle of a walk, without changing a table, a normal form or
+    # a classification
+    store, conns, read, reference = _memo(memo)
+    rng = random.Random(f"store:{memo}")
+    if memo == "classification":
+        item, items = (lambda conn: conn), conns
+    else:
+        args = [Var(v) for v in "xyxy"]
+        item = lambda conn: App(conn, args[: conn.arity])
+        items = [random_formula(rng, conns, ["a", "b", "c"], 3) for _ in range(40)]
+    for conn in rng.sample(conns, 6):
+        got = read(item(conn))
+        entry = store[conn.table]
+        assert read(item(BoolFun(f"my_{conn.name}", conn.arity, conn.table))) == got, conn
+        assert store[conn.table] is entry, conn
+    want = [(reference or read)(i) for i in items]
+    monkeypatch.setattr(boolfun, "STORE_CAP", 2)
+    store.clear()
+    assert [read(i) for i in items] == want
+    assert len(store) <= 2

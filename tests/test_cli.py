@@ -251,10 +251,17 @@ def test_decisions_follow_the_declared_language(tmp_path, capsys):
         assert (code, js["answer"], js["engine"], js["case"]) == (0, True, label, case)
 
 
+def refused(capsys, source, path, flag, value):
+    # a flag the source does not read is refused, with nothing written
+    code, out, err = run(capsys, "reduce", source, str(path), flag, value)
+    return (code, out) == (2, "") and f"reduce {source} takes no {flag}" in err
+
+
 def test_reduce_hgap_and_xorhgap_read_back(tmp_path, capsys):
     # each image reads back and answers as hypergraph reachability does:
     # an hgap image has no extension exactly when the target is reachable,
-    # and the xorhgap image's cred goal holds exactly then
+    # and the xorhgap image's cred goal holds exactly then; --mode is
+    # refused by both and --variant by xorhgap
     cases = [
         ("hgap", "conjunctive", "hedge a b\nhedge a,b t\n"),
         ("hgap", "conjunctive", "node c\nhedge a b\nhedge b,c t\n"),
@@ -270,7 +277,12 @@ def test_reduce_hgap_and_xorhgap_read_back(tmp_path, capsys):
         src.write_text(text, encoding="utf-8")
         reachable = hgap_reach(*read_hypergraph(text))
         reached.append(reachable)
-        code, _, _ = run(capsys, "reduce", source, str(src), "--variant", variant, "-o", str(image))
+        assert refused(capsys, source, src, "--mode", "skep")
+        flags = ["--variant", variant]
+        if source == "xorhgap":
+            assert refused(capsys, source, src, *flags)
+            flags = []
+        code, _, _ = run(capsys, "reduce", source, str(src), *flags, "-o", str(image))
         assert code == 0
         problem = "ext" if source == "hgap" else "cred"
         code, out, _ = run(capsys, problem, str(image), "--json")
@@ -282,6 +294,7 @@ def test_reduce_gap_roundtrip(tmp_path, capsys):
     src = tmp_path / "g.edges"
     src.write_text(GAP, encoding="utf-8")
     out_file = tmp_path / "g.dt"
+    assert refused(capsys, "gap", src, "--variant", "conjunctive")
     code, _, _ = run(capsys, "reduce", "gap", str(src), "--mode", "ext", "-o", str(out_file))
     assert code == 0
     code, out, _ = run(capsys, "ext", str(out_file))
@@ -293,6 +306,7 @@ def test_reduce_3sat_to_stdout(tmp_path, capsys):
     src.write_text(CNF, encoding="utf-8")
     code, out, _ = run(capsys, "reduce", "3sat", str(src))
     assert code == 0 and "(default" in out and "W:" in out
+    assert refused(capsys, "3sat", src, "--variant", "disjunctive")
 
 
 def test_reduce_3sat_refuses_a_negative_count(tmp_path, capsys):
@@ -306,6 +320,8 @@ def test_reduce_snsat(tmp_path, capsys):
     src = tmp_path / "c.snsat"
     src.write_text("formula\nz1 0\n", encoding="utf-8")
     out_file = tmp_path / "c.dt"
+    assert refused(capsys, "snsat", src, "--mode", "ext")
+    assert refused(capsys, "snsat", src, "--variant", "conjunctive")
     code, _, _ = run(capsys, "reduce", "snsat", str(src), "-o", str(out_file))
     assert code == 0
     code, out, _ = run(capsys, "ext", str(out_file), "--json")

@@ -13,8 +13,8 @@ from postdl.boolfun import BUILTINS, BoolFun
 from postdl.clones import (
     CONTAINS_CLONES,
     SUBSET_CLONES,
+    _classified,
     _empty_meet_counts,
-    _family,
     contains_clone,
     dispatch_case,
     slice3_closure,
@@ -31,6 +31,11 @@ from golden import GOLDEN_ROWS, GOLDEN_ROWS_ARITY4, TERNARY_CLONE_BASES
 
 def conns(*names):
     return [BUILTINS[n] for n in names]
+
+
+def _family(f):
+    """The members of FAMILY_CLONES that contain f."""
+    return _classified(f)[1]
 
 
 def table(bits, arity):

@@ -205,7 +205,7 @@ def _fragment_corpus():
             yield family, DefaultTheory.make(w, rules, conns), form()
 
 
-def test_fragment_fixpoint_reads_a_bottom_consequent_like_table_mode(monkeypatch):
+def test_fragment_fixpoint_reads_a_bottom_consequent_like_table_mode():
     # the fragment states read "concludes 0" off a fired consequent's
     # normal form; table mode reads the all-ones row.  Both give the same
     # answer and witness, and the fragment decisions' answers, witnesses
@@ -214,14 +214,13 @@ def test_fragment_fixpoint_reads_a_bottom_consequent_like_table_mode(monkeypatch
     # no test of its own
     records, refuted = [], Counter()
     for family, t, goal in _fragment_corpus():
-        assert select_engine(t.signature) != "oracle"
+        mode = select_engine(t.signature)
+        assert mode != "oracle"
         for problem in ("ext", "cred", "skep"):
             g = None if problem == "ext" else goal
             stats = engine.Stats()
-            got = engine._fixpoint_engine(problem, t, g, stats)
-            with monkeypatch.context() as m:
-                m.setattr(engine, "select_engine", lambda sig: "oracle")
-                want = engine._fixpoint_engine(problem, t, g, engine.Stats())
+            got = engine._fixpoint_engine(problem, t, g, stats, mode)
+            want = engine._fixpoint_engine(problem, t, g, engine.Stats(), "oracle")
             assert got == want, (family, problem, t, goal)
             refuted[family] += problem == "ext" and not got[0]
             records.append([got[0], got[1] and list(got[1].generating), stats.implication_calls])
@@ -414,31 +413,6 @@ def test_kernel_tables_every_small_connective():
             assert ctx.table(phi) == table_int(phi, ctx.order), (conn, phi)
 
 
-def test_kernels_are_found_by_truth_table(monkeypatch):
-    # a renamed copy of a builtin reads the builtin's kernel, and with a
-    # store of two entries nearly every connective clears it, also in the
-    # middle of a walk, without changing a table
-    x, y = Var("x"), Var("y")
-    for name in ("and", "or", "xor", "maj", "not", "top"):
-        conn = B[name]
-        renamed = BoolFun(f"my{name}", conn.arity, conn.table)
-        args = [x, y, x][: conn.arity]
-        ctx = TableContext([x, y])
-        assert ctx.table(App(renamed, args)) == ctx.table(App(conn, args)), name
-        assert engine._ones(App(renamed, args)) == engine._ones(App(conn, args)), name
-        assert engine._KERNELS[renamed.table] is engine._KERNELS[conn.table]
-    rng = random.Random("kernel-store")
-    conns = [B[n] for n in ("and", "or", "not", "xor", "imp", "maj", "s10", "bot")]
-    conns += [BoolFun(f"c{k}", a, "".join(rng.choice("01") for _ in range(1 << a))) for k, a in enumerate((2, 3, 4))]
-    phis = [random_formula(rng, conns, ["a", "b", "c"], 3) for _ in range(40)]
-    monkeypatch.setattr(engine, "_KERNELS_CAP", 2)
-    monkeypatch.setattr(engine, "_KERNELS", {})
-    for phi in phis:
-        ctx = TableContext([phi])
-        assert ctx.table(phi) == table_int(phi, ctx.order), phi
-    assert len(engine._KERNELS) <= 2
-
-
 def _counted(op):
     def apply(self, other):
         _Counted.ops += 1
@@ -525,8 +499,8 @@ def test_kernel_writes_out_only_the_chosen_form_of_a_16_ary_connective():
         BoolFun("r16", 16, "".join(rng.choice("01") for _ in range(1 << 16))),
         BoolFun("nor16", 16, "1" + "0" * ((1 << 16) - 1)),
     ):
-        assert _best_of_three(engine._bitwise_form.__wrapped__, conn) < 0.1, conn
-        assert _best_of_three(engine._kernel.__wrapped__, conn) < 0.1, conn
+        assert _best_of_three(engine._bitwise_form, conn) < 0.1, conn
+        assert _best_of_three(engine._kernel, conn) < 0.1, conn
         looped = engine._kernel(conn).__code__.co_filename == engine.__file__
         assert looped == (conn.name == "r16"), conn
         assert TableContext(names).table(App(conn, names)) == conn.bits
@@ -549,7 +523,7 @@ def test_ones_is_the_all_ones_evaluation():
 def test_kernel_source_holds_no_connective_name():
     # a name that would change the expression if it were written into it
     conn = BoolFun("x) or (1", 2, "0110")
-    kernel = engine._kernel.__wrapped__(conn)
+    kernel = engine._kernel(conn)
     code = kernel.__code__
     assert conn.name not in repr((code.co_consts, code.co_names, code.co_filename))
     names = [Var(v) for v in "ab"]
