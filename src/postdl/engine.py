@@ -58,7 +58,7 @@ tests compare them against.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .boolfun import BoolFun, table_store
 from .clones import route, subset_of_clone
@@ -168,23 +168,24 @@ class TableContext:
     """The one tabling kernel of a decision: truth tables over a fixed
     variable order, shared by every formula of the decision instance.
 
-    The order is the sorted variables of the formulas the context is built
-    over, collected in one scan, and their patterns are built with the
-    context; order[0] is the least significant position, and a table is an
-    int whose bit i is the value at joint assignment i.  Each requested
-    formula is tabled once: the memo is keyed by the formula itself, and
-    formulas hash and compare structurally, so an equal formula built
-    elsewhere reads the same entry.  Only requested formulas are kept, not
-    their subformulas, since each table holds 2^n bits.  A walk returns a
-    variable's pattern and applies a connective through its compiled
-    kernel (``_kernel``, the cheaper ``_bitwise_form`` written out once,
-    found by the connective's table string in ``_KERNELS``), which walks
-    the arguments and reads ``full`` at each call, so it does
-    bitwise work only; ``formula.table_int`` stays the reference.
+    The order is given sorted (a decision's theory keeps its own, and a
+    goal's variables outside it are merged in) or scanned off the formulas,
+    and the patterns are built with the context; order[0] is the least
+    significant position, and a table is an int whose bit i is the value at
+    joint assignment i.  Each requested formula is tabled once: the memo is
+    keyed by the formula itself, and formulas hash and compare
+    structurally, so an equal formula built elsewhere reads the same entry.
+    Only requested formulas are kept, not their subformulas, since each
+    table holds 2^n bits.  A walk returns a variable's pattern and applies
+    a connective through its compiled kernel (``_kernel``, the cheaper
+    ``_bitwise_form`` written out once, found by the connective's table
+    string in ``_KERNELS``), which walks the arguments and reads ``full``
+    at each call, so it does bitwise work only; ``formula.table_int``
+    stays the reference.
     """
 
-    def __init__(self, formulas: Iterable[Formula]):
-        self.order = order = sorted(variables_of(formulas))
+    def __init__(self, formulas: Iterable[Formula] = (), order: Sequence[str] | None = None):
+        self.order = order = sorted(variables_of(formulas)) if order is None else order
         n = len(order)
         if n > VAR_CAP:
             raise TooManyVariables(f"instance has {n} variables, cap is {VAR_CAP}")
@@ -359,7 +360,9 @@ def _enumeration_context(
     conseq_of = [index.setdefault(d.consequent, len(index)) for d in theory.D]
     if cap is not None and len(index) > cap:
         raise DefaultCountTooLarge(f"{len(index)} distinct consequents exceed the enumeration cap of {cap}")
-    ctx = TableContext(theory.all_formulas() + ([goal] if goal is not None else []))
+    order = theory.variable_order
+    extra = variables_of([goal] if goal is not None else []).difference(order)
+    ctx = TableContext(order=sorted(extra.union(order)) if extra else order)
     return _RuleTables(
         ctx.and_of(theory.W),
         _Tables([d.prerequisite for d in theory.D], ctx.table),
@@ -604,11 +607,12 @@ def _fixpoint_engine(
     over it: the facts are asserted, every rule with a live justification
     watches its prerequisite, and a fired rule asserts its consequent,
     which wakes only the rules whose watched prerequisite it makes
-    entailed; each formula is normalized once, in one walk.  Whether a
-    fired consequent concludes 0 is read off that cached normal form
-    (``is_bottom``: (0, {}), or the row 0 = 1) rather than by a second
-    walk; the signatures with a fragment state lie in E, V or L1, where
-    the normal form is exact and agrees with the all-ones test.
+    entailed; each formula is normalized in one walk, once per theory
+    (``DefaultTheory.normal_forms``).  Whether a fired consequent concludes
+    0 is read off that stored normal form (``is_bottom``: (0, {}), or the
+    row 0 = 1) rather than by a second walk; the signatures with a
+    fragment state lie in E, V or L1, where the normal form is exact and
+    agrees with the all-ones test.
     Otherwise (mode "oracle", table mode) a justification's liveness is
     its all-ones value (``_ones``), so no justification is tabled, and
     ``_fire`` takes the closure of the facts under the live rules over the
@@ -629,7 +633,7 @@ def _fixpoint_engine(
             return problem == "skep", None
         entails = lambda phi: models & ctx.table(phi) == models
     else:
-        state = fragment_state(mode)
+        state = fragment_state(mode, theory.normal_forms)
         for w in theory.W:
             state.add(w)
         ready = [

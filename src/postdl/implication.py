@@ -22,9 +22,10 @@ Each fragment has one entailment implementation, an incremental state
 against them, and a watched goal is handed back when an added premise
 makes it entailed.  ``conjunctive_implies``, ``disjunctive_implies`` and
 ``affine_implies`` add their premises to a fresh state and test the goal;
-the rule-firing fixpoint of ``engine`` keeps one state per decision, and
-reads from the same cached normal form whether a fired consequent is
-equivalent to 0 (``is_bottom``), so each formula is walked once.
+the rule-firing fixpoint of ``engine`` keeps one state per decision over
+its theory's store of normal forms, and reads from the same stored form
+whether a fired consequent is equivalent to 0 (``is_bottom``), so each
+formula of a theory is walked once per theory.
 
 Entailment is classical: inconsistent premises imply everything.
 """
@@ -138,7 +139,11 @@ def linear_row(phi: Formula, index: dict[str, int]) -> tuple[int, int]:
     """Encode a linear formula as the GF(2) equation (mask, rhs):
     xor of the masked variables equals rhs.  Asserting phi means asserting
     phi = 1, i.e. xor(S) = 1 xor c for phi = c xor xor(S)."""
-    c, support = normal_form(phi, "xor")
+    return _row(*normal_form(phi, "xor"), index)
+
+
+def _row(c: int, support: frozenset[str], index: dict[str, int]) -> tuple[int, int]:
+    """``linear_row`` of the formula whose "xor" normal form is (c, support)."""
     mask = 0
     for name in sorted(support):  # new names numbered by name, not hash order
         mask |= 1 << index[name]
@@ -167,8 +172,8 @@ def _toggle(index: dict, key, mask: int) -> None:
 class EntailmentState:
     """Premises asserted one at a time, with entailment tests against them;
     one subclass per fragment, and the rule-firing fixpoint's worklist.
-    The E and V states keep each formula as its ``normal_form`` (c, S), the
-    L state as its GF(2) row (``linear_row``).
+    The E and V states keep each formula as its ``normal_form`` (c, S) in
+    the state's shape, the L state as its GF(2) row, built from that form.
 
     add(phi) asserts phi and returns the keys of the watched goals that
     phi made entailed.  entails(phi) tests phi now.  watch(key, phi) tests
@@ -176,28 +181,31 @@ class EntailmentState:
     until an add entails it; each waiting key is returned at most once.
     is_bottom(phi) tells whether phi is equivalent to 0, read off its
     normal form, and is no test.  tests counts the tests made by watch and
-    by the wakes of waiting goals.  Each formula is normalized once per
-    state.  A formula with a connective outside the fragment's clone is
-    refused (ShapeMismatch, NotAffine), and inconsistent premises entail
-    everything.
+    by the wakes of waiting goals.  add, watch and is_bottom keep each normal
+    form in the state's store or its theory's (``normal_forms``); entails
+    does not, so no goal is kept.  A formula with a connective outside the
+    fragment's clone is refused (ShapeMismatch, NotAffine), and
+    inconsistent premises entail everything.
     """
 
     _bottom = (0, frozenset())  # the normal form of every formula equivalent to 0
 
-    def __init__(self):
+    def __init__(self, forms: dict | None = None):
         self.inconsistent = False
         self.tests = 0
         self._waiting: dict = {}  # key -> the goal, in the state's own form
-        self._norms: dict = {}
+        self._forms = {} if forms is None else forms.setdefault(self._shape, {})
 
-    def _norm(self, phi: Formula):
-        n = self._norms.get(phi)
+    def _norm(self, phi: Formula, keep: bool = True):
+        n = self._forms.get(phi)
         if n is None:
-            n = self._norms[phi] = self._normalize(phi)
+            n = normal_form(phi, self._shape)
+            if keep:
+                self._forms[phi] = n
         return n
 
     def entails(self, phi: Formula) -> bool:
-        n = self._norm(phi)
+        n = self._norm(phi, False)
         return self.inconsistent or self._holds(n)
 
     def is_bottom(self, phi: Formula) -> bool:
@@ -228,13 +236,12 @@ class ConjunctiveState(EntailmentState):
     linear time (Dowling & Gallier, J. Logic Programming 1984).
     """
 
-    def __init__(self):
-        super().__init__()
+    _shape = "and"
+
+    def __init__(self, forms: dict | None = None):
+        super().__init__(forms)
         self.forced: set[str] = set()
         self._watchers: dict[str, list] = {}  # variable -> waiting keys
-
-    def _normalize(self, phi: Formula):
-        return normal_form(phi, "and")
 
     def _holds(self, n) -> bool:
         c, support = n
@@ -273,13 +280,12 @@ class DisjunctiveState(EntailmentState):
     indexed by each of their variables, and a new premise re-tests only
     the goals under its variable with the fewest of them."""
 
-    def __init__(self):
-        super().__init__()
+    _shape = "or"
+
+    def __init__(self, forms: dict | None = None):
+        super().__init__(forms)
         self._premises: dict[str, list[frozenset]] = {}  # least variable -> premises
         self._watchers: dict[str, list] = {}  # variable -> waiting keys
-
-    def _normalize(self, phi: Formula):
-        return normal_form(phi, "or")
 
     def _holds(self, n) -> bool:
         c, support = n
@@ -339,16 +345,21 @@ class AffineState(EntailmentState):
     """
 
     _bottom = (0, 1)
+    _shape = "xor"
 
-    def __init__(self):
-        super().__init__()
+    def __init__(self, forms: dict | None = None):
+        super().__init__(forms)
         self._index = _Index()
+        self._rows: dict = {}  # formula -> its row, over this state's own _index
         self._pivots: dict[int, tuple[int, int]] = {}  # pivot bit -> its row
         self._pivot_bits = 0
         self._watchers: dict[int, set] = {}  # bit -> waiting keys whose row holds it
 
-    def _normalize(self, phi: Formula):
-        return linear_row(phi, self._index)
+    def _norm(self, phi: Formula, keep: bool = True):
+        row = self._rows.get(phi)
+        if row is None:
+            row = self._rows[phi] = _row(*super()._norm(phi, keep), self._index)
+        return row
 
     def _reduce(self, mask: int, rhs: int) -> tuple[int, int]:
         """The equation minus pivot rows until no pivot bit is left; it is
@@ -398,10 +409,10 @@ class AffineState(EntailmentState):
 _STATES = {"affine": AffineState, "conjunctive": ConjunctiveState, "disjunctive": DisjunctiveState}
 
 
-def fragment_state(engine: str) -> EntailmentState:
+def fragment_state(engine: str, forms: dict | None = None) -> EntailmentState:
     """An empty entailment state of the fragment engine "affine",
-    "conjunctive" or "disjunctive"."""
-    return _STATES[engine]()
+    "conjunctive" or "disjunctive", over forms (a theory's ``normal_forms``)."""
+    return _STATES[engine](forms)
 
 
 def _state_implies(state: EntailmentState, premises: Sequence[Formula], goal: Formula) -> bool:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
 from .boolfun import TOP, BoolFun, signature_map
@@ -20,13 +21,33 @@ class DefaultRule(NamedTuple):
         return (self.prerequisite, self.justification, self.consequent)
 
 
-class DefaultTheory(NamedTuple):
-    """Facts W (set semantics, stored in first-seen order), an ordered list
-    of defaults D, and the connective signature the formulas live in."""
-
+class _Fields(NamedTuple):
     W: tuple[Formula, ...]
     D: tuple[DefaultRule, ...]
     signature: frozenset[BoolFun]
+
+
+class DefaultTheory(_Fields):
+    """Facts W (set semantics, stored in first-seen order), an ordered list
+    of defaults D, and the connective signature the formulas live in.  The
+    value keeps two facts that W and D fix, each computed on first read;
+    equality, hash, pickles and copies read the three fields alone, and
+    every constructor, ``_replace`` included, starts without the facts."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot set {name!r}: a theory is immutable")
+
+    def __getstate__(self):
+        return None
+
+    @cached_property
+    def variable_order(self) -> tuple[str, ...]:
+        return tuple(sorted(variables_of(self.all_formulas())))
+
+    @cached_property
+    def normal_forms(self) -> dict[str, dict]:
+        """shape -> {own formula: its ``implication.normal_form``}, filled by the fragment states."""
+        return {}
 
     @staticmethod
     def make(
@@ -54,7 +75,7 @@ class DefaultTheory(NamedTuple):
         return _all_formulas(self.W, self.D)
 
     def variables(self) -> set[str]:
-        return variables_of(self.all_formulas())
+        return set(self.variable_order)
 
     def used_connectives(self) -> frozenset[BoolFun]:
         return frozenset(connectives_of(self.all_formulas()))

@@ -427,7 +427,18 @@ def test_records_keep_value_semantics():
     assert isinstance(decision, Decision) and isinstance(decision.witness, ExtensionWitness)
     (info,), _ = enumerate_extensions(theory)
     assert isinstance(info, ExtensionInfo)
+
+    def conj_theory():
+        return DefaultTheory.make([x], [DefaultRule(x, y, xy)], conns("and"))
+
+    # a theory whose facts (variable order, normal forms) are filled is the
+    # same value as a fresh one
+    filled = conj_theory()
+    decide("ext", filled, want_witness=True)
+    enumerate_extensions(filled)
+    assert filled.variable_order == ("x", "y") and filled.normal_forms["and"]
     frozen = [
+        (filled, conj_theory()),
         (BoolFun("f", 2, "0110"), BoolFun("f", 2, "0110")),
         (function_signature(BUILTINS["maj"]), function_signature(BoolFun("maj", 3, "00010111"))),
         (dispatch_case(conns("xor")), dispatch_case(conns("xor"))),
@@ -453,6 +464,22 @@ def test_records_keep_value_semantics():
         field = next(k for k in dir(a) if not k.startswith("_") and not callable(getattr(a, k)))
         with pytest.raises(AttributeError):
             setattr(a, field, getattr(a, field))
+    # copies, pickles and _replace start without the facts; neither a
+    # replaced D nor a goal that widens the signature reads a stale order
+    for c in (pickle.loads(pickle.dumps(filled)), copy.deepcopy(filled), filled._replace()):
+        assert c == filled and hash(c) == hash(filled) and not vars(c)
+    with pytest.raises(AttributeError):
+        filled.variable_order = ()
+    z = Var("z")
+    replaced = filled._replace(D=(DefaultRule(x, z, z),))
+    assert replaced.variable_order == ("x", "z")
+    fresh_replaced = DefaultTheory.make([x], [DefaultRule(x, z, z)], conns("and"))
+    for problem in ("ext", "cred", "skep"):
+        assert decide(problem, replaced, z, want_witness=True) == decide(problem, fresh_replaced, z, want_witness=True)
+    wide = App(BUILTINS["or"], (y, z))
+    for problem in ("cred", "skep"):
+        assert decide(problem, filled, wide, want_witness=True) == decide(problem, conj_theory(), wide, want_witness=True)
+    assert filled.variable_order == ("x", "y")
     assert BoolFun("f", 2, "0110") != BoolFun("g", 2, "0110")
     assert BoolFun("f", 2, "0110").bits == 0b0110
     assert Hypergraph(("a",), ()) != Digraph(("a",), ())

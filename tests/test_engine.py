@@ -33,7 +33,15 @@ from postdl.errors import (
 from postdl.formula import App, Var, evaluate, parse, table_int
 from postdl.gen import FAMILIES, random_cnf3, random_formula, random_goal, random_snsat, random_theory
 from postdl.implication import select_engine, truth_table_implies
-from postdl.reductions import SnsatInstance, snsat_eval, snsat_to_ext, threesat_to_default
+from postdl.reductions import (
+    Hypergraph,
+    SnsatInstance,
+    hgap_to_ext,
+    snsat_eval,
+    snsat_to_ext,
+    threesat_to_default,
+    xor_hgap_to_cred,
+)
 from postdl.selftest import _from_extensions
 from postdl.theory import DefaultRule, DefaultTheory
 
@@ -557,10 +565,10 @@ def test_snsat_ext_builds_each_variable_pattern_once(monkeypatch):
             built[j, n] += 1
         return pattern(j, n)
 
-    def counted_init(self, formulas):
+    def counted_init(self, *args, **kwargs):
         building.append(self)
         try:
-            init(self, formulas)
+            init(self, *args, **kwargs)
         finally:
             building.pop()
 
@@ -668,6 +676,41 @@ def test_decisions_are_pinned_on_a_seeded_corpus():
     assert without_stats.hexdigest() == "0ec0ac6c6efbbc40ad91c328f7f4e3dce7f261607ee857b6e57a22d980d2cd35"
     assert without_calls.hexdigest() == "6ce5e68f82c674fcb202ed8b0486ffb84537ecb85b518f27716dbe3fcf6df936"
     assert digest.hexdigest() == "78f03c09b8ed68f04d0dbc849ed42d98d926d848d12b75385e3c2d70855937ba"
+
+
+def test_warm_theory_facts_decide_as_cold_ones():
+    # a theory keeps its variable order and its formulas' normal forms on
+    # the value: a fresh value with no facts, the corpus's own value (warm
+    # from the corpus's earlier queries) and a second run on it all agree
+    count = 0
+    for problem, t, g, engine_name in _corpus_queries():
+        cold = decide(problem, t._replace(), g, engine_name, want_witness=True).to_json()
+        for _ in range(2):
+            assert decide(problem, t, g, engine_name, want_witness=True).to_json() == cold
+        count += 1
+    assert count == 885
+
+
+def test_goals_leave_a_theorys_normal_form_store_as_it_is():
+    # the fragment states store the normal forms of the theory's own
+    # formulas; a goal is normalized per decision and never stored, so 50
+    # distinct goals, each with a variable outside the theory, add nothing
+    chain = Hypergraph(tuple("abcd"), ((("a",), "b"), (("a", "b"), "c"), (("c",), "d")))
+    line = Hypergraph(tuple("abcd"), ((("a",), "b"), (("b",), "c"), (("c",), "d")))
+    for t, shape in [
+        (hgap_to_ext(chain, ["a"], "d", "conjunctive"), "and"),
+        (hgap_to_ext(line, ["a"], "d", "disjunctive"), "or"),
+        (xor_hgap_to_cred(chain, ["a"], "d")[0], "xor"),
+    ]:
+        decide("cred", t, t.W[0])
+        store = t.normal_forms[shape]
+        own = len(store)
+        assert own and set(store) <= set(t.all_formulas())
+        for k in range(50):
+            for problem in ("cred", "skep"):
+                decide(problem, t, Var(f"q{k}"))
+        assert len(store) == own and set(store) <= set(t.all_formulas()), shape
+        assert t.variable_order == tuple(sorted(t.variables()))
 
 
 def test_decisions_table_only_the_rules_they_read(monkeypatch):
