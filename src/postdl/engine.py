@@ -164,13 +164,20 @@ class Decision(NamedTuple):
         }
 
 
+# n -> the n variable patterns of width n, each 2^n bits: at most
+# VAR_CAP + 1 entries, about 4.75 MiB (sum of n * 2^n bits) when every
+# width from 1 to 20 has been used
+_PATTERNS: dict[int, tuple[int, ...]] = {}
+
+
 class TableContext:
     """The one tabling kernel of a decision: truth tables over a fixed
     variable order, shared by every formula of the decision instance.
 
     The order is given sorted (a decision's theory keeps its own, and a
     goal's variables outside it are merged in) or scanned off the formulas,
-    and the patterns are built with the context; order[0] is the least
+    and the variables' patterns are read from the store of their width
+    (``_PATTERNS``), built once per width; order[0] is the least
     significant position, and a table is an int whose bit i is the value at
     joint assignment i.  Each requested formula is tabled once: the memo is
     keyed by the formula itself, and formulas hash and compare
@@ -191,7 +198,11 @@ class TableContext:
             raise TooManyVariables(f"instance has {n} variables, cap is {VAR_CAP}")
         self.rows = 1 << n
         self.full = (1 << self.rows) - 1
-        self._patterns = {name: _var_pattern(j, n) for j, name in enumerate(order)}
+        try:
+            patterns = _PATTERNS[n]
+        except KeyError:
+            patterns = _PATTERNS[n] = tuple(_var_pattern(j, n) for j in range(n))
+        self._patterns = dict(zip(order, patterns))
         self._memo: dict[Formula, int] = {}
 
     def table(self, phi: Formula) -> int:
@@ -325,7 +336,7 @@ class _Tables(dict):
     """formulas[i]'s truth table under key i, tabled through ``table`` on
     the first read: a read of a tabled key is a plain dict subscript."""
 
-    def __init__(self, formulas: list[Formula], table):
+    def __init__(self, formulas: Sequence[Formula], table):
         super().__init__()
         self._formulas, self._table = formulas, table
 
@@ -340,13 +351,14 @@ class _RuleTables(NamedTuple):
     the distinct consequents in first-occurrence order, each tabled on its
     first read (``_Tables``), so a decision pays only for the tables it
     reads.  conseq_of has one entry per rule: rule i's consequent is
-    conseqs[conseq_of[i]], and k counts the distinct consequents."""
+    conseqs[conseq_of[i]], and k counts the distinct consequents; both are
+    the theory's ``consequent_index``."""
 
     w_models: int
     pre: _Tables
     just: _Tables
     conseqs: _Tables
-    conseq_of: list[int]
+    conseq_of: tuple[int, ...]
     k: int
 
 
@@ -354,12 +366,12 @@ def _enumeration_context(
     theory: DefaultTheory, goal: Formula | None, cap: int | None = GENERIC_CONSEQUENT_CAP
 ) -> tuple[_RuleTables, TableContext]:
     """The rule tables and the instance's table context.  The distinct
-    consequents are indexed first, so a count over the cap raises before the
-    context is built; ``check_stable`` (one candidate) passes no cap."""
-    index: dict[Formula, int] = {}
-    conseq_of = [index.setdefault(d.consequent, len(index)) for d in theory.D]
-    if cap is not None and len(index) > cap:
-        raise DefaultCountTooLarge(f"{len(index)} distinct consequents exceed the enumeration cap of {cap}")
+    consequents are counted first (the theory keeps their index), so a
+    count over the cap raises before the context is built;
+    ``check_stable`` (one candidate) passes no cap."""
+    conseqs, conseq_of = theory.consequent_index
+    if cap is not None and len(conseqs) > cap:
+        raise DefaultCountTooLarge(f"{len(conseqs)} distinct consequents exceed the enumeration cap of {cap}")
     order = theory.variable_order
     extra = variables_of([goal] if goal is not None else []).difference(order)
     ctx = TableContext(order=sorted(extra.union(order)) if extra else order)
@@ -367,9 +379,9 @@ def _enumeration_context(
         ctx.and_of(theory.W),
         _Tables([d.prerequisite for d in theory.D], ctx.table),
         _Tables([d.justification for d in theory.D], ctx.table),
-        _Tables(list(index), ctx.table),
+        _Tables(conseqs, ctx.table),
         conseq_of,
-        len(index),
+        len(conseqs),
     ), ctx
 
 

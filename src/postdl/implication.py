@@ -23,9 +23,9 @@ against them, and a watched goal is handed back when an added premise
 makes it entailed.  ``conjunctive_implies``, ``disjunctive_implies`` and
 ``affine_implies`` add their premises to a fresh state and test the goal;
 the rule-firing fixpoint of ``engine`` keeps one state per decision over
-its theory's store of normal forms, and reads from the same stored form
-whether a fired consequent is equivalent to 0 (``is_bottom``), so each
-formula of a theory is walked once per theory.
+its theory's store of normal forms (of GF(2) rows, for L), and reads from
+the same stored form whether a fired consequent is equivalent to 0
+(``is_bottom``), so each formula of a theory is walked once per theory.
 
 Entailment is classical: inconsistent premises imply everything.
 """
@@ -143,10 +143,11 @@ def linear_row(phi: Formula, index: dict[str, int]) -> tuple[int, int]:
 
 
 def _row(c: int, support: frozenset[str], index: dict[str, int]) -> tuple[int, int]:
-    """``linear_row`` of the formula whose "xor" normal form is (c, support)."""
+    """``linear_row`` of the formula whose "xor" normal form is (c, support);
+    a name outside index is numbered there on first sight."""
     mask = 0
     for name in sorted(support):  # new names numbered by name, not hash order
-        mask |= 1 << index[name]
+        mask |= 1 << index.setdefault(name, len(index))
     return mask, c ^ 1
 
 
@@ -189,12 +190,13 @@ class EntailmentState:
     """
 
     _bottom = (0, frozenset())  # the normal form of every formula equivalent to 0
+    _store = dict  # formula -> its form
 
     def __init__(self, forms: dict | None = None):
         self.inconsistent = False
         self.tests = 0
         self._waiting: dict = {}  # key -> the goal, in the state's own form
-        self._forms = {} if forms is None else forms.setdefault(self._shape, {})
+        self._forms = self._store() if forms is None else forms.setdefault(self._shape, self._store())
 
     def _norm(self, phi: Formula, keep: bool = True):
         n = self._forms.get(phi)
@@ -325,12 +327,13 @@ class DisjunctiveState(EntailmentState):
         return woken
 
 
-class _Index(dict):
-    """Variable name -> bit position, numbering each name on first sight."""
+class _Rows(dict):
+    """Formula -> its GF(2) row, over ``index`` (variable name -> bit
+    position, each name numbered on first sight)."""
 
-    def __missing__(self, name: str) -> int:
-        self[name] = position = len(self)
-        return position
+    def __init__(self):
+        super().__init__()
+        self.index: dict[str, int] = {}
 
 
 class AffineState(EntailmentState):
@@ -342,23 +345,31 @@ class AffineState(EntailmentState):
     rewritten afterwards.  A waiting goal keeps its row reduced against
     the pivots and indexed by its bits; a new pivot re-reduces only the
     goals that hold its bit.  A formula equivalent to 0 is the row 0 = 1.
+
+    The store keeps rows (``_Rows``); over a theory's ``normal_forms`` it
+    is the theory's, so its formulas are walked and numbered once, in the
+    order a fixpoint reads them on every decision: the numbering, pivots
+    and test counts are a fresh state's.  A goal is numbered in a copy of
+    the numbering and never stored.
     """
 
     _bottom = (0, 1)
     _shape = "xor"
+    _store = _Rows
 
     def __init__(self, forms: dict | None = None):
         super().__init__(forms)
-        self._index = _Index()
-        self._rows: dict = {}  # formula -> its row, over this state's own _index
         self._pivots: dict[int, tuple[int, int]] = {}  # pivot bit -> its row
         self._pivot_bits = 0
         self._watchers: dict[int, set] = {}  # bit -> waiting keys whose row holds it
 
     def _norm(self, phi: Formula, keep: bool = True):
-        row = self._rows.get(phi)
+        rows = self._forms
+        row = rows.get(phi)
         if row is None:
-            row = self._rows[phi] = _row(*super()._norm(phi, keep), self._index)
+            row = _row(*normal_form(phi, "xor"), rows.index if keep else dict(rows.index))
+            if keep:
+                rows[phi] = row
         return row
 
     def _reduce(self, mask: int, rhs: int) -> tuple[int, int]:

@@ -30,7 +30,8 @@ class _Fields(NamedTuple):
 class DefaultTheory(_Fields):
     """Facts W (set semantics, stored in first-seen order), an ordered list
     of defaults D, and the connective signature the formulas live in.  The
-    value keeps two facts that W and D fix, each computed on first read;
+    value keeps three facts that W and D fix, each computed on first read:
+    its variable order, its consequent index and its store of normal forms;
     equality, hash, pickles and copies read the three fields alone, and
     every constructor, ``_replace`` included, starts without the facts."""
 
@@ -45,8 +46,18 @@ class DefaultTheory(_Fields):
         return tuple(sorted(variables_of(self.all_formulas())))
 
     @cached_property
+    def consequent_index(self) -> tuple[tuple[Formula, ...], tuple[int, ...]]:
+        """(conseqs, conseq_of): the distinct consequents in first-occurrence
+        order, and for each rule i the position of its consequent in them."""
+        index: dict[Formula, int] = {}
+        conseq_of = tuple(index.setdefault(d.consequent, len(index)) for d in self.D)
+        return tuple(index), conseq_of
+
+    @cached_property
     def normal_forms(self) -> dict[str, dict]:
-        """shape -> {own formula: its ``implication.normal_form``}, filled by the fragment states."""
+        """shape -> {own formula: its ``implication.normal_form``}, filled by
+        the fragment states; the L state keeps its GF(2) rows under "xor"
+        instead (``implication.AffineState``)."""
         return {}
 
     @staticmethod

@@ -431,12 +431,14 @@ def test_records_keep_value_semantics():
     def conj_theory():
         return DefaultTheory.make([x], [DefaultRule(x, y, xy)], conns("and"))
 
-    # a theory whose facts (variable order, normal forms) are filled is the
-    # same value as a fresh one
+    # a theory whose facts (variable order, consequent index, normal forms)
+    # are filled is the same value as a fresh one
     filled = conj_theory()
     decide("ext", filled, want_witness=True)
     enumerate_extensions(filled)
     assert filled.variable_order == ("x", "y") and filled.normal_forms["and"]
+    assert filled.consequent_index == ((xy,), (0,))
+    assert set(vars(filled)) == {"variable_order", "consequent_index", "normal_forms"}
     frozen = [
         (filled, conj_theory()),
         (BoolFun("f", 2, "0110"), BoolFun("f", 2, "0110")),
@@ -466,14 +468,16 @@ def test_records_keep_value_semantics():
             setattr(a, field, getattr(a, field))
     # copies, pickles and _replace start without the facts; neither a
     # replaced D nor a goal that widens the signature reads a stale order
+    # or consequent index
     for c in (pickle.loads(pickle.dumps(filled)), copy.deepcopy(filled), filled._replace()):
         assert c == filled and hash(c) == hash(filled) and not vars(c)
     with pytest.raises(AttributeError):
         filled.variable_order = ()
     z = Var("z")
-    replaced = filled._replace(D=(DefaultRule(x, z, z),))
-    assert replaced.variable_order == ("x", "z")
-    fresh_replaced = DefaultTheory.make([x], [DefaultRule(x, z, z)], conns("and"))
+    replaced = filled._replace(D=(DefaultRule(x, z, z), DefaultRule(z, y, xy), DefaultRule(y, z, z)))
+    assert replaced.variable_order == ("x", "y", "z")
+    assert replaced.consequent_index == ((z, xy), (0, 1, 0))
+    fresh_replaced = DefaultTheory.make([x], replaced.D, conns("and"))
     for problem in ("ext", "cred", "skep"):
         assert decide(problem, replaced, z, want_witness=True) == decide(problem, fresh_replaced, z, want_witness=True)
     wide = App(BUILTINS["or"], (y, z))

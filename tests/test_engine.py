@@ -554,8 +554,9 @@ def test_snsat_ext_builds_each_variable_pattern_once(monkeypatch):
     )
     t = snsat_to_ext(inst)
     assert len(t.variables()) == 17
-    # count only the patterns a context builds, so a caller that caches
-    # patterns elsewhere cannot make the count depend on test order
+    # count only the patterns a context builds, from an empty width store,
+    # so neither a caller that builds patterns elsewhere nor an earlier
+    # test's width can make the count depend on test order
     built = Counter()
     building = []
     pattern, init = engine._var_pattern, TableContext.__init__
@@ -573,6 +574,7 @@ def test_snsat_ext_builds_each_variable_pattern_once(monkeypatch):
             building.pop()
 
     monkeypatch.setattr(engine, "_var_pattern", counted)
+    monkeypatch.setattr(engine, "_PATTERNS", {})
     monkeypatch.setattr(TableContext, "__init__", counted_init)
     d = ext(t)
     assert d.engine == "monotone_iterative"
@@ -580,6 +582,10 @@ def test_snsat_ext_builds_each_variable_pattern_once(monkeypatch):
     assert built and max(built.values()) == 1
     assert {n for _, n in built} == {17}
     assert {j for j, _ in built} == set(range(17))
+    # the patterns are kept per width: a second decision at width 17 builds none
+    built.clear()
+    assert ext(snsat_to_ext(inst)) == d
+    assert not built
 
 
 def test_decisions_at_the_variable_cap_take_milliseconds():
@@ -679,22 +685,33 @@ def test_decisions_are_pinned_on_a_seeded_corpus():
 
 
 def test_warm_theory_facts_decide_as_cold_ones():
-    # a theory keeps its variable order and its formulas' normal forms on
-    # the value: a fresh value with no facts, the corpus's own value (warm
-    # from the corpus's earlier queries) and a second run on it all agree
+    # a theory keeps its variable order, its consequent index and its
+    # formulas' normal forms (the affine rows, over L) on the value: a fresh
+    # value with no facts, the corpus's own value (warm from the corpus's
+    # earlier queries) and a second run on it all agree, stats included.
+    # The digest corpus has no L1 theory, so the fragment corpus's E, V and
+    # L1 theories decide warm fragment states too
+    fragment_queries = [
+        (problem, t, None if problem == "ext" else goal, "auto")
+        for _, t, goal in _fragment_corpus()
+        for problem in ("ext", "cred", "skep")
+    ]
     count = 0
-    for problem, t, g, engine_name in _corpus_queries():
+    for problem, t, g, engine_name in [*_corpus_queries(), *fragment_queries]:
         cold = decide(problem, t._replace(), g, engine_name, want_witness=True).to_json()
         for _ in range(2):
             assert decide(problem, t, g, engine_name, want_witness=True).to_json() == cold
         count += 1
-    assert count == 885
+    assert count == 885 + 540
+    assert sum(bool(t.normal_forms.get("xor")) for _, t, _, _ in fragment_queries) == 3 * 60
 
 
 def test_goals_leave_a_theorys_normal_form_store_as_it_is():
     # the fragment states store the normal forms of the theory's own
-    # formulas; a goal is normalized per decision and never stored, so 50
-    # distinct goals, each with a variable outside the theory, add nothing
+    # formulas, the affine state their rows and the numbering of their
+    # variables; a goal is normalized (and numbered) per decision and never
+    # stored, so 50 distinct goals, each with a variable outside the
+    # theory, change neither
     chain = Hypergraph(tuple("abcd"), ((("a",), "b"), (("a", "b"), "c"), (("c",), "d")))
     line = Hypergraph(tuple("abcd"), ((("a",), "b"), (("b",), "c"), (("c",), "d")))
     for t, shape in [
@@ -704,12 +721,13 @@ def test_goals_leave_a_theorys_normal_form_store_as_it_is():
     ]:
         decide("cred", t, t.W[0])
         store = t.normal_forms[shape]
-        own = len(store)
+        own, numbered = dict(store), dict(getattr(store, "index", {}))
         assert own and set(store) <= set(t.all_formulas())
+        assert (shape == "xor") == bool(numbered) and set(numbered) <= t.variables()
         for k in range(50):
             for problem in ("cred", "skep"):
                 decide(problem, t, Var(f"q{k}"))
-        assert len(store) == own and set(store) <= set(t.all_formulas()), shape
+        assert store == own and dict(getattr(store, "index", {})) == numbered, shape
         assert t.variable_order == tuple(sorted(t.variables()))
 
 
