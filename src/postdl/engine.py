@@ -28,8 +28,13 @@ has a fragment state of ``implication``, the fixpoint is a worklist over
 it, so a rule is re-tested only when an asserted formula changes what its
 prerequisite waits on; otherwise it is the enumeration's own rule closure
 (``_fire``) over the rule tables, so one closure over truth tables serves
-both engines, and a justification's liveness is its all-ones value
-(``_ones``), which tables nothing.
+both engines.  A justification's liveness is its all-ones value
+(``_ones``), which tables nothing.  The goal-free facts a decision reads
+are kept on the theory value, each filled on its first read: the facts'
+models (``DefaultTheory.w_models``), the fixpoint's liveness
+(``liveness``) and the forms of the facts and rules in each fragment
+shape (``normal_forms``), so a decision that the same theory value has
+seen before tables no fact and walks no formula of the theory.
 
 The signature alone picks the engine (``clones.route``): a
 fixpoint engine exactly when it lies within the monotone clone M or the
@@ -114,7 +119,12 @@ class Stats:
     prerequisite once per pass, as in the enumeration.  Satisfiability
     checks of the facts or of a candidate on its own and the fixpoint
     engine's all-ones evaluations, all-ones row reads and reads of a fired
-    consequent's normal form (does it conclude 0?) are not counted.
+    consequent's normal form (does it conclude 0?) are not counted.  A
+    trivial_yes decision (every theory over a 1-reproducing signature has
+    an extension) runs the fixpoint only to name the witness, so it counts
+    the fixpoint's tests only when a witness is asked: ``postdl ext t.dt``
+    reads implication_calls=0, and the same query with ``--witness`` reads
+    the tests of the ext fixpoint.
     """
 
     __slots__ = ("subsets_checked", "implication_calls")
@@ -368,7 +378,9 @@ def _enumeration_context(
     """The rule tables and the instance's table context.  The distinct
     consequents are counted first (the theory keeps their index), so a
     count over the cap raises before the context is built;
-    ``check_stable`` (one candidate) passes no cap."""
+    ``check_stable`` (one candidate) passes no cap.  The facts' models are
+    the theory's own (``w_models``) unless the goal adds a variable, which
+    widens the context and tables the facts in it."""
     conseqs, conseq_of = theory.consequent_index
     if cap is not None and len(conseqs) > cap:
         raise DefaultCountTooLarge(f"{len(conseqs)} distinct consequents exceed the enumeration cap of {cap}")
@@ -376,7 +388,7 @@ def _enumeration_context(
     extra = variables_of([goal] if goal is not None else []).difference(order)
     ctx = TableContext(order=sorted(extra.union(order)) if extra else order)
     return _RuleTables(
-        ctx.and_of(theory.W),
+        ctx.and_of(theory.W) if extra else theory.w_models,
         _Tables([d.prerequisite for d in theory.D], ctx.table),
         _Tables([d.justification for d in theory.D], ctx.table),
         _Tables(conseqs, ctx.table),
@@ -608,61 +620,70 @@ def _fixpoint_engine(
     reachability): a rule fires when its prerequisite is implied and its
     justification is not equivalent to 0; an applicable rule concluding 0
     refutes extension existence.  The not-equivalent-to-0 tests are
-    all-ones evaluations, exact for monotone formulas.  Under a
-    1-reproducing signature every formula is 1 at all-ones, so these tests
-    never fire and the iteration is justification-free; it yields the
-    unique stable extension.  Inconsistent facts short-circuit, before any
-    table is built: the theory then has the trivial extension.
+    all-ones evaluations (``_ones``), exact for monotone formulas, so no
+    justification is tabled.  Under a 1-reproducing signature every
+    formula is 1 at all-ones, so these tests never fire and the iteration
+    is justification-free; it yields the unique stable extension.
+    Inconsistent facts short-circuit, before any table is built: the
+    theory then has the trivial extension.  Both tests are goal-free, so
+    the theory keeps their outcome (``DefaultTheory.liveness``: whether
+    some fact is 0 at all-ones, and the live rules), which every mode
+    reads.
 
     mode is the signature's entailment state (``clones.route``).  Where it
     names a fragment state of ``implication``, the iteration is a worklist
-    over it: the facts are asserted, every rule with a live justification
-    watches its prerequisite, and a fired rule asserts its consequent,
-    which wakes only the rules whose watched prerequisite it makes
-    entailed; each formula is normalized in one walk, once per theory
-    (``DefaultTheory.normal_forms``).  Whether a fired consequent concludes
-    0 is read off that stored normal form (``is_bottom``: (0, {}), or the
-    row 0 = 1) rather than by a second walk; the signatures with a
-    fragment state lie in E, V or L1, where the normal form is exact and
-    agrees with the all-ones test.
-    Otherwise (mode "oracle", table mode) a justification's liveness is
-    its all-ones value (``_ones``), so no justification is tabled, and
-    ``_fire`` takes the closure of the facts under the live rules over the
-    enumeration's rule tables, which table only the prerequisites it tests
-    and the consequents that fire; the consistency of the derived models
-    is read at the all-ones row of their table.  The fixpoint is least, so the
-    answer and the generating rules do not depend on the firing order.
+    over it: the facts are asserted, every live rule watches its
+    prerequisite, and a fired rule asserts its consequent, which wakes
+    only the rules whose watched prerequisite it makes entailed.  Each
+    formula is read in the state's shape in one walk, once per theory: the
+    theory keeps the facts' forms, the live rules' prerequisites' forms and
+    each fired consequent's form by position (``DefaultTheory.normal_forms``,
+    ``implication.Forms``), filled in the order a cold decision reads them,
+    so the affine numbering, the pivots and the test counts are a fresh
+    state's.  Whether a fired consequent concludes 0 is read off that kept
+    form (the state's ``bottom``: (0, {}), or the row 0 = 1) rather than by
+    a second walk; the signatures with a fragment state lie in E, V or L1,
+    where the normal form is exact and agrees with the all-ones test.
+    Otherwise (mode "oracle", table mode) ``_fire`` takes the closure of
+    the facts under the live rules over the enumeration's rule tables,
+    which start from the theory's kept models of the facts and table only
+    the prerequisites it tests and the consequents that fire; the
+    consistency of the derived models is read at the all-ones row of their
+    table.  The fixpoint is least, so the answer and the generating rules
+    do not depend on the firing order.
     """
     if len(theory.D) > POLY_RULE_CAP:
         raise RuleCountTooLarge(f"more than {POLY_RULE_CAP} rules")
-    if any(_ones(w) == 0 for w in theory.W):
+    refuted, live = theory.liveness
+    if refuted:
         return True, None if problem == "skep" else ExtensionWitness((), inconsistent=True)
     if mode == "oracle":
         t, ctx = _enumeration_context(theory, goal, cap=None)
-        live = [i for i, d in enumerate(theory.D) if _ones(d.justification)]
         models, applied = _fire(t, live, stats)
         if not models >> ctx.rows - 1 & 1:
             return problem == "skep", None
         entails = lambda phi: models & ctx.table(phi) == models
     else:
         state = fragment_state(mode, theory.normal_forms)
-        for w in theory.W:
-            state.add(w)
-        ready = [
-            i for i, d in enumerate(theory.D)
-            if _ones(d.justification) and state.watch(i, d.prerequisite)
-        ]
-        applied = set()
+        kept, form, D = state.kept, state.form, theory.D
+        if kept.w is None:
+            kept.w, kept.pre = [form(w) for w in theory.W], [form(D[i].prerequisite) for i in live]
+        for n in kept.w:
+            state.add(n)
+        ready = [i for i, n in zip(live, kept.pre) if state.watch(i, n)]
+        applied, con = set(), kept.con
         while ready:
             i = ready.pop()
-            consequent = theory.D[i].consequent
-            if state.is_bottom(consequent):
+            n = con.get(i)
+            if n is None:
+                n = con[i] = form(D[i].consequent)
+            if n == state.bottom:
                 stats.implication_calls += state.tests
                 return problem == "skep", None
             applied.add(i)
-            ready += state.add(consequent)
+            ready += state.add(n)
         stats.implication_calls += state.tests
-        entails = state.entails
+        entails = lambda phi: state.entails(form(phi, False))
     witness = ExtensionWitness(tuple(sorted(applied)))
     if problem == "ext":
         return True, witness

@@ -20,12 +20,15 @@ called by name, refuse a formula with a connective outside their clone.
 Each fragment has one entailment implementation, an incremental state
 (``EntailmentState``): premises are added one at a time, goals are tested
 against them, and a watched goal is handed back when an added premise
-makes it entailed.  ``conjunctive_implies``, ``disjunctive_implies`` and
-``affine_implies`` add their premises to a fresh state and test the goal;
-the rule-firing fixpoint of ``engine`` keeps one state per decision over
-its theory's store of normal forms (of GF(2) rows, for L), and reads from
-the same stored form whether a fired consequent is equivalent to 0
-(``is_bottom``), so each formula of a theory is walked once per theory.
+makes it entailed.  A state reads each formula as its form in the
+state's shape (``form``: the normal form, or the GF(2) row for L), and
+every other operation takes that form.  ``conjunctive_implies``,
+``disjunctive_implies`` and ``affine_implies`` add their premises' forms
+to a fresh state and test the goal's; the rule-firing fixpoint of
+``engine`` keeps one state per decision over its theory's forms, kept by
+position (``Forms``), and reads off the same kept form whether a fired
+consequent is equivalent to 0, so each formula of a theory is walked
+once per theory and a warm decision walks none.
 
 Entailment is classical: inconsistent premises imply everything.
 """
@@ -170,52 +173,60 @@ def _toggle(index: dict, key, mask: int) -> None:
         mask ^= bit
 
 
+class Forms:
+    """A theory's formulas in one state's shape, by position: kept under
+    the shape in the theory's ``normal_forms`` and filled in the order a
+    fixpoint reads them (``engine._fixpoint_engine``).  w holds the facts'
+    forms; pre the live rules' prerequisites' forms, in rule order; con
+    maps a rule index to its consequent's form, from the rule's first
+    firing on.  index numbers the variables of the L state's rows (name ->
+    bit position, on first sight); a state over no theory has its own."""
+
+    __slots__ = ("w", "pre", "con", "index")
+
+    def __init__(self):
+        self.w = self.pre = None
+        self.con: dict[int, object] = {}
+        self.index: dict[str, int] = {}
+
+
 class EntailmentState:
     """Premises asserted one at a time, with entailment tests against them;
     one subclass per fragment, and the rule-firing fixpoint's worklist.
-    The E and V states keep each formula as its ``normal_form`` (c, S) in
-    the state's shape, the L state as its GF(2) row, built from that form.
+    Every operation takes a formula's form in the state's shape, which
+    form(phi) reads off the formula: its ``normal_form`` (c, S) for the E
+    and V states, its GF(2) row, built from that form, for the L state.
 
-    add(phi) asserts phi and returns the keys of the watched goals that
-    phi made entailed.  entails(phi) tests phi now.  watch(key, phi) tests
-    phi now and, when it does not hold yet, keeps it waiting under key
-    until an add entails it; each waiting key is returned at most once.
-    is_bottom(phi) tells whether phi is equivalent to 0, read off its
-    normal form, and is no test.  tests counts the tests made by watch and
-    by the wakes of waiting goals.  add, watch and is_bottom keep each normal
-    form in the state's store or its theory's (``normal_forms``); entails
-    does not, so no goal is kept.  A formula with a connective outside the
-    fragment's clone is refused (ShapeMismatch, NotAffine), and
-    inconsistent premises entail everything.
+    add(n) asserts n and returns the keys of the watched goals that n made
+    entailed.  entails(n) tests n now.  watch(key, n) tests n now and, when
+    it does not hold yet, keeps it waiting under key until an add entails
+    it; each waiting key is returned at most once.  A form equal to
+    ``bottom`` is equivalent to 0.  tests counts the tests made by watch
+    and by the wakes of waiting goals.  kept is the theory's ``Forms`` in
+    the state's shape, over its ``normal_forms``, or a fresh one; the L
+    state numbers a formula's new variables in kept.index, or in a copy of
+    it for form(phi, keep=False), so no goal is numbered there.  form
+    refuses a formula with a connective outside the fragment's clone
+    (ShapeMismatch, NotAffine), and inconsistent premises entail everything.
     """
 
-    _bottom = (0, frozenset())  # the normal form of every formula equivalent to 0
-    _store = dict  # formula -> its form
+    bottom = (0, frozenset())  # the normal form of every formula equivalent to 0
 
     def __init__(self, forms: dict | None = None):
         self.inconsistent = False
         self.tests = 0
         self._waiting: dict = {}  # key -> the goal, in the state's own form
-        self._forms = self._store() if forms is None else forms.setdefault(self._shape, self._store())
+        forms = {} if forms is None else forms
+        self.kept = forms.get(self._shape) or forms.setdefault(self._shape, Forms())
 
-    def _norm(self, phi: Formula, keep: bool = True):
-        n = self._forms.get(phi)
-        if n is None:
-            n = normal_form(phi, self._shape)
-            if keep:
-                self._forms[phi] = n
-        return n
+    def form(self, phi: Formula, keep: bool = True):
+        return normal_form(phi, self._shape)
 
-    def entails(self, phi: Formula) -> bool:
-        n = self._norm(phi, False)
+    def entails(self, n) -> bool:
         return self.inconsistent or self._holds(n)
 
-    def is_bottom(self, phi: Formula) -> bool:
-        return self._norm(phi) == self._bottom
-
-    def watch(self, key, phi: Formula) -> bool:
+    def watch(self, key, n) -> bool:
         self.tests += 1
-        n = self._norm(phi)
         if self.inconsistent or self._holds(n):
             return True
         self._wait(key, n)
@@ -256,8 +267,8 @@ class ConjunctiveState(EntailmentState):
         for v in missing:
             self._watchers.setdefault(v, []).append(key)
 
-    def add(self, phi: Formula) -> list:
-        c, support = self._norm(phi)
+    def add(self, n) -> list:
+        c, support = n
         if self.inconsistent:
             return []
         if not c:
@@ -298,8 +309,8 @@ class DisjunctiveState(EntailmentState):
         for v in support:
             self._watchers.setdefault(v, []).append(key)
 
-    def add(self, phi: Formula) -> list:
-        c, n = self._norm(phi)
+    def add(self, form) -> list:
+        c, n = form
         if self.inconsistent or c:
             return []
         if not n:
@@ -327,15 +338,6 @@ class DisjunctiveState(EntailmentState):
         return woken
 
 
-class _Rows(dict):
-    """Formula -> its GF(2) row, over ``index`` (variable name -> bit
-    position, each name numbered on first sight)."""
-
-    def __init__(self):
-        super().__init__()
-        self.index: dict[str, int] = {}
-
-
 class AffineState(EntailmentState):
     """L fragment: each premise is a GF(2) equation (variable mask,
     right-hand bit), asserted true.
@@ -346,16 +348,14 @@ class AffineState(EntailmentState):
     the pivots and indexed by its bits; a new pivot re-reduces only the
     goals that hold its bit.  A formula equivalent to 0 is the row 0 = 1.
 
-    The store keeps rows (``_Rows``); over a theory's ``normal_forms`` it
-    is the theory's, so its formulas are walked and numbered once, in the
-    order a fixpoint reads them on every decision: the numbering, pivots
-    and test counts are a fresh state's.  A goal is numbered in a copy of
-    the numbering and never stored.
+    Over a theory's ``normal_forms`` the numbering is the theory's, and
+    its formulas are numbered once, in the order a fixpoint reads them on
+    every decision: the numbering, pivots and test counts are a fresh
+    state's.
     """
 
-    _bottom = (0, 1)
+    bottom = (0, 1)
     _shape = "xor"
-    _store = _Rows
 
     def __init__(self, forms: dict | None = None):
         super().__init__(forms)
@@ -363,14 +363,9 @@ class AffineState(EntailmentState):
         self._pivot_bits = 0
         self._watchers: dict[int, set] = {}  # bit -> waiting keys whose row holds it
 
-    def _norm(self, phi: Formula, keep: bool = True):
-        rows = self._forms
-        row = rows.get(phi)
-        if row is None:
-            row = _row(*normal_form(phi, "xor"), rows.index if keep else dict(rows.index))
-            if keep:
-                rows[phi] = row
-        return row
+    def form(self, phi: Formula, keep: bool = True) -> tuple[int, int]:
+        index = self.kept.index
+        return _row(*normal_form(phi, "xor"), index if keep else dict(index))
 
     def _reduce(self, mask: int, rhs: int) -> tuple[int, int]:
         """The equation minus pivot rows until no pivot bit is left; it is
@@ -394,8 +389,7 @@ class AffineState(EntailmentState):
         self._waiting[key] = (mask, rhs)
         _toggle(self._watchers, key, mask)
 
-    def add(self, phi: Formula) -> list:
-        row = self._norm(phi)
+    def add(self, row) -> list:
         if self.inconsistent:
             return []
         mask, rhs = self._reduce(*row)
@@ -422,14 +416,15 @@ _STATES = {"affine": AffineState, "conjunctive": ConjunctiveState, "disjunctive"
 
 def fragment_state(engine: str, forms: dict | None = None) -> EntailmentState:
     """An empty entailment state of the fragment engine "affine",
-    "conjunctive" or "disjunctive", over forms (a theory's ``normal_forms``)."""
+    "conjunctive" or "disjunctive", over forms (a theory's ``normal_forms``,
+    which keeps its ``Forms`` in the state's shape)."""
     return _STATES[engine](forms)
 
 
 def _state_implies(state: EntailmentState, premises: Sequence[Formula], goal: Formula) -> bool:
     for p in premises:
-        state.add(p)
-    return state.entails(goal)
+        state.add(state.form(p))
+    return state.entails(state.form(goal))
 
 
 def affine_implies(premises: Sequence[Formula], goal: Formula) -> bool:

@@ -30,10 +30,11 @@ class _Fields(NamedTuple):
 class DefaultTheory(_Fields):
     """Facts W (set semantics, stored in first-seen order), an ordered list
     of defaults D, and the connective signature the formulas live in.  The
-    value keeps three facts that W and D fix, each computed on first read:
-    its variable order, its consequent index and its store of normal forms;
-    equality, hash, pickles and copies read the three fields alone, and
-    every constructor, ``_replace`` included, starts without the facts."""
+    value keeps five facts that W and D fix, each computed on first read:
+    its variable order, its consequent index, the facts' models, the
+    fixpoint's liveness and its store of normal forms; no goal enters
+    them.  Equality, hash, pickles and copies read the three fields alone,
+    and every constructor, ``_replace`` included, starts without the facts."""
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot set {name!r}: a theory is immutable")
@@ -54,10 +55,30 @@ class DefaultTheory(_Fields):
         return tuple(index), conseq_of
 
     @cached_property
-    def normal_forms(self) -> dict[str, dict]:
-        """shape -> {own formula: its ``implication.normal_form``}, filled by
-        the fragment states; the L state keeps its GF(2) rows under "xor"
-        instead (``implication.AffineState``)."""
+    def w_models(self) -> int:
+        """The facts' model set over ``variable_order``, a table of at most
+        2^20 bits (``engine.TableContext``)."""
+        from .engine import TableContext  # engine imports this module
+
+        return TableContext(order=self.variable_order).and_of(self.W)
+
+    @cached_property
+    def liveness(self) -> tuple[bool, tuple[int, ...]]:
+        """(refuted, live): whether some fact is 0 at the all-ones point,
+        and, when none is, the rules whose justification is 1 there
+        (``engine._ones``), in rule order."""
+        from .engine import _ones  # engine imports this module
+
+        if any(_ones(w) == 0 for w in self.W):
+            return True, ()
+        return False, tuple(i for i, d in enumerate(self.D) if _ones(d.justification))
+
+    @cached_property
+    def normal_forms(self) -> dict[str, object]:
+        """shape -> the forms of the facts and of the live rules'
+        prerequisites and fired consequents in that shape, by position
+        (``implication.Forms``), filled by the fixpoint over a fragment state
+        (``engine._fixpoint_engine``)."""
         return {}
 
     @staticmethod

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from postdl import engine
+from postdl import engine, implication
 from postdl.boolfun import BUILTINS, BoolFun
 from postdl.clones import dispatch_case
 from postdl.engine import (
@@ -30,7 +30,7 @@ from postdl.errors import (
     TooManyVariables,
     UnboundVariable,
 )
-from postdl.formula import App, Var, evaluate, parse, table_int
+from postdl.formula import App, Var, evaluate, parse, table_int, variables_of
 from postdl.gen import FAMILIES, random_cnf3, random_formula, random_goal, random_snsat, random_theory
 from postdl.implication import select_engine, truth_table_implies
 from postdl.reductions import (
@@ -685,10 +685,11 @@ def test_decisions_are_pinned_on_a_seeded_corpus():
 
 
 def test_warm_theory_facts_decide_as_cold_ones():
-    # a theory keeps its variable order, its consequent index and its
-    # formulas' normal forms (the affine rows, over L) on the value: a fresh
-    # value with no facts, the corpus's own value (warm from the corpus's
-    # earlier queries) and a second run on it all agree, stats included.
+    # a theory keeps its variable order, its consequent index, its facts'
+    # models, the fixpoint's liveness and its formulas' forms (the affine
+    # rows, over L) on the value: a fresh value with no facts, the corpus's
+    # own value (warm from the corpus's earlier queries) and a second run
+    # on it all agree, stats included.
     # The digest corpus has no L1 theory, so the fragment corpus's E, V and
     # L1 theories decide warm fragment states too
     fragment_queries = [
@@ -704,31 +705,98 @@ def test_warm_theory_facts_decide_as_cold_ones():
         count += 1
     assert count == 885 + 540
     assert sum(bool(t.normal_forms.get("xor")) for _, t, _, _ in fragment_queries) == 3 * 60
+    # the kept forms are those a fresh state reads in a cold decision's
+    # order (the facts, the live prerequisites, then each consequent as it
+    # first fired), so the affine numbering is a fresh state's too
+    engines = {"and": "conjunctive", "or": "disjunctive", "xor": "affine"}
+    for _, t, _, _ in fragment_queries[::3]:
+        for shape, kept in t.normal_forms.items():
+            fresh = implication.fragment_state(engines[shape])
+            read = [*t.W, *(t.D[i].prerequisite for i in t.liveness[1]), *(t.D[i].consequent for i in kept.con)]
+            assert [fresh.form(phi) for phi in read] == [*kept.w, *kept.pre, *kept.con.values()]
+            assert fresh.kept.index == kept.index
 
 
 def test_goals_leave_a_theorys_normal_form_store_as_it_is():
-    # the fragment states store the normal forms of the theory's own
-    # formulas, the affine state their rows and the numbering of their
-    # variables; a goal is normalized (and numbered) per decision and never
-    # stored, so 50 distinct goals, each with a variable outside the
-    # theory, change neither
+    # a theory keeps its facts' models, the fixpoint's liveness and, per
+    # shape, the forms of its facts and live rules by position (the affine
+    # state's rows, with the numbering of their variables); a goal is
+    # normalized (numbered, tabled) per decision and never kept, so 50
+    # distinct goals, each with a variable outside the theory, change none
+    # of them, and a cred goal that widens the order tables the facts in
+    # its own context, not in place of the theory's
     chain = Hypergraph(tuple("abcd"), ((("a",), "b"), (("a", "b"), "c"), (("c",), "d")))
     line = Hypergraph(tuple("abcd"), ((("a",), "b"), (("b",), "c"), (("c",), "d")))
+    monotone = [B["and"], B["or"], B["bot"], B["top"]]
+    table_mode = DefaultTheory.make(
+        [f("p"), f("(or r s)")],
+        [rule("p", "q", "(or q r)"), rule("(or q r)", "(bot)", "s"), rule("(and p r)", "(top)", "t")],
+        monotone,
+    )
     for t, shape in [
         (hgap_to_ext(chain, ["a"], "d", "conjunctive"), "and"),
         (hgap_to_ext(line, ["a"], "d", "disjunctive"), "or"),
         (xor_hgap_to_cred(chain, ["a"], "d")[0], "xor"),
+        (table_mode, None),
     ]:
         decide("cred", t, t.W[0])
-        store = t.normal_forms[shape]
-        own, numbered = dict(store), dict(getattr(store, "index", {}))
-        assert own and set(store) <= set(t.all_formulas())
-        assert (shape == "xor") == bool(numbered) and set(numbered) <= t.variables()
+        models, liveness = t.w_models, t.liveness
+        store = t.normal_forms.get(shape)
+        kept = store and (list(store.w), list(store.pre), dict(store.con), dict(store.index))
+        assert (shape is None) == (store is None) and not liveness[0]
+        if store:
+            assert len(store.w) == len(t.W) and len(store.pre) == len(liveness[1]) and store.con
+            assert (shape == "xor") == bool(store.index) and set(store.index) <= t.variables()
         for k in range(50):
             for problem in ("cred", "skep"):
                 decide(problem, t, Var(f"q{k}"))
-        assert store == own and dict(getattr(store, "index", {})) == numbered, shape
+        assert vars(t)["w_models"] is models and t.liveness == liveness, shape
+        assert not store or (list(store.w), list(store.pre), dict(store.con), dict(store.index)) == kept, shape
         assert t.variable_order == tuple(sorted(t.variables()))
+    # the table-mode theory read its kept models when no goal widened it
+    assert decide("cred", table_mode, f("(or q r)")).answer and vars(table_mode)["w_models"] is models
+
+
+def test_a_warm_fixpoint_decision_rederives_nothing(monkeypatch):
+    # the second fixpoint decision of a theory value reads what the first
+    # one kept: it normalizes no formula of the theory, evaluates none at
+    # all-ones and tables no fact unless the goal adds a variable.  Over E,
+    # V and L1 it tables nothing; table mode (the digest corpus's snsat
+    # images) still tables the rules it reads, per decision
+    calls = []
+    normal_form, ones, table = implication.normal_form, engine._ones, TableContext.table
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls.append((name, args[1] if name == "table" else args[0]))
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(implication, "normal_form", counted("normal_form", normal_form))
+    monkeypatch.setattr(engine, "_ones", counted("ones", ones))
+    monkeypatch.setattr(TableContext, "table", counted("table", table))
+    fragment = [(t, goal, True) for _, t, goal in _fragment_corpus()]
+    snsat = [(t, goal, False) for t, goal, _ in list(_digest_corpus())[-10:]]
+    seen = Counter()
+    for t, goal, in_fragment in fragment + snsat:
+        own, facts = {id(phi) for phi in t.all_formulas()}, {id(w) for w in t.W}
+        for problem in ("ext", "cred", "skep"):
+            g = None if problem == "ext" else goal
+            calls.clear()
+            cold = decide(problem, t, g, want_witness=True)
+            assert cold.engine not in ("generic", "affine_guess"), cold
+            seen["cold normalized"] += any(name == "normal_form" and id(phi) in own for name, phi in calls)
+            calls.clear()
+            assert decide(problem, t, g, want_witness=True) == cold
+            assert not any(name == "ones" or name == "normal_form" and id(phi) in own for name, phi in calls)
+            widens = g is not None and not variables_of([g]) <= t.variables()
+            assert widens or not any(name == "table" and id(phi) in facts for name, phi in calls), (problem, t, g)
+            if in_fragment:
+                assert not any(name == "table" for name, _ in calls)
+            elif not widens:
+                seen["table mode, facts kept"] += 1
+    assert seen["cold normalized"] >= 150 and seen["table mode, facts kept"] >= 10
 
 
 def test_decisions_table_only_the_rules_they_read(monkeypatch):

@@ -311,11 +311,11 @@ def test_entailment_axioms():
 def test_affine_system():
     state = fragment_state("affine")
     for p in (f("(eq x y)"), f("x")):
-        state.add(p)
-    assert state.entails(f("y"))
+        state.add(state.form(p))
+    assert state.entails(state.form(f("y"), False))
     assert not state.inconsistent
-    state.add(f("(xor x y)"))  # contradicts x = y
-    assert state.inconsistent and state.entails(f("(bot)"))
+    state.add(state.form(f("(xor x y)")))  # contradicts x = y
+    assert state.inconsistent and state.entails(state.form(f("(bot)"), False))
 
 
 # -- incremental entailment states -------------------------------------------------
@@ -338,24 +338,25 @@ def test_fragment_state_agrees_with_oracle(engine, kind):
             move = rng.random()
             if move < 0.4:
                 premises.append(phi)
-                woken = state.add(phi)
+                woken = state.add(state.form(phi))
                 due = {k for k, g in waiting.items() if truth_table_implies(premises, g)}
                 assert sorted(woken) == sorted(due)
                 for k in due:
                     del waiting[k]
             elif move < 0.75:
-                held = state.watch(step, phi)
+                held = state.watch(step, state.form(phi))
                 assert held == truth_table_implies(premises, phi)
                 if not held:
                     waiting[step] = phi
             else:
-                assert state.entails(phi) == truth_table_implies(premises, phi)
+                assert state.entails(state.form(phi, False)) == truth_table_implies(premises, phi)
 
 
 @pytest.mark.parametrize("engine", ["affine", "conjunctive", "disjunctive"])
 def test_fragment_state_edge_cases(engine):
-    top, bot, x, y, q = f("(top)"), f("(bot)"), f("x"), f("y"), f("q")
     state = fragment_state(engine)
+    top, bot, x, y, q = (state.form(f(text)) for text in ("(top)", "(bot)", "x", "y", "q"))
+    assert bot == state.bottom != top
     # entails before any add: only the tautology holds
     assert state.entails(top) and not state.entails(x) and not state.entails(bot)
     assert not state.watch("bot", bot) and not state.watch("y", y)
@@ -366,7 +367,7 @@ def test_fragment_state_edge_cases(engine):
     assert state.entails(x) and not state.entails(q) and not state.inconsistent
     # an inconsistency (bottom, or x = 0 against x = 1 in GF(2)) wakes
     # every waiting goal, the bottom one too, and then entails everything
-    contradiction = f("(xor x (top))") if engine == "affine" else bot
+    contradiction = state.form(f("(xor x (top))")) if engine == "affine" else bot
     assert sorted(state.add(contradiction)) == ["bot", "y"]
     assert state.inconsistent and state.entails(bot) and state.entails(q)
     assert state.add(y) == [] and state.watch("late", q)
@@ -378,10 +379,10 @@ def test_affine_state_wakes_through_reduced_rows():
     # the premise y = 0 then makes it 0 = 0; its negation is refuted and
     # keeps waiting
     state = fragment_state("affine")
-    goal, negated = f("(xor x (xor y z))"), f("(xor x (xor y (xor z (top))))")
+    goal, negated = state.form(f("(xor x (xor y z))")), state.form(f("(xor x (xor y (xor z (top))))"))
     assert not state.watch("g", goal) and not state.watch("h", negated)
-    assert state.add(f("(xor x z)")) == []
-    assert state.add(f("(xor y (top))")) == ["g"]
+    assert state.add(state.form(f("(xor x z)"))) == []
+    assert state.add(state.form(f("(xor y (top))"))) == ["g"]
     assert state.entails(goal) and not state.entails(negated)
     assert state.tests == 2 + 2 + 2  # two watches, each pivot touches both rows
 
@@ -390,9 +391,11 @@ def test_affine_state_wakes_through_reduced_rows():
     # being rewritten to x + z.  The goal x + z = 0 reduces through both
     # rows in turn, and its watch wakes on the second premise
     state = fragment_state("affine")
-    goal = f("(eq x z)")
-    assert state.add(f("(eq x y)")) == [] and not state.watch("g", goal)
-    assert state.add(f("(eq y z)")) == ["g"]
+    x_y, y_z, goal = (state.form(f(text)) for text in ("(eq x y)", "(eq y z)", "(eq x z)"))
+    assert state.add(x_y) == [] and not state.watch("g", goal)
+    assert state.add(y_z) == ["g"]
     assert state._pivots == {0b001: (0b011, 0), 0b010: (0b110, 0)}
-    assert state.entails(goal) and not state.entails(f("(xor x z)"))
+    assert state.entails(goal) and not state.entails(state.form(f("(xor x z)"), False))
+    # a goal's new variable is numbered in a copy: the numbering stays x, y, z
+    assert not state.entails(state.form(f("(xor x w)"), False)) and state.kept.index == {"x": 0, "y": 1, "z": 2}
     assert state.tests == 1 + 1  # the watch, the wake
