@@ -29,12 +29,13 @@ it, so a rule is re-tested only when an asserted formula changes what its
 prerequisite waits on; otherwise it is the enumeration's own rule closure
 (``_fire``) over the rule tables, so one closure over truth tables serves
 both engines.  A justification's liveness is its all-ones value
-(``_ones``), which tables nothing.  The goal-free facts a decision reads
-are kept on the theory value, each filled on its first read: the facts'
-models (``DefaultTheory.w_models``), the fixpoint's liveness
-(``liveness``) and the forms of the facts and rules in each fragment
-shape (``normal_forms``), so a decision that the same theory value has
-seen before tables no fact and walks no formula of the theory.
+(``_ones``), which tables nothing.  The least fixpoint reads no goal, so
+the theory value keeps it (``DefaultTheory.closure``, a ``Closure``): a
+fixpoint decision reads it and makes at most one goal test, and a goal is
+normalized, numbered or tabled per decision and never kept.  The theory
+also keeps its facts' models (``DefaultTheory.w_models``), tabled in the
+first enumeration's own context, so a decision on a theory value decided
+before tables no fact and walks no formula of the theory.
 
 The signature alone picks the engine (``clones.route``): a
 fixpoint engine exactly when it lies within the monotone clone M or the
@@ -112,8 +113,10 @@ class Stats:
     rule, one test per prerequisite test, and tests the goal against it;
     skep tests the goal against the facts, once.  In cred and skep,
     every candidate that the repeat skips leave makes one goal test
-    before its check.  The fixpoint engine counts one test per
-    prerequisite test, plus the goal test: over a fragment state, a rule's
+    before its check.  A fixpoint decision counts the tests of its
+    theory's closure, whether it made them or read them off the kept
+    closure (``DefaultTheory.closure``), plus the goal test; the closure
+    makes one test per prerequisite test: over a fragment state, a rule's
     prerequisite is tested when the rule registers and each time an
     asserted formula wakes it; in table mode, ``_fire`` tests each waiting
     prerequisite once per pass, as in the enumeration.  Satisfiability
@@ -379,16 +382,20 @@ def _enumeration_context(
     consequents are counted first (the theory keeps their index), so a
     count over the cap raises before the context is built;
     ``check_stable`` (one candidate) passes no cap.  The facts' models are
-    the theory's own (``w_models``) unless the goal adds a variable, which
-    widens the context and tables the facts in it."""
+    the theory's own (``w_models``), tabled in this context on the first
+    read, unless the goal adds a variable, which widens the context and
+    tables the facts in it without keeping them."""
     conseqs, conseq_of = theory.consequent_index
     if cap is not None and len(conseqs) > cap:
         raise DefaultCountTooLarge(f"{len(conseqs)} distinct consequents exceed the enumeration cap of {cap}")
     order = theory.variable_order
     extra = variables_of([goal] if goal is not None else []).difference(order)
     ctx = TableContext(order=sorted(extra.union(order)) if extra else order)
+    w = ctx.and_of(theory.W) if extra else vars(theory).get("w_models")
+    if w is None:
+        w = vars(theory)["w_models"] = ctx.and_of(theory.W)
     return _RuleTables(
-        ctx.and_of(theory.W) if extra else theory.w_models,
+        w,
         _Tables([d.prerequisite for d in theory.D], ctx.table),
         _Tables([d.justification for d in theory.D], ctx.table),
         _Tables(conseqs, ctx.table),
@@ -608,87 +615,104 @@ def _enumerate_engine(
     return problem == "skep", None
 
 
+class Closure(NamedTuple):
+    """A theory's goal-free least fixpoint (``DefaultTheory.closure``):
+    inconsistent when some fact is 0 at all-ones (the one extension is then
+    the set of all formulas), refuted when a fired consequent concludes 0
+    (there is no extension), the applied rules in ascending order, the
+    tests the closure made, and its final state: the fragment state, or in
+    table mode the derived model set over the theory's variable order."""
+
+    inconsistent: bool
+    refuted: bool
+    applied: tuple[int, ...]
+    tests: int
+    final: object
+
+
+def _least_fixpoint(theory: DefaultTheory, mode: str | None = None) -> Closure:
+    """The least fixpoint of rule firing from the facts, on a fresh state of
+    mode (by default the signature's, ``clones.route``): a rule fires when
+    its prerequisite is implied and its justification is not equivalent to
+    0, an all-ones evaluation (``_ones``) that is exact for monotone
+    formulas and never fails under a 1-reproducing signature, so no
+    justification is tabled.  Inconsistent facts short-circuit first.
+
+    Where mode names a fragment state of ``implication``, the iteration is
+    a worklist over it: the facts are asserted, every live rule watches its
+    prerequisite, and a fired rule asserts its consequent, which wakes only
+    the rules whose watched prerequisite it makes entailed; a fired
+    consequent concludes 0 when its form is the state's ``bottom`` (exact
+    in E, V and L1, where the fragment states lie).  Otherwise (mode
+    "oracle", table mode) ``_fire`` closes the facts under the live rules
+    over the enumeration's rule tables, tabling only the prerequisites it
+    tests and the consequents that fire, and the derived models are
+    consistent when they hold the all-ones row.  The fixpoint is least, so
+    the generating rules do not depend on the firing order."""
+    W, D = theory.W, theory.D
+    if any(_ones(w) == 0 for w in W):
+        return Closure(True, False, (), 0, None)
+    live = [i for i, d in enumerate(D) if _ones(d.justification)]
+    mode = route(theory.signature)[1] if mode is None else mode
+    if mode == "oracle":
+        stats = Stats()
+        t, ctx = _enumeration_context(theory, None, cap=None)
+        models, applied = _fire(t, live, stats)
+        return Closure(False, not models >> ctx.rows - 1 & 1, tuple(sorted(applied)), stats.implication_calls, models)
+    state = fragment_state(mode)
+    form, applied = state.form, []
+    for w in W:
+        state.add(form(w))
+    ready = [i for i in live if state.watch(i, form(D[i].prerequisite))]
+    while ready:
+        i = ready.pop()
+        n = form(D[i].consequent)
+        if n == state.bottom:
+            return Closure(False, True, (), state.tests, state)
+        applied.append(i)
+        ready += state.add(n)
+    return Closure(False, False, tuple(sorted(applied)), state.tests, state)
+
+
 def _fixpoint_engine(
     problem: str,
     theory: DefaultTheory,
     goal: Formula | None,
     stats: Stats,
-    mode: str,
+    mode: str | None = None,
 ) -> tuple[bool, ExtensionWitness | None]:
     """Least fixpoint of rule firing for monotone or 1-reproducing
     signatures (monotone_iterative, r1_unique, poly_fragment and
-    reachability): a rule fires when its prerequisite is implied and its
-    justification is not equivalent to 0; an applicable rule concluding 0
-    refutes extension existence.  The not-equivalent-to-0 tests are
-    all-ones evaluations (``_ones``), exact for monotone formulas, so no
-    justification is tabled.  Under a 1-reproducing signature every
-    formula is 1 at all-ones, so these tests never fire and the iteration
-    is justification-free; it yields the unique stable extension.
-    Inconsistent facts short-circuit, before any table is built: the
-    theory then has the trivial extension.  Both tests are goal-free, so
-    the theory keeps their outcome (``DefaultTheory.liveness``: whether
-    some fact is 0 at all-ones, and the live rules), which every mode
-    reads.
-
-    mode is the signature's entailment state (``clones.route``).  Where it
-    names a fragment state of ``implication``, the iteration is a worklist
-    over it: the facts are asserted, every live rule watches its
-    prerequisite, and a fired rule asserts its consequent, which wakes
-    only the rules whose watched prerequisite it makes entailed.  Each
-    formula is read in the state's shape in one walk, once per theory: the
-    theory keeps the facts' forms, the live rules' prerequisites' forms and
-    each fired consequent's form by position (``DefaultTheory.normal_forms``,
-    ``implication.Forms``), filled in the order a cold decision reads them,
-    so the affine numbering, the pivots and the test counts are a fresh
-    state's.  Whether a fired consequent concludes 0 is read off that kept
-    form (the state's ``bottom``: (0, {}), or the row 0 = 1) rather than by
-    a second walk; the signatures with a fragment state lie in E, V or L1,
-    where the normal form is exact and agrees with the all-ones test.
-    Otherwise (mode "oracle", table mode) ``_fire`` takes the closure of
-    the facts under the live rules over the enumeration's rule tables,
-    which start from the theory's kept models of the facts and table only
-    the prerequisites it tests and the consequents that fire; the
-    consistency of the derived models is read at the all-ones row of their
-    table.  The fixpoint is least, so the answer and the generating rules
-    do not depend on the firing order.
-    """
+    reachability): the theory's one candidate extension, its unique stable
+    one under a 1-reproducing signature; an applicable rule concluding 0
+    refutes extension existence.  The fixpoint reads no goal, so it is the
+    theory's kept ``closure``; a given mode runs a fresh one on that state,
+    kept nowhere.  A goal is tested once against the final state: read in
+    the state's shape (``form(goal, False)``), or in table mode tabled in a
+    context of its own, where a goal that adds a variable tables the facts
+    and the fired consequents again instead of firing."""
     if len(theory.D) > POLY_RULE_CAP:
         raise RuleCountTooLarge(f"more than {POLY_RULE_CAP} rules")
-    refuted, live = theory.liveness
-    if refuted:
+    closure = theory.closure if mode is None else _least_fixpoint(theory, mode)
+    if closure.inconsistent:
         return True, None if problem == "skep" else ExtensionWitness((), inconsistent=True)
-    if mode == "oracle":
-        t, ctx = _enumeration_context(theory, goal, cap=None)
-        models, applied = _fire(t, live, stats)
-        if not models >> ctx.rows - 1 & 1:
-            return problem == "skep", None
-        entails = lambda phi: models & ctx.table(phi) == models
-    else:
-        state = fragment_state(mode, theory.normal_forms)
-        kept, form, D = state.kept, state.form, theory.D
-        if kept.w is None:
-            kept.w, kept.pre = [form(w) for w in theory.W], [form(D[i].prerequisite) for i in live]
-        for n in kept.w:
-            state.add(n)
-        ready = [i for i, n in zip(live, kept.pre) if state.watch(i, n)]
-        applied, con = set(), kept.con
-        while ready:
-            i = ready.pop()
-            n = con.get(i)
-            if n is None:
-                n = con[i] = form(D[i].consequent)
-            if n == state.bottom:
-                stats.implication_calls += state.tests
-                return problem == "skep", None
-            applied.add(i)
-            ready += state.add(n)
-        stats.implication_calls += state.tests
-        entails = lambda phi: state.entails(form(phi, False))
-    witness = ExtensionWitness(tuple(sorted(applied)))
+    stats.implication_calls += closure.tests
+    if closure.refuted:
+        return problem == "skep", None
+    witness = ExtensionWitness(closure.applied)
     if problem == "ext":
         return True, witness
     stats.implication_calls += 1
-    holds = entails(goal)
+    final = closure.final
+    if final.__class__ is int:
+        order = theory.variable_order
+        extra = variables_of([goal]).difference(order)
+        ctx = TableContext(order=sorted(extra.union(order)) if extra else order)
+        if extra:
+            final = ctx.and_of([*theory.W, *(theory.D[i].consequent for i in closure.applied)])
+        holds = final & ctx.table(goal) == final
+    else:
+        holds = final.entails(final.form(goal, False))
     if problem == "cred":
         return holds, witness if holds else None
     return holds, None if holds else witness
@@ -721,8 +745,7 @@ def decide(
     used = connectives(goal) if goal is not None else set()
     if not used <= theory.signature:
         theory = DefaultTheory(theory.W, theory.D, theory.signature | used)
-    picks, mode = route(theory.signature)
-    case, label = picks[problem]
+    case, label = route(theory.signature)[0][problem]
     if engine == "generic":
         label = "generic"
     stats = Stats()
@@ -730,11 +753,11 @@ def decide(
         if label in ("generic", "affine_guess"):
             answer, witness = _enumerate_engine(problem, theory, goal, stats)
         elif label != "trivial_yes":
-            answer, witness = _fixpoint_engine(problem, theory, goal, stats, mode)
+            answer, witness = _fixpoint_engine(problem, theory, goal, stats)
         else:
             # every theory over a 1-reproducing signature has an extension;
             # the fixpoint is run only to name its generating defaults
-            answer, witness = True, _fixpoint_engine("ext", theory, None, stats, mode)[1] if want_witness else None
+            answer, witness = True, _fixpoint_engine("ext", theory, None, stats)[1] if want_witness else None
     except RecursionError:
         raise NestingTooDeep() from None
     if not want_witness:

@@ -24,11 +24,12 @@ makes it entailed.  A state reads each formula as its form in the
 state's shape (``form``: the normal form, or the GF(2) row for L), and
 every other operation takes that form.  ``conjunctive_implies``,
 ``disjunctive_implies`` and ``affine_implies`` add their premises' forms
-to a fresh state and test the goal's; the rule-firing fixpoint of
-``engine`` keeps one state per decision over its theory's forms, kept by
-position (``Forms``), and reads off the same kept form whether a fired
-consequent is equivalent to 0, so each formula of a theory is walked
-once per theory and a warm decision walks none.
+to a fresh state and test the goal's.  The rule-firing fixpoint of
+``engine`` runs once per theory on a fresh state, reads off a fired
+consequent's form whether it is equivalent to 0, and leaves its final
+state on the theory (``DefaultTheory.closure``), where each later goal
+is one ``entails`` test; the goal's form is read per decision and never
+kept.
 
 Entailment is classical: inconsistent premises imply everything.
 """
@@ -173,23 +174,6 @@ def _toggle(index: dict, key, mask: int) -> None:
         mask ^= bit
 
 
-class Forms:
-    """A theory's formulas in one state's shape, by position: kept under
-    the shape in the theory's ``normal_forms`` and filled in the order a
-    fixpoint reads them (``engine._fixpoint_engine``).  w holds the facts'
-    forms; pre the live rules' prerequisites' forms, in rule order; con
-    maps a rule index to its consequent's form, from the rule's first
-    firing on.  index numbers the variables of the L state's rows (name ->
-    bit position, on first sight); a state over no theory has its own."""
-
-    __slots__ = ("w", "pre", "con", "index")
-
-    def __init__(self):
-        self.w = self.pre = None
-        self.con: dict[int, object] = {}
-        self.index: dict[str, int] = {}
-
-
 class EntailmentState:
     """Premises asserted one at a time, with entailment tests against them;
     one subclass per fragment, and the rule-firing fixpoint's worklist.
@@ -202,22 +186,19 @@ class EntailmentState:
     it does not hold yet, keeps it waiting under key until an add entails
     it; each waiting key is returned at most once.  A form equal to
     ``bottom`` is equivalent to 0.  tests counts the tests made by watch
-    and by the wakes of waiting goals.  kept is the theory's ``Forms`` in
-    the state's shape, over its ``normal_forms``, or a fresh one; the L
-    state numbers a formula's new variables in kept.index, or in a copy of
-    it for form(phi, keep=False), so no goal is numbered there.  form
-    refuses a formula with a connective outside the fragment's clone
-    (ShapeMismatch, NotAffine), and inconsistent premises entail everything.
+    and by the wakes of waiting goals.  The L state numbers a formula's new
+    variables in its own index, or in a copy of it for form(phi,
+    keep=False), so no goal is numbered there.  form refuses a formula
+    with a connective outside the fragment's clone (ShapeMismatch,
+    NotAffine), and inconsistent premises entail everything.
     """
 
     bottom = (0, frozenset())  # the normal form of every formula equivalent to 0
 
-    def __init__(self, forms: dict | None = None):
+    def __init__(self):
         self.inconsistent = False
         self.tests = 0
         self._waiting: dict = {}  # key -> the goal, in the state's own form
-        forms = {} if forms is None else forms
-        self.kept = forms.get(self._shape) or forms.setdefault(self._shape, Forms())
 
     def form(self, phi: Formula, keep: bool = True):
         return normal_form(phi, self._shape)
@@ -251,8 +232,8 @@ class ConjunctiveState(EntailmentState):
 
     _shape = "and"
 
-    def __init__(self, forms: dict | None = None):
-        super().__init__(forms)
+    def __init__(self):
+        super().__init__()
         self.forced: set[str] = set()
         self._watchers: dict[str, list] = {}  # variable -> waiting keys
 
@@ -295,8 +276,8 @@ class DisjunctiveState(EntailmentState):
 
     _shape = "or"
 
-    def __init__(self, forms: dict | None = None):
-        super().__init__(forms)
+    def __init__(self):
+        super().__init__()
         self._premises: dict[str, list[frozenset]] = {}  # least variable -> premises
         self._watchers: dict[str, list] = {}  # variable -> waiting keys
 
@@ -348,24 +329,25 @@ class AffineState(EntailmentState):
     the pivots and indexed by its bits; a new pivot re-reduces only the
     goals that hold its bit.  A formula equivalent to 0 is the row 0 = 1.
 
-    Over a theory's ``normal_forms`` the numbering is the theory's, and
-    its formulas are numbered once, in the order a fixpoint reads them on
-    every decision: the numbering, pivots and test counts are a fresh
-    state's.
+    index numbers the rows' variables (name -> bit position) on first
+    sight; a goal read with keep=False that adds a variable is numbered in
+    a copy, so a kept state's numbering never grows with the goals asked.
     """
 
     bottom = (0, 1)
     _shape = "xor"
 
-    def __init__(self, forms: dict | None = None):
-        super().__init__(forms)
+    def __init__(self):
+        super().__init__()
+        self.index: dict[str, int] = {}
         self._pivots: dict[int, tuple[int, int]] = {}  # pivot bit -> its row
         self._pivot_bits = 0
         self._watchers: dict[int, set] = {}  # bit -> waiting keys whose row holds it
 
     def form(self, phi: Formula, keep: bool = True) -> tuple[int, int]:
-        index = self.kept.index
-        return _row(*normal_form(phi, "xor"), index if keep else dict(index))
+        c, support = normal_form(phi, "xor")
+        index = self.index
+        return _row(c, support, index if keep or support <= index.keys() else dict(index))
 
     def _reduce(self, mask: int, rhs: int) -> tuple[int, int]:
         """The equation minus pivot rows until no pivot bit is left; it is
@@ -414,11 +396,10 @@ class AffineState(EntailmentState):
 _STATES = {"affine": AffineState, "conjunctive": ConjunctiveState, "disjunctive": DisjunctiveState}
 
 
-def fragment_state(engine: str, forms: dict | None = None) -> EntailmentState:
+def fragment_state(engine: str) -> EntailmentState:
     """An empty entailment state of the fragment engine "affine",
-    "conjunctive" or "disjunctive", over forms (a theory's ``normal_forms``,
-    which keeps its ``Forms`` in the state's shape)."""
-    return _STATES[engine](forms)
+    "conjunctive" or "disjunctive"."""
+    return _STATES[engine]()
 
 
 def _state_implies(state: EntailmentState, premises: Sequence[Formula], goal: Formula) -> bool:

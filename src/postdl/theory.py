@@ -30,11 +30,12 @@ class _Fields(NamedTuple):
 class DefaultTheory(_Fields):
     """Facts W (set semantics, stored in first-seen order), an ordered list
     of defaults D, and the connective signature the formulas live in.  The
-    value keeps five facts that W and D fix, each computed on first read:
-    its variable order, its consequent index, the facts' models, the
-    fixpoint's liveness and its store of normal forms; no goal enters
-    them.  Equality, hash, pickles and copies read the three fields alone,
-    and every constructor, ``_replace`` included, starts without the facts."""
+    value keeps four facts that W, D and the signature fix, each computed
+    on first read: its variable order, its consequent index, the facts'
+    models and the fixpoint's closure; no goal enters them, so none grows
+    with the goals asked.  Equality, hash, pickles and copies read the
+    three fields alone, and every constructor, ``_replace`` included,
+    starts without the facts."""
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot set {name!r}: a theory is immutable")
@@ -57,29 +58,22 @@ class DefaultTheory(_Fields):
     @cached_property
     def w_models(self) -> int:
         """The facts' model set over ``variable_order``, a table of at most
-        2^20 bits (``engine.TableContext``)."""
+        2^20 bits, which a first enumeration tables in its own context
+        (``engine._enumeration_context``) rather than here."""
         from .engine import TableContext  # engine imports this module
 
         return TableContext(order=self.variable_order).and_of(self.W)
 
     @cached_property
-    def liveness(self) -> tuple[bool, tuple[int, ...]]:
-        """(refuted, live): whether some fact is 0 at the all-ones point,
-        and, when none is, the rules whose justification is 1 there
-        (``engine._ones``), in rule order."""
-        from .engine import _ones  # engine imports this module
+    def closure(self):
+        """The least fixpoint of rule firing from the facts, goal-free, on a
+        fresh state of the signature's entailment state (``engine.Closure``,
+        ``engine._least_fixpoint``): the theory's one candidate extension
+        when the signature lies within M or R1, which every fixpoint
+        decision reads."""
+        from .engine import _least_fixpoint  # engine imports this module
 
-        if any(_ones(w) == 0 for w in self.W):
-            return True, ()
-        return False, tuple(i for i, d in enumerate(self.D) if _ones(d.justification))
-
-    @cached_property
-    def normal_forms(self) -> dict[str, object]:
-        """shape -> the forms of the facts and of the live rules'
-        prerequisites and fired consequents in that shape, by position
-        (``implication.Forms``), filled by the fixpoint over a fragment state
-        (``engine._fixpoint_engine``)."""
-        return {}
+        return _least_fixpoint(self)
 
     @staticmethod
     def make(

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import json
 import os
@@ -686,8 +687,8 @@ def test_decisions_are_pinned_on_a_seeded_corpus():
 
 def test_warm_theory_facts_decide_as_cold_ones():
     # a theory keeps its variable order, its consequent index, its facts'
-    # models, the fixpoint's liveness and its formulas' forms (the affine
-    # rows, over L) on the value: a fresh value with no facts, the corpus's
+    # models and the fixpoint's closure (over L, with the numbering of its
+    # rows' variables) on the value: a fresh value with no facts, the corpus's
     # own value (warm from the corpus's earlier queries) and a second run
     # on it all agree, stats included.
     # The digest corpus has no L1 theory, so the fragment corpus's E, V and
@@ -704,67 +705,63 @@ def test_warm_theory_facts_decide_as_cold_ones():
             assert decide(problem, t, g, engine_name, want_witness=True).to_json() == cold
         count += 1
     assert count == 885 + 540
-    assert sum(bool(t.normal_forms.get("xor")) for _, t, _, _ in fragment_queries) == 3 * 60
-    # the kept forms are those a fresh state reads in a cold decision's
-    # order (the facts, the live prerequisites, then each consequent as it
-    # first fired), so the affine numbering is a fresh state's too
-    engines = {"and": "conjunctive", "or": "disjunctive", "xor": "affine"}
+    assert sum(isinstance(t.closure.final, implication.AffineState) for _, t, _, _ in fragment_queries) == 3 * 60
+    # the kept closure is the one a fresh value computes: the same applied
+    # rules and test count, and over L1 the same numbering of the rows'
+    # variables, so no goal was numbered into it
     for _, t, _, _ in fragment_queries[::3]:
-        for shape, kept in t.normal_forms.items():
-            fresh = implication.fragment_state(engines[shape])
-            read = [*t.W, *(t.D[i].prerequisite for i in t.liveness[1]), *(t.D[i].consequent for i in kept.con)]
-            assert [fresh.form(phi) for phi in read] == [*kept.w, *kept.pre, *kept.con.values()]
-            assert fresh.kept.index == kept.index
+        fresh = t._replace().closure
+        assert fresh[:4] == t.closure[:4]
+        assert getattr(fresh.final, "index", None) == getattr(t.closure.final, "index", None)
 
 
 def test_goals_leave_a_theorys_normal_form_store_as_it_is():
-    # a theory keeps its facts' models, the fixpoint's liveness and, per
-    # shape, the forms of its facts and live rules by position (the affine
-    # state's rows, with the numbering of their variables); a goal is
-    # normalized (numbered, tabled) per decision and never kept, so 50
-    # distinct goals, each with a variable outside the theory, change none
-    # of them, and a cred goal that widens the order tables the facts in
-    # its own context, not in place of the theory's
-    chain = Hypergraph(tuple("abcd"), ((("a",), "b"), (("a", "b"), "c"), (("c",), "d")))
-    line = Hypergraph(tuple("abcd"), ((("a",), "b"), (("b",), "c"), (("c",), "d")))
+    # a theory keeps the fixpoint's closure: its applied rules, its test
+    # count and its final state (over L with the numbering of its rows'
+    # variables, in table mode the derived model set).  A goal is
+    # normalized, numbered or tabled per decision and never kept, so 50
+    # distinct goals, each with a variable outside the theory, leave all of
+    # it as it was, and each answers as on a fresh value
+    fork = Hypergraph(tuple("abcd"), ((("a",), "b"), (("b",), "c"), (("d",), "c")))
     monotone = [B["and"], B["or"], B["bot"], B["top"]]
     table_mode = DefaultTheory.make(
         [f("p"), f("(or r s)")],
         [rule("p", "q", "(or q r)"), rule("(or q r)", "(bot)", "s"), rule("(and p r)", "(top)", "t")],
         monotone,
     )
-    for t, shape in [
-        (hgap_to_ext(chain, ["a"], "d", "conjunctive"), "and"),
-        (hgap_to_ext(line, ["a"], "d", "disjunctive"), "or"),
-        (xor_hgap_to_cred(chain, ["a"], "d")[0], "xor"),
-        (table_mode, None),
+    answers = Counter()
+    for t, kind, conn in [
+        (hgap_to_ext(fork, ["a"], "d", "conjunctive"), implication.ConjunctiveState, "and"),
+        (hgap_to_ext(fork, ["a"], "d", "disjunctive"), implication.DisjunctiveState, "or"),
+        (xor_hgap_to_cred(fork, ["a"], "d")[0], implication.AffineState, "xor3"),
+        (table_mode, int, "or"),
     ]:
         decide("cred", t, t.W[0])
-        models, liveness = t.w_models, t.liveness
-        store = t.normal_forms.get(shape)
-        kept = store and (list(store.w), list(store.pre), dict(store.con), dict(store.index))
-        assert (shape is None) == (store is None) and not liveness[0]
-        if store:
-            assert len(store.w) == len(t.W) and len(store.pre) == len(liveness[1]) and store.con
-            assert (shape == "xor") == bool(store.index) and set(store.index) <= t.variables()
+        closure, facts = t.closure, dict(vars(t))
+        assert closure.final.__class__ is kind and closure.applied and not closure.refuted
+        final = closure.final if kind is int else copy.deepcopy(vars(closure.final))
         for k in range(50):
+            q = Var(f"q{k}")
+            goal = App(B[conn], (q, q, t.W[0]) if conn == "xor3" else (q, t.W[0])) if k % 2 else q
             for problem in ("cred", "skep"):
-                decide(problem, t, Var(f"q{k}"))
-        assert vars(t)["w_models"] is models and t.liveness == liveness, shape
-        assert not store or (list(store.w), list(store.pre), dict(store.con), dict(store.index)) == kept, shape
-        assert t.variable_order == tuple(sorted(t.variables()))
-    # the table-mode theory read its kept models when no goal widened it
-    assert decide("cred", table_mode, f("(or q r)")).answer and vars(table_mode)["w_models"] is models
+                d = decide(problem, t, goal, want_witness=True)
+                assert d == decide(problem, t._replace(), goal, want_witness=True), (kind, problem, goal)
+                answers[d.answer] += 1
+        assert t.closure is closure and vars(t) == facts, kind
+        assert (closure.final if kind is int else vars(closure.final)) == final, kind
+    assert answers[True] >= 100 and answers[False] >= 100, answers
 
 
 def test_a_warm_fixpoint_decision_rederives_nothing(monkeypatch):
-    # the second fixpoint decision of a theory value reads what the first
-    # one kept: it normalizes no formula of the theory, evaluates none at
-    # all-ones and tables no fact unless the goal adds a variable.  Over E,
-    # V and L1 it tables nothing; table mode (the digest corpus's snsat
-    # images) still tables the rules it reads, per decision
+    # the second fixpoint decision of a theory value reads the closure the
+    # first one kept: in every mode, table mode (the digest corpus's snsat
+    # images) included, it fires no rule, asserts or watches nothing in a
+    # state, normalizes no formula of the theory and evaluates none at
+    # all-ones.  Over E, V and L1 it tables nothing; in table mode it
+    # tables only the goal, and a goal that adds a variable the facts and
+    # the fired consequents in its widened context
     calls = []
-    normal_form, ones, table = implication.normal_form, engine._ones, TableContext.table
+    normal_form, ones, table, fire = implication.normal_form, engine._ones, TableContext.table, engine._fire
 
     def counted(name, fn):
         def wrapper(*args):
@@ -775,7 +772,11 @@ def test_a_warm_fixpoint_decision_rederives_nothing(monkeypatch):
 
     monkeypatch.setattr(implication, "normal_form", counted("normal_form", normal_form))
     monkeypatch.setattr(engine, "_ones", counted("ones", ones))
+    monkeypatch.setattr(engine, "_fire", counted("fire", fire))
     monkeypatch.setattr(TableContext, "table", counted("table", table))
+    monkeypatch.setattr(implication.EntailmentState, "watch", counted("watch", implication.EntailmentState.watch))
+    for state in (implication.ConjunctiveState, implication.DisjunctiveState, implication.AffineState):
+        monkeypatch.setattr(state, "add", counted("add", state.add))
     fragment = [(t, goal, True) for _, t, goal in _fragment_corpus()]
     snsat = [(t, goal, False) for t, goal, _ in list(_digest_corpus())[-10:]]
     seen = Counter()
@@ -787,16 +788,21 @@ def test_a_warm_fixpoint_decision_rederives_nothing(monkeypatch):
             cold = decide(problem, t, g, want_witness=True)
             assert cold.engine not in ("generic", "affine_guess"), cold
             seen["cold normalized"] += any(name == "normal_form" and id(phi) in own for name, phi in calls)
+            seen["cold fired"] += any(name in ("fire", "add") for name, _ in calls)
             calls.clear()
             assert decide(problem, t, g, want_witness=True) == cold
-            assert not any(name == "ones" or name == "normal_form" and id(phi) in own for name, phi in calls)
+            assert not any(name in ("ones", "fire", "add", "watch") for name, _ in calls), (problem, t, g)
+            assert not any(name == "normal_form" and id(phi) in own for name, phi in calls)
+            tabled = {id(phi) for name, phi in calls if name == "table"} - {id(g)}
             widens = g is not None and not variables_of([g]) <= t.variables()
-            assert widens or not any(name == "table" and id(phi) in facts for name, phi in calls), (problem, t, g)
+            fired = {id(t.D[i].consequent) for i in t.closure.applied}
+            assert tabled <= facts | fired if widens else not tabled, (problem, t, g)
             if in_fragment:
                 assert not any(name == "table" for name, _ in calls)
             elif not widens:
-                seen["table mode, facts kept"] += 1
-    assert seen["cold normalized"] >= 150 and seen["table mode, facts kept"] >= 10
+                seen["table mode, nothing of the theory tabled"] += 1
+    assert seen["cold normalized"] >= 150 and seen["cold fired"] >= 100
+    assert seen["table mode, nothing of the theory tabled"] >= 10
 
 
 def test_decisions_table_only_the_rules_they_read(monkeypatch):

@@ -397,5 +397,5 @@ def test_affine_state_wakes_through_reduced_rows():
     assert state._pivots == {0b001: (0b011, 0), 0b010: (0b110, 0)}
     assert state.entails(goal) and not state.entails(state.form(f("(xor x z)"), False))
     # a goal's new variable is numbered in a copy: the numbering stays x, y, z
-    assert not state.entails(state.form(f("(xor x w)"), False)) and state.kept.index == {"x": 0, "y": 1, "z": 2}
+    assert not state.entails(state.form(f("(xor x w)"), False)) and state.index == {"x": 0, "y": 1, "z": 2}
     assert state.tests == 1 + 1  # the watch, the wake
