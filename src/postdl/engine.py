@@ -56,10 +56,10 @@ in the cheaper of two bitwise forms, compiled once per truth table into
 one straight-line function (``_kernel``) and kept in a
 ``boolfun.table_store`` (``_KERNELS``), a plain dict read with the table
 string; a form larger than KERNEL_CUTOFF runs as a loop over its terms
-instead.  The fixpoint's all-ones evaluations (``_ones``) run the
-same kernel on a one-row table.
+instead.  The fixpoint's all-ones evaluations (``_ones``) run the same
+kernel on a one-row table; ``implication.truth_table_implies`` runs it too.
 ``formula.table_int`` and ``BoolFun.value`` stay the references that the
-tests compare them against.
+tests compare them against; no engine calls them.
 """
 
 from __future__ import annotations
@@ -184,8 +184,8 @@ _PATTERNS: dict[int, tuple[int, ...]] = {}
 
 
 class TableContext:
-    """The one tabling kernel of a decision: truth tables over a fixed
-    variable order, shared by every formula of the decision instance.
+    """The one tabling kernel of a decision or an oracle implication query:
+    truth tables over a fixed variable order, shared by its formulas.
 
     The order is given sorted (a decision's theory keeps its own, and a
     goal's variables outside it are merged in) or scanned off the formulas,
@@ -200,8 +200,7 @@ class TableContext:
     a connective through its compiled kernel (``_kernel``, the cheaper
     ``_bitwise_form`` written out once, found by the connective's table
     string in ``_KERNELS``), which walks the arguments and reads ``full``
-    at each call, so it does bitwise work only; ``formula.table_int``
-    stays the reference.
+    at each call, so it does bitwise work only.
     """
 
     def __init__(self, formulas: Iterable[Formula] = (), order: Sequence[str] | None = None):

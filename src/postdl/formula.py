@@ -19,7 +19,7 @@ met (see _parse).
 from __future__ import annotations
 
 import re
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .boolfun import BoolFun, signature_map
 from .errors import (
@@ -123,16 +123,6 @@ def _fill(node: App, conn: BoolFun, args: tuple) -> App:
     return node
 
 
-def subformulas(phi: Formula) -> Iterator[Formula]:
-    """All subtrees of phi, outermost first."""
-    stack = [phi]
-    while stack:
-        node = stack.pop()
-        yield node
-        if isinstance(node, App):
-            stack.extend(reversed(node.args))
-
-
 def variables(phi: Formula) -> set[str]:
     return variables_of((phi,))
 
@@ -154,11 +144,24 @@ def connectives(phi: Formula) -> set[BoolFun]:
 
 
 def connectives_of(formulas: Iterable[Formula]) -> set[BoolFun]:
-    return {node.conn for phi in formulas for node in subformulas(phi) if node.__class__ is App}
+    """The connectives applied in all the formulas, in one scan with one stack."""
+    conns, stack = set(), list(formulas)
+    while stack:
+        node = stack.pop()
+        if node.__class__ is not Var:
+            conns.add(node.conn)
+            stack += node.args
+    return conns
 
 
 def node_count(phi: Formula) -> int:
-    return sum(1 for _ in subformulas(phi))
+    count, stack = 0, [phi]
+    while stack:
+        node = stack.pop()
+        count += 1
+        if node.__class__ is not Var:
+            stack += node.args
+    return count
 
 
 def serialize(phi: Formula) -> str:
@@ -338,8 +341,8 @@ def table_int(phi: Formula, var_order: Sequence[str]) -> int:
 def truth_table_of(phi: Formula, var_order: Sequence[str], name: str = "f") -> BoolFun:
     """Brute-force truth table of phi over var_order as a BoolFun.
 
-    This is the oracle backbone: every fragment engine is checked against
-    tables produced here.
+    A reference: no engine calls it, and the tests check the engines'
+    tabling kernel (``engine.TableContext``) against ``table_int``.
     """
     missing = variables(phi) - set(var_order)
     if missing:

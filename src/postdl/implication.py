@@ -16,6 +16,7 @@ read by subscripting its plain dict with the table string.
 from the formulas' own connectives (premises that mix conjunction and
 disjunction stay on the oracle), or "oracle".  The fragment engines,
 called by name, refuse a formula with a connective outside their clone.
+The oracle tables on the decisions' kernel, one ``engine.TableContext``.
 
 Each fragment has one entailment implementation, an incremental state
 (``EntailmentState``): premises are added one at a time, goals are tested
@@ -42,7 +43,7 @@ from typing import Sequence
 from .boolfun import BoolFun, table_store
 from .clones import _classified, route
 from .errors import NestingTooDeep, NotAffine, ShapeMismatch
-from .formula import Formula, Var, connectives_of, table_int, variables_of
+from .formula import Formula, Var, connectives_of
 
 # the settable engines: the signature's own pick, or the reference oracle
 ENGINES = ("auto", "oracle")
@@ -57,17 +58,17 @@ _SHAPES = {
 
 
 def truth_table_implies(premises: Sequence[Formula], goal: Formula) -> bool:
-    """Exhaustive oracle: every joint assignment satisfying all premises
-    satisfies the goal.  Vacuously true on unsatisfiable premises."""
-    order = sorted(variables_of([*premises, goal]))
-    rows = 1 << len(order)
-    full = (1 << rows) - 1
-    prem = full
+    """Exhaustive oracle in one ``engine.TableContext``: every model of the
+    premises satisfies the goal (vacuously, and untabled, when they have none)."""
+    from .engine import TableContext  # engine imports this module
+
+    context = TableContext([*premises, goal])
+    prem = context.full
     for p in premises:
-        prem &= table_int(p, order)
+        prem &= context.table(p)
         if prem == 0:
             return True
-    return prem & table_int(goal, order) == prem
+    return prem & context.table(goal) == prem
 
 
 def _connective_form(f: BoolFun, shape: str) -> tuple[int, tuple[int, ...]]:

@@ -7,7 +7,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .boolfun import TOP, BoolFun, signature_map
 from .errors import InputError
-from .formula import App, Formula, Var, connectives, connectives_of, fresh_name, node_count, substitute, variables_of
+from .formula import App, Formula, Var, connectives_of, fresh_name, node_count, substitute, variables_of
 
 
 class DefaultRule(NamedTuple):
@@ -124,12 +124,9 @@ def eliminate_constant_true(theory: DefaultTheory) -> DefaultTheory:
     stable extensions of input and output correspond one-to-one under the
     substitution.  A theory with no occurrence of top is returned as is.
     """
-    top_node = App(TOP)
-    uses_top = any(
-        TOP in connectives(f) for f in theory.all_formulas()
-    )
-    if not uses_top:
+    if TOP not in connectives_of(theory.all_formulas()):
         return theory
+    top_node = App(TOP)
     t = Var(fresh_name("t", theory.variables()))
     new_w = tuple(dict.fromkeys(
         [substitute(w, top_node, t) for w in theory.W] + [t]

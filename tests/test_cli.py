@@ -5,7 +5,7 @@ import pytest
 
 from postdl import engine, implication
 from postdl.cli import build_parser, main
-from postdl.errors import RuleCountTooLarge
+from postdl.errors import RuleCountTooLarge, TooManyVariables
 from postdl.formats import read_hypergraph, read_theory
 from postdl.reductions import hgap_reach
 
@@ -184,6 +184,22 @@ def test_cap_exit_3(tmp_path, capsys):
     p.write_text("\n".join(lines), encoding="utf-8")
     code, _, err = run(capsys, "ext", str(p))
     assert code == 3 and "cap" in err
+
+
+def test_imp_over_the_cap_exit_3(tmp_path, capsys):
+    # 21 variables under {or, not}: the oracle's table is refused, in
+    # process with the tabling kernel's message and as one error line with
+    # exit 3; at 20 variables it answers
+    lines = ["W:"] + [f"v{i}" for i in range(20)] + ["goal: (or v20 (not v20))"]
+    p = tmp_path / "wide.dt"
+    p.write_text("\n".join(lines), encoding="utf-8")
+    theory, goal = read_theory(p.read_text(encoding="utf-8"))
+    with pytest.raises(TooManyVariables, match="21 variables, cap is 20"):
+        implication.truth_table_implies(list(theory.W), goal)
+    assert implication.truth_table_implies(list(theory.W), theory.W[19])
+    code, out, err = run(capsys, "imp", str(p))
+    assert (code, out) == (3, "")
+    assert err.startswith("error:") and "cap" in err and len(err.splitlines()) == 1
 
 
 def test_rule_cap_exit_3(tmp_path, capsys):

@@ -26,9 +26,12 @@ from postdl.formula import (
     Var,
     _var_pattern,
     balanced_composition,
+    connectives,
+    connectives_of,
     depth,
     evaluate,
     fresh_name,
+    node_count,
     parse,
     parse_formulas,
     serialize,
@@ -328,6 +331,30 @@ def test_fresh_name_avoids_taken():
 
 def test_variables():
     assert variables(f("(or x (and y x))")) == {"x", "y"}
+
+
+def _subtrees(phi):
+    """Every subtree of phi, outermost first: the reference the stack
+    scans are checked against."""
+    stack = [phi]
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, App):
+            stack.extend(reversed(node.args))
+
+
+def test_connective_scans_match_the_subtree_comprehension():
+    rng = random.Random("connective-scan")
+    conns = list(SIG.values()) + [BoolFun("g", 4, "0110100110010110"), BoolFun("c", 0, "1")]
+    for _ in range(300):
+        formulas = [random_formula(rng, conns, ["x", "y", "z"], rng.randint(0, 5)) for _ in range(rng.randint(0, 4))]
+        want = {node.conn for phi in formulas for node in _subtrees(phi) if node.__class__ is App}
+        assert connectives_of(formulas) == want
+        for phi in formulas:
+            assert connectives(phi) == connectives_of([phi])
+            assert node_count(phi) == sum(1 for _ in _subtrees(phi))
+    assert connectives_of([]) == set() and node_count(Var("x")) == 1
 
 
 _PICKLE_FORMULAS = """

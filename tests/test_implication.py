@@ -2,11 +2,11 @@ import random
 
 import pytest
 
-from postdl import implication
+from postdl import formula, implication
 from postdl.boolfun import BUILTINS, BoolFun
 from postdl.clones import subset_of_clone
 from postdl.errors import NotAffine, ShapeMismatch
-from postdl.formula import Var, balanced_composition, evaluate, parse
+from postdl.formula import App, Var, balanced_composition, evaluate, parse, table_int, variables_of
 from postdl.gen import random_formula, random_fragment_formula
 from postdl.implication import (
     ENGINES,
@@ -37,6 +37,82 @@ def test_oracle_basic():
     assert truth_table_implies([], f("(or x (not x))"))
     assert truth_table_implies([f("x"), f("(not x)")], f("y"))
     assert not truth_table_implies([f("(or x y)")], f("x"))
+
+
+def _table_int_implies(premises, goal):
+    """The oracle over formula.table_int, the reference tabling loop."""
+    order = sorted(variables_of([*premises, goal]))
+    full = (1 << (1 << len(order))) - 1
+    prem = full
+    for p in premises:
+        prem &= table_int(p, order)
+        if prem == 0:
+            return True
+    return prem & table_int(goal, order) == prem
+
+
+def _formula(rng, conns, pool, depth):
+    """A random formula over conns and the names in pool; with pool empty
+    (or by chance) a leaf is a constant, so a formula may have no variable."""
+    nullary = [c for c in conns if c.arity == 0]
+    proper = [c for c in conns if c.arity > 0]
+    if depth <= 0 or rng.random() < 0.3:
+        if not pool or rng.random() < 0.15:
+            return App(rng.choice(nullary))
+        return Var(rng.choice(pool))
+    c = rng.choice(proper)
+    return App(c, tuple(_formula(rng, conns, pool, depth - 1) for _ in range(c.arity)))
+
+
+def test_oracle_matches_the_table_int_reference():
+    # every builtin and random defconn tables of arity 0-4, over no
+    # premises, inconsistent premises, goals with variables outside the
+    # premises and formulas with no variable at all
+    rng = random.Random("oracle-vs-table_int")
+    defconns = [
+        BoolFun(f"d{k}", arity, "".join(rng.choice("01") for _ in range(1 << arity)))
+        for k, arity in enumerate([0, 0, 1, 2, 2, 3, 3, 4, 4, 4])
+    ]
+    conns = list(SIG.values()) + defconns
+    seen = {"none": 0, "inconsistent": 0, "outside": 0, "constant": 0, "yes": 0, "no": 0}
+    for i in range(600):
+        pool = [f"v{j}" for j in range(rng.randint(0, 6))]
+        prems = [_formula(rng, conns, pool, 3) for _ in range(rng.randint(0, 4))]
+        if i % 5 == 0 and prems:  # p and (not p): inconsistent
+            prems.append(App(SIG["not"], (prems[0],)))
+        goal = _formula(rng, conns, pool + ["w0", "w1"] if i % 3 else pool, 3)
+        want = _table_int_implies(prems, goal)
+        assert truth_table_implies(prems, goal) == want
+        assert implies(prems, goal, engine="oracle") == want
+        seen["none"] += not prems
+        seen["inconsistent"] += bool(prems) and _table_int_implies(prems, App(SIG["bot"]))
+        seen["outside"] += bool(variables_of([goal]) - variables_of(prems))
+        seen["constant"] += not variables_of([*prems, goal])
+        seen["yes" if want else "no"] += 1
+    assert min(seen.values()) >= 20, seen
+
+
+def test_implies_never_runs_the_reference_loop(monkeypatch):
+    # the oracle and every route of auto table through the engines'
+    # kernel: formula.table_int is the tests' reference only
+    rng = random.Random("no-table_int")
+    queries = []
+    for names in (("and", "or", "not"), ("xor", "top"), ("and", "bot"), ("or", "top"), ("imp", "nimp", "eq")):
+        conns = [SIG[n] for n in names]
+        for _ in range(10):
+            prems = [random_formula(rng, conns, ["a", "b", "c", "d"], 3) for _ in range(rng.randint(0, 3))]
+            goal = random_formula(rng, conns, ["a", "b", "c", "e"], 3)
+            queries.append((prems, goal, _table_int_implies(prems, goal)))
+
+    def refuse(*args):
+        raise AssertionError("formula.table_int called at run time")
+
+    monkeypatch.setattr(formula, "table_int", refuse)
+    for prems, goal, want in queries:
+        assert implies(prems, goal) == want
+        assert implies(prems, goal, engine="oracle") == want
+        assert truth_table_implies(prems, goal) == want
+    assert not hasattr(implication, "table_int")
 
 
 # -- affine ------------------------------------------------------------------
