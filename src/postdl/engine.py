@@ -32,10 +32,9 @@ both engines.  A justification's liveness is its all-ones value
 (``_ones``), which tables nothing.  The least fixpoint reads no goal, so
 the theory value keeps it (``DefaultTheory.closure``, a ``Closure``): a
 fixpoint decision reads it and makes at most one goal test, and a goal is
-normalized, numbered or tabled per decision and never kept.  The theory
-also keeps its facts' models (``DefaultTheory.w_models``), tabled in the
-first enumeration's own context, so a decision on a theory value decided
-before tables no fact and walks no formula of the theory.
+normalized, numbered or tabled per decision and never kept.  An
+enumeration tables the facts once per decision, and no engine writes into
+a theory value: it keeps only its own cached facts (``DefaultTheory``).
 
 The signature alone picks the engine (``clones.route``): a
 fixpoint engine exactly when it lies within the monotone clone M or the
@@ -50,10 +49,11 @@ joint satisfiability with beta, which the truth-table context decides even
 when negation is not in the signature.
 
 Every truth table a decision reads comes from one ``TableContext``, the
-engines' tabling kernel: it tables each distinct formula once per decision
-(structurally equal formulas share the entry) and applies each connective
-in the cheaper of two bitwise forms, compiled once per truth table into
-one straight-line function (``_kernel``) and kept in a
+engines' tabling kernel: it keeps no table, and the enumeration's rule
+tables (``_RuleTables``), each built on its first read, are the decision's
+one table store.  It applies each connective in the cheaper of two
+bitwise forms, compiled once per truth table into one straight-line
+function (``_kernel``) and kept in a
 ``boolfun.table_store`` (``_KERNELS``), a plain dict read with the table
 string; a form larger than KERNEL_CUTOFF runs as a loop over its terms
 instead.  The fixpoint's all-ones evaluations (``_ones``) run the same
@@ -185,22 +185,21 @@ _PATTERNS: dict[int, tuple[int, ...]] = {}
 
 class TableContext:
     """The one tabling kernel of a decision or an oracle implication query:
-    truth tables over a fixed variable order, shared by its formulas.
+    truth tables over a fixed variable order.
 
     The order is given sorted (a decision's theory keeps its own, and a
     goal's variables outside it are merged in) or scanned off the formulas,
     and the variables' patterns are read from the store of their width
     (``_PATTERNS``), built once per width; order[0] is the least
     significant position, and a table is an int whose bit i is the value at
-    joint assignment i.  Each requested formula is tabled once: the memo is
-    keyed by the formula itself, and formulas hash and compare
-    structurally, so an equal formula built elsewhere reads the same entry.
-    Only requested formulas are kept, not their subformulas, since each
-    table holds 2^n bits.  A walk returns a variable's pattern and applies
-    a connective through its compiled kernel (``_kernel``, the cheaper
-    ``_bitwise_form`` written out once, found by the connective's table
-    string in ``_KERNELS``), which walks the arguments and reads ``full``
-    at each call, so it does bitwise work only.
+    joint assignment i.  The context keeps no table: ``table`` is the walk,
+    run afresh on each call, so a caller that reads a table again keeps it
+    itself (an enumeration's rule tables, ``_Tables``).  A walk returns a
+    variable's pattern and applies a connective through its compiled
+    kernel (``_kernel``, the cheaper ``_bitwise_form`` written out once,
+    found by the connective's table string in ``_KERNELS``), which walks
+    the arguments and reads ``full`` at each call, so it does bitwise work
+    only.
     """
 
     def __init__(self, formulas: Iterable[Formula] = (), order: Sequence[str] | None = None):
@@ -215,13 +214,6 @@ class TableContext:
         except KeyError:
             patterns = _PATTERNS[n] = tuple(_var_pattern(j, n) for j in range(n))
         self._patterns = dict(zip(order, patterns))
-        self._memo: dict[Formula, int] = {}
-
-    def table(self, phi: Formula) -> int:
-        bits = self._memo.get(phi)
-        if bits is None:
-            bits = self._memo[phi] = self._walk(phi)
-        return bits
 
     def and_of(self, formulas: Iterable[Formula]) -> int:
         bits = self.full
@@ -240,6 +232,8 @@ class TableContext:
         except KeyError:
             kernel = _fill_kernel(node.conn)
         return kernel(self._walk, node.args, self.full)
+
+    table = _walk
 
 
 # a form costing more (len(negs) + total term length) runs as a loop: one
@@ -340,6 +334,14 @@ def is_consistent_W(theory: DefaultTheory) -> bool:
     return TableContext(theory.W).and_of(theory.W) != 0
 
 
+def _decision_context(theory: DefaultTheory, goal: Formula | None) -> TableContext:
+    """A decision's table context: over the theory's own variable order,
+    widened (and sorted again) by the goal's variables outside it, if any."""
+    order = theory.variable_order
+    extra = variables_of([goal] if goal is not None else []).difference(order)
+    return TableContext(order=sorted(extra.union(order)) if extra else order)
+
+
 # ---------------------------------------------------------------------------
 # stable-extension checking and enumeration
 
@@ -362,7 +364,8 @@ class _RuleTables(NamedTuple):
     with the context, and each rule's prerequisite and justification and
     the distinct consequents in first-occurrence order, each tabled on its
     first read (``_Tables``), so a decision pays only for the tables it
-    reads.  conseq_of has one entry per rule: rule i's consequent is
+    reads and tables each at most once; they are the decision's only table
+    store.  conseq_of has one entry per rule: rule i's consequent is
     conseqs[conseq_of[i]], and k counts the distinct consequents; both are
     the theory's ``consequent_index``."""
 
@@ -377,24 +380,17 @@ class _RuleTables(NamedTuple):
 def _enumeration_context(
     theory: DefaultTheory, goal: Formula | None, cap: int | None = GENERIC_CONSEQUENT_CAP
 ) -> tuple[_RuleTables, TableContext]:
-    """The rule tables and the instance's table context.  The distinct
-    consequents are counted first (the theory keeps their index), so a
-    count over the cap raises before the context is built;
-    ``check_stable`` (one candidate) passes no cap.  The facts' models are
-    the theory's own (``w_models``), tabled in this context on the first
-    read, unless the goal adds a variable, which widens the context and
-    tables the facts in it without keeping them."""
+    """The rule tables and the instance's table context
+    (``_decision_context``).  The distinct consequents are counted first
+    (the theory keeps their index), so a count over the cap raises before
+    the context is built; ``check_stable`` (one candidate) passes no cap.
+    The facts are tabled once per decision, in this context."""
     conseqs, conseq_of = theory.consequent_index
     if cap is not None and len(conseqs) > cap:
         raise DefaultCountTooLarge(f"{len(conseqs)} distinct consequents exceed the enumeration cap of {cap}")
-    order = theory.variable_order
-    extra = variables_of([goal] if goal is not None else []).difference(order)
-    ctx = TableContext(order=sorted(extra.union(order)) if extra else order)
-    w = ctx.and_of(theory.W) if extra else vars(theory).get("w_models")
-    if w is None:
-        w = vars(theory)["w_models"] = ctx.and_of(theory.W)
+    ctx = _decision_context(theory, goal)
     return _RuleTables(
-        w,
+        ctx.and_of(theory.W),
         _Tables([d.prerequisite for d in theory.D], ctx.table),
         _Tables([d.justification for d in theory.D], ctx.table),
         _Tables(conseqs, ctx.table),
@@ -687,9 +683,10 @@ def _fixpoint_engine(
     refutes extension existence.  The fixpoint reads no goal, so it is the
     theory's kept ``closure``; a given mode runs a fresh one on that state,
     kept nowhere.  A goal is tested once against the final state: read in
-    the state's shape (``form(goal, False)``), or in table mode tabled in a
-    context of its own, where a goal that adds a variable tables the facts
-    and the fired consequents again instead of firing."""
+    the state's shape (``form(goal, False)``), or in table mode tabled in
+    the decision's context (``_decision_context``), where a goal that adds
+    a variable tables the facts and the fired consequents again instead of
+    firing."""
     if len(theory.D) > POLY_RULE_CAP:
         raise RuleCountTooLarge(f"more than {POLY_RULE_CAP} rules")
     closure = theory.closure if mode is None else _least_fixpoint(theory, mode)
@@ -704,10 +701,8 @@ def _fixpoint_engine(
     stats.implication_calls += 1
     final = closure.final
     if final.__class__ is int:
-        order = theory.variable_order
-        extra = variables_of([goal]).difference(order)
-        ctx = TableContext(order=sorted(extra.union(order)) if extra else order)
-        if extra:
+        ctx = _decision_context(theory, goal)
+        if len(ctx.order) > len(theory.variable_order):
             final = ctx.and_of([*theory.W, *(theory.D[i].consequent for i in closure.applied)])
         holds = final & ctx.table(goal) == final
     else:

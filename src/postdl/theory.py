@@ -30,12 +30,12 @@ class _Fields(NamedTuple):
 class DefaultTheory(_Fields):
     """Facts W (set semantics, stored in first-seen order), an ordered list
     of defaults D, and the connective signature the formulas live in.  The
-    value keeps four facts that W, D and the signature fix, each computed
-    on first read: its variable order, its consequent index, the facts'
-    models and the fixpoint's closure; no goal enters them, so none grows
-    with the goals asked.  Equality, hash, pickles and copies read the
-    three fields alone, and every constructor, ``_replace`` included,
-    starts without the facts."""
+    value keeps three facts that W, D and the signature fix, each computed
+    on first read: its variable order, its consequent index and the
+    fixpoint's closure; no goal enters them, so none grows with the goals
+    asked.  Equality, hash, pickles and copies read the three fields
+    alone, and every constructor, ``_replace`` included, starts without
+    the facts."""
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot set {name!r}: a theory is immutable")
@@ -54,15 +54,6 @@ class DefaultTheory(_Fields):
         index: dict[Formula, int] = {}
         conseq_of = tuple(index.setdefault(d.consequent, len(index)) for d in self.D)
         return tuple(index), conseq_of
-
-    @cached_property
-    def w_models(self) -> int:
-        """The facts' model set over ``variable_order``, a table of at most
-        2^20 bits, which a first enumeration tables in its own context
-        (``engine._enumeration_context``) rather than here."""
-        from .engine import TableContext  # engine imports this module
-
-        return TableContext(order=self.variable_order).and_of(self.W)
 
     @cached_property
     def closure(self):
@@ -102,9 +93,6 @@ class DefaultTheory(_Fields):
 
     def variables(self) -> set[str]:
         return set(self.variable_order)
-
-    def used_connectives(self) -> frozenset[BoolFun]:
-        return frozenset(connectives_of(self.all_formulas()))
 
     def size(self) -> int:
         return sum(node_count(f) for f in self.all_formulas())

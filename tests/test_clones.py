@@ -431,16 +431,15 @@ def test_records_keep_value_semantics():
     def conj_theory():
         return DefaultTheory.make([x], [DefaultRule(x, y, xy)], conns("and"))
 
-    # a theory whose facts (variable order, consequent index, the facts'
-    # models, the fixpoint's closure) are filled is the same value as a
-    # fresh one
+    # a theory whose facts (variable order, consequent index, the
+    # fixpoint's closure) are filled is the same value as a fresh one
     filled = conj_theory()
     decide("ext", filled, want_witness=True)
     enumerate_extensions(filled)
     assert filled.variable_order == ("x", "y") and filled.closure[:4] == (False, False, (0,), 1)
     assert filled.consequent_index == ((xy,), (0,))
-    assert filled.w_models == 0b1010 and filled.closure.final.forced == {"x", "y"}
-    assert set(vars(filled)) == {"variable_order", "consequent_index", "w_models", "closure"}
+    assert filled.closure.final.forced == {"x", "y"}
+    assert set(vars(filled)) == {"variable_order", "consequent_index", "closure"}
     frozen = [
         (filled, conj_theory()),
         (BoolFun("f", 2, "0110"), BoolFun("f", 2, "0110")),
@@ -470,7 +469,7 @@ def test_records_keep_value_semantics():
             setattr(a, field, getattr(a, field))
     # copies, pickles and _replace start without the facts; neither a
     # replaced D nor a goal that widens the signature reads a stale order,
-    # consequent index, model set or closure
+    # consequent index or closure
     for c in (pickle.loads(pickle.dumps(filled)), copy.deepcopy(filled), filled._replace()):
         assert c == filled and hash(c) == hash(filled) and not vars(c)
     with pytest.raises(AttributeError):
@@ -479,7 +478,7 @@ def test_records_keep_value_semantics():
     replaced = filled._replace(D=(DefaultRule(x, z, z), DefaultRule(z, y, xy), DefaultRule(y, z, z)))
     assert replaced.variable_order == ("x", "y", "z")
     assert replaced.consequent_index == ((z, xy), (0, 1, 0))
-    assert replaced.w_models == 0b10101010 and replaced.closure[:3] == (False, False, (0, 1, 2))
+    assert replaced.closure[:3] == (False, False, (0, 1, 2))
     fresh_replaced = DefaultTheory.make([x], replaced.D, conns("and"))
     for problem in ("ext", "cred", "skep"):
         assert decide(problem, replaced, z, want_witness=True) == decide(problem, fresh_replaced, z, want_witness=True)

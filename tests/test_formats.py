@@ -12,7 +12,7 @@ from postdl.formats import (
     read_theory,
     write_theory,
 )
-from postdl.formula import connectives, serialize
+from postdl.formula import connectives, connectives_of, serialize
 from postdl.gen import FAMILIES, random_formula, random_goal, random_theory
 from postdl.reductions import (
     CnfFormula,
@@ -148,7 +148,7 @@ def test_roundtrip_plain():
 def _written_signature(theory, goal):
     """The signature a theory file gives back: its declared connectives
     and the builtins its formulas, the goal among them, use."""
-    used = theory.used_connectives() | (connectives(goal) if goal is not None else set())
+    used = connectives_of(theory.all_formulas()) | (connectives(goal) if goal is not None else set())
     declared = {f for f in theory.signature if f.name not in BUILTINS}
     return theory._replace(signature=frozenset(used | declared))
 
