@@ -24,8 +24,9 @@ extension existence, credulous and skeptical reasoning, hardest cases
 first, and selects an engine per problem.  The conditions read only the
 clone family of [B], so each family's cases and engines, and the
 entailment state its fixpoint runs on, are worked out once (``_route``,
-memoized by family: Post's lattice bounds the families), and ``route``
-hands them to ``engine.decide``.
+memoized by family: Post's lattice bounds the families); ``route`` keeps
+each signature's route in one store keyed by its frozenset, read by every
+decision, ``implies``, ``subset_of_clone`` and ``dispatch_case``.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from operator import add, mul
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
+from . import boolfun
 from .boolfun import BUILTINS, BoolFun, signature_map, table_store
 from .errors import ArityUnsupported, UnknownClone
 from .formula import _var_pattern
@@ -230,6 +232,7 @@ def _classification(f: BoolFun) -> tuple[FunSignature, frozenset[str]]:
 
 # table -> the connective's classification; _classified(f) reads f's entry
 _CLASSIFIED, _classified = table_store(_classification)
+_ROUTES: dict = {}  # signature (a frozenset of BoolFun) -> its route (``route``)
 
 
 def _common_family(conns) -> frozenset[str]:
@@ -253,11 +256,10 @@ _SUBSET_FAMILIES = {c: frozenset({c}) for c in SUBSET_CLONES} | {
 
 def subset_of_clone(signature, clone: str) -> bool:
     """True iff [B] is contained in the property-defined clone, i.e. every
-    connective satisfies the clone's defining property."""
-    need = _SUBSET_FAMILIES.get(clone)
-    if need is None:
+    connective satisfies the clone's defining property (a flag of ``route``)."""
+    if clone not in _SUBSET_FAMILIES:
         raise UnknownClone(f"no property test for clone {clone!r}")
-    return need <= _common_family(signature_map(signature).values())
+    return clone in route(signature)[0]
 
 
 class CloneReport(NamedTuple):
@@ -373,20 +375,30 @@ def _route(family: frozenset[str]) -> tuple[frozenset[str], frozenset[str], Mapp
     return subset, contains, MappingProxyType({"ext": ext, "cred": cred, "skep": skep}), state
 
 
-def route(signature) -> tuple[Mapping[str, tuple[str, str]], str]:
-    """Each problem's (case, engine) for the signature and its fixpoint's
-    entailment state, read from its clone family's route (``_route``); a
-    signature that names one connective with two tables is refused."""
-    return _route(_common_family(signature_map(signature).values()))[2:]
+def route(signature) -> tuple[frozenset[str], frozenset[str], Mapping[str, tuple[str, str]], str]:
+    """The signature's route (``_route``: subset and contains flags, each
+    problem's (case, engine), the fixpoint's entailment state), read from
+    ``_ROUTES`` by the frozenset of its connectives, which keeps its hash.
+    A miss derives it, as a ``table_store`` does, clearing the store at
+    STORE_CAP; a signature that names one connective with two tables is
+    refused on every call and never stored."""
+    if signature.__class__ is not frozenset:  # a list, set or name map
+        signature = frozenset(signature.values() if isinstance(signature, dict) else signature)
+    value = _ROUTES.get(signature)
+    if value is None:
+        value = _route(_common_family(signature_map(signature).values()))
+        if len(_ROUTES) >= boolfun.STORE_CAP:
+            _ROUTES.clear()
+        _ROUTES[signature] = value
+    return value
 
 
 def dispatch_case(signature) -> CloneReport:
     """Classify [B] and pick a sound engine per decision problem: the
-    connectives' property flags and their family's route (``_route``)."""
-    sig = signature_map(signature)
-    subset, contains, picks, _ = _route(_common_family(sig.values()))
+    connectives' property flags and the signature's route (``route``)."""
+    subset, contains, picks, _ = route(signature)
     return CloneReport(
-        properties={name: _classified(f)[0] for name, f in sig.items()},
+        properties={name: _classified(f)[0] for name, f in signature_map(signature).items()},
         subset=subset,
         contains=contains,
         ext_case=picks["ext"][0],

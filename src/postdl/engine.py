@@ -648,7 +648,7 @@ def _least_fixpoint(theory: DefaultTheory, mode: str | None = None) -> Closure:
     if any(_ones(w) == 0 for w in W):
         return Closure(True, False, (), 0, None)
     live = [i for i, d in enumerate(D) if _ones(d.justification)]
-    mode = route(theory.signature)[1] if mode is None else mode
+    mode = route(theory.signature)[3] if mode is None else mode
     if mode == "oracle":
         stats = Stats()
         t, ctx = _enumeration_context(theory, None, cap=None)
@@ -725,9 +725,10 @@ def decide(
     B; engine="generic" runs the reference oracle instead, which is sound
     for every signature.  ext reads no goal, so a goal given with it is
     dropped before dispatch; the connectives of a cred or skep goal join
-    the signature before the case and the engine are picked, so every
-    engine reads the goal within its clone.  A formula nested too deep for
-    the recursive walks raises NestingTooDeep."""
+    the route's signature (``clones.route``) but not the theory, so every
+    engine reads the goal within its clone, and a fixpoint on the theory's
+    own entailment state reads its kept closure.  A formula nested too
+    deep for the recursive walks raises NestingTooDeep."""
     if problem not in PROBLEMS:
         raise InputError(f"unknown problem {problem!r}")
     if engine not in ENGINES:
@@ -737,9 +738,9 @@ def decide(
     elif goal is None:
         raise InputError(f"{problem} needs a goal formula")
     used = connectives(goal) if goal is not None else set()
-    if not used <= theory.signature:
-        theory = DefaultTheory(theory.W, theory.D, theory.signature | used)
-    case, label = route(theory.signature)[0][problem]
+    narrow = used <= theory.signature
+    _, _, picks, state = route(theory.signature if narrow else theory.signature | used)
+    case, label = picks[problem]
     if engine == "generic":
         label = "generic"
     stats = Stats()
@@ -747,7 +748,8 @@ def decide(
         if label in ("generic", "affine_guess"):
             answer, witness = _enumerate_engine(problem, theory, goal, stats)
         elif label != "trivial_yes":
-            answer, witness = _fixpoint_engine(problem, theory, goal, stats)
+            mode = None if narrow or state == route(theory.signature)[3] else state
+            answer, witness = _fixpoint_engine(problem, theory, goal, stats, mode)
         else:
             # every theory over a 1-reproducing signature has an extension;
             # the fixpoint is run only to name its generating defaults

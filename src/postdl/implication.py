@@ -432,19 +432,20 @@ def select_engine(signature) -> str:
     """Cheapest sound engine for the signature (a list, set or name map of
     connectives): conjunctive, affine, or disjunctive fragments when the
     clone analysis licenses them, otherwise the truth-table oracle.  It is
-    the entailment state of the signature's clone family, chosen beside
-    the family's case table (``clones.route``)."""
-    return route(signature)[1]
+    the entailment state of the signature's route, read from the store
+    keyed by its connectives (``clones.route``)."""
+    return route(signature)[3]
 
 
 def implies(premises: Sequence[Formula], goal: Formula, engine: str = "auto") -> bool:
     """Decide whether the premises entail the goal.
 
     With engine="auto" the connectives of the premises and the goal pick
-    the engine (``select_engine``), so a fragment engine never meets a
-    connective outside its clone, and a connective declared but not used
-    moves nothing; engine="oracle" runs the truth-table check.  A formula
-    nested too deep for the recursive walks raises NestingTooDeep.
+    the engine (``select_engine``, one read of their stored route), so a
+    fragment engine never meets a connective outside its clone, and a
+    connective declared but not used moves nothing; engine="oracle" runs
+    the truth-table check.  A formula nested too deep for the recursive
+    walks raises NestingTooDeep.
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown implication engine {engine!r}")

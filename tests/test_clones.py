@@ -200,15 +200,66 @@ def test_decide_reads_one_route_per_clone_family():
         theory = t._replace(signature=frozenset(sig))
         return [(d.case, d.engine) for d in (decide(p, theory, Var("x")) for p in PROBLEMS)]
 
+    # a route stored by an earlier test would hide its family from the count
+    clones._ROUTES.clear()
     clones._route.cache_clear()
     picked = [picks(sig) for sig in signatures]
     families = {frozenset.intersection(*map(_family, sig)) for sig in signatures}
     assert clones._route.cache_info().currsize == len(families)
     for sig, got in zip(signatures, picked):
+        clones._ROUTES.clear()
         clones._route.cache_clear()
         rep = dispatch_case(sig)
         cases = (rep.ext_case, rep.cred_case, rep.skep_case)
         assert got == [(case, rep.engines[p]) for p, case in zip(PROBLEMS, cases)], sig
+
+
+def test_a_signature_is_routed_once(monkeypatch):
+    # the route is stored per signature: an equal but distinct signature,
+    # in any form (frozenset, list, set or name map), reads the stored
+    # route and derives no family, and so do every reader of it
+    from postdl.implication import select_engine
+
+    sig = conns("s10", "bot", "not")
+    first = clones.route(frozenset(sig))
+
+    def derive(conns):
+        raise AssertionError("a stored route was derived again")
+
+    monkeypatch.setattr(clones, "_common_family", derive)
+    for form in (frozenset(sig), sig, set(sig), {g.name: g for g in sig}, sig[::-1]):
+        assert clones.route(form) is first
+        assert dispatch_case(form) == dispatch_case(sig)
+        assert subset_of_clone(form, "M") == ("M" in first[0])
+        assert select_engine(form) == first[3]
+
+
+def test_a_refused_signature_is_never_stored():
+    # a signature naming "and" with two tables raises on every call, in
+    # every form and through every reader, and never enters the store
+    from postdl.implication import select_engine
+
+    sig = [BUILTINS["and"], BoolFun("and", 2, BUILTINS["or"].table)]
+    for _ in range(2):
+        for read in (clones.route, dispatch_case, select_engine, lambda s: subset_of_clone(s, "M")):
+            for form in (sig, frozenset(sig), set(sig)):
+                with pytest.raises(InputError, match="twice with different tables"):
+                    read(form)
+        assert frozenset(sig) not in clones._ROUTES
+
+
+def test_the_route_store_clears_at_its_cap(monkeypatch):
+    # past STORE_CAP entries the store is cleared before the next one is
+    # stored, and every read still answers the family's route
+    from postdl import boolfun
+
+    monkeypatch.setattr(boolfun, "STORE_CAP", 2)
+    clones._ROUTES.clear()
+    signatures = [conns(*names) for names in (("and",), ("or",), ("xor",), ("and", "or"), ("maj",), ("and",))]
+    for sig in signatures:
+        got = clones.route(sig)
+        assert got is clones._route(frozenset.intersection(*map(_family, sig)))
+        assert 1 <= len(clones._ROUTES) <= 2 and frozenset(sig) in clones._ROUTES
 
 
 def test_decide_refuses_a_goal_that_renames_a_signature_connective():

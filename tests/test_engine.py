@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from postdl import engine, implication
+from postdl import clones, engine, implication
 from postdl.boolfun import BUILTINS, BoolFun
 from postdl.clones import dispatch_case
 from postdl.engine import (
@@ -755,9 +755,9 @@ def test_a_warm_fixpoint_decision_rederives_nothing(monkeypatch):
     # first one kept: in every mode, table mode (the digest corpus's snsat
     # images) included, it fires no rule, asserts or watches nothing in a
     # state, normalizes no formula of the theory and evaluates none at
-    # all-ones.  Over E, V and L1 it tables nothing; in table mode it
-    # tables only the goal, and a goal that adds a variable the facts and
-    # the fired consequents in its widened context
+    # all-ones, nor derives its route.  Over E, V and L1 it tables nothing;
+    # in table mode it tables only the goal, and a goal that adds a
+    # variable the facts and the fired consequents in its widened context
     calls = []
     normal_form, ones, table, fire = implication.normal_form, engine._ones, TableContext.table, engine._fire
 
@@ -771,6 +771,7 @@ def test_a_warm_fixpoint_decision_rederives_nothing(monkeypatch):
     monkeypatch.setattr(implication, "normal_form", counted("normal_form", normal_form))
     monkeypatch.setattr(engine, "_ones", counted("ones", ones))
     monkeypatch.setattr(engine, "_fire", counted("fire", fire))
+    monkeypatch.setattr(clones, "_common_family", counted("family", clones._common_family))
     monkeypatch.setattr(TableContext, "table", counted("table", table))
     monkeypatch.setattr(implication.EntailmentState, "watch", counted("watch", implication.EntailmentState.watch))
     for state in (implication.ConjunctiveState, implication.DisjunctiveState, implication.AffineState):
@@ -789,7 +790,7 @@ def test_a_warm_fixpoint_decision_rederives_nothing(monkeypatch):
             seen["cold fired"] += any(name in ("fire", "add") for name, _ in calls)
             calls.clear()
             assert decide(problem, t, g, want_witness=True) == cold
-            assert not any(name in ("ones", "fire", "add", "watch") for name, _ in calls), (problem, t, g)
+            assert not any(name in ("ones", "fire", "add", "watch", "family") for name, _ in calls), (problem, t, g)
             assert not any(name == "normal_form" and id(phi) in own for name, phi in calls)
             tabled = {id(phi) for name, phi in calls if name == "table"} - {id(g)}
             widens = g is not None and not variables_of([g]) <= t.variables()
@@ -1005,6 +1006,37 @@ def test_goal_connectives_join_the_signature():
             assert decide(problem, t, f(goal)).answer == want, (problem, goal)
     assert cred(t, f("(or x y)")).answer and cred(t, f("(or x x)")).answer
     assert not cred(t, f("(or q y)")).answer
+
+
+def test_a_widened_goal_reads_the_theorys_kept_closure(monkeypatch):
+    # a goal's connectives widen the route, not the theory: over {xor3} an
+    # eq goal keeps the affine state, so its warm cred and skep read the
+    # closure the theory keeps, and an xor goal, which routes to the
+    # enumeration, gets the theory as it is; no decision after the first
+    # derives a closure, and every answer is the generic oracle's
+    t = DefaultTheory.make(
+        [f("a"), f("(xor3 a b c)")],
+        [rule("a", "d", "d"), rule("d", "b", "b"), rule("c", "e", "(xor3 a e e)")],
+        [B["xor3"]],
+    )
+    derived = []
+    least = engine._least_fixpoint
+
+    def once(*args):
+        assert not derived, "a decision derived the closure again"
+        derived.append(args)
+        return least(*args)
+
+    monkeypatch.setattr(engine, "_least_fixpoint", once)
+    engines = set()
+    for goal in ("(eq a b)", "(eq c d)", "(eq a e)", "(xor a b)", "(xor c e)", "(xor d e)"):
+        for problem in ("cred", "skep"):
+            cold = decide(problem, t, f(goal), want_witness=True)
+            assert decide(problem, t, f(goal), want_witness=True) == cold
+            assert cold.answer == decide(problem, t, f(goal), engine="generic").answer, (problem, goal)
+            engines.add((goal[1:3], cold.engine))
+    assert engines == {("eq", "poly_fragment"), ("xo", "affine_guess")}
+    assert len(derived) == 1
 
 
 def test_decide_validates_problem_and_goal():
