@@ -31,10 +31,10 @@ prerequisite waits on; otherwise it is the enumeration's own rule closure
 both engines.  A justification's liveness is its all-ones value
 (``_ones``), which tables nothing.  The least fixpoint reads no goal, so
 the theory value keeps it (``DefaultTheory.closure``, a ``Closure``): a
-fixpoint decision reads it and makes at most one goal test, and a goal is
-normalized, numbered or tabled per decision and never kept.  An
-enumeration tables the facts once per decision, and no engine writes into
-a theory value: it keeps only its own cached facts (``DefaultTheory``).
+fixpoint decision reads it, its witness included, and makes at most one
+goal test; a goal is normalized, numbered or tabled per decision and
+never kept.  An enumeration tables the facts once per decision, and no
+engine writes into a theory value: it keeps only its own cached facts.
 
 The signature alone picks the engine (``clones.route``): a
 fixpoint engine exactly when it lies within the monotone clone M or the
@@ -90,7 +90,7 @@ ENGINES = ("auto", "generic")
 
 
 class Stats:
-    """Work counters of one decision.
+    """The enumeration's working counter; ``Decision.stats`` builds one per read.
 
     subsets_checked: consequent subsets visited, in enumeration order up to
     the one that answers; 0 when the goal settles cred or skep at the root.
@@ -157,13 +157,25 @@ class ExtensionWitness(NamedTuple):
     inconsistent: bool = False
 
 
+_INCONSISTENT = ExtensionWitness((), inconsistent=True)  # the witness of every fixpoint over inconsistent facts
+
+
 class Decision(NamedTuple):
+    """One decision: problem, answer, engine, case, the witness when asked (a
+    fixpoint's is its closure's own shared, immutable object) and the counters
+    ``Stats`` documents, as plain fields; ``stats`` is a view built per read."""
+
     problem: str
     answer: bool
     engine: str
     case: str
     witness: ExtensionWitness | None
-    stats: Stats
+    subsets_checked: int
+    implication_calls: int
+
+    @property
+    def stats(self) -> Stats:
+        return Stats(self.subsets_checked, self.implication_calls)
 
     def to_json(self) -> dict:
         return {
@@ -582,11 +594,11 @@ def _enumerate_engine(
     problem: str,
     theory: DefaultTheory,
     goal: Formula | None,
-    stats: Stats,
-) -> tuple[bool, ExtensionWitness | None]:
+) -> tuple[bool, ExtensionWitness | None, Stats]:
     """Guess and check over consequent subsets (generic and affine_guess):
     the first stable extension answers ext, and the first one that entails
-    (cred) or fails (skep) the goal is the witness.
+    (cred) or fails (skep) the goal is the witness; the work is counted in a
+    fresh ``Stats``.
 
     Two bounds on every extension E decide some goals before any subset is
     checked: W is in E, and over consistent facts E is in the closure of W
@@ -596,31 +608,29 @@ def _enumerate_engine(
     fails the goal test that ``_stable_extensions`` puts to each
     candidate, and so does every extension."""
     t, ctx = _enumeration_context(theory, goal)
-    g = None if goal is None else ctx.table(goal)
+    g, stats = None if goal is None else ctx.table(goal), Stats()
     entails = problem == "cred"
     if g is not None and (t.w_models or not entails):
         bound = _fire(t, list(range(len(t.conseq_of))), stats)[0] if entails else t.w_models
         stats.implication_calls += 1
         if (bound & g == bound) != entails:
-            return problem == "skep", None
+            return problem == "skep", None, stats
     for _, models, applied in _stable_extensions(t, stats, g, entails):
         # only an inconsistent W makes an unsatisfiable candidate stable
-        return problem != "skep", ExtensionWitness(applied, inconsistent=models == 0)
+        return problem != "skep", ExtensionWitness(applied, inconsistent=models == 0), stats
     # skep is vacuously true when no extension exists
-    return problem == "skep", None
+    return problem == "skep", None, stats
 
 
 class Closure(NamedTuple):
-    """A theory's goal-free least fixpoint (``DefaultTheory.closure``):
-    inconsistent when some fact is 0 at all-ones (the one extension is then
-    the set of all formulas), refuted when a fired consequent concludes 0
-    (there is no extension), the applied rules in ascending order, the
-    tests the closure made, and its final state: the fragment state, or in
-    table mode the derived model set over the theory's variable order."""
+    """A theory's goal-free least fixpoint (``DefaultTheory.closure``): the
+    witness it names (None when a fired consequent concludes 0, as there is
+    no extension, ``_INCONSISTENT`` when some fact is 0 at all-ones, else
+    the applied rules in ascending order), the tests it made, and its final
+    state: the fragment state, or in table mode the derived model set over
+    the theory's variable order."""
 
-    inconsistent: bool
-    refuted: bool
-    applied: tuple[int, ...]
+    witness: ExtensionWitness | None
     tests: int
     final: object
 
@@ -646,14 +656,15 @@ def _least_fixpoint(theory: DefaultTheory, mode: str | None = None) -> Closure:
     the generating rules do not depend on the firing order."""
     W, D = theory.W, theory.D
     if any(_ones(w) == 0 for w in W):
-        return Closure(True, False, (), 0, None)
+        return Closure(_INCONSISTENT, 0, None)
     live = [i for i, d in enumerate(D) if _ones(d.justification)]
     mode = route(theory.signature)[3] if mode is None else mode
     if mode == "oracle":
         stats = Stats()
         t, ctx = _enumeration_context(theory, None, cap=None)
         models, applied = _fire(t, live, stats)
-        return Closure(False, not models >> ctx.rows - 1 & 1, tuple(sorted(applied)), stats.implication_calls, models)
+        witness = ExtensionWitness(tuple(sorted(applied))) if models >> ctx.rows - 1 & 1 else None
+        return Closure(witness, stats.implication_calls, models)
     state = fragment_state(mode)
     form, applied = state.form, []
     for w in W:
@@ -663,19 +674,18 @@ def _least_fixpoint(theory: DefaultTheory, mode: str | None = None) -> Closure:
         i = ready.pop()
         n = form(D[i].consequent)
         if n == state.bottom:
-            return Closure(False, True, (), state.tests, state)
+            return Closure(None, state.tests, state)
         applied.append(i)
         ready += state.add(n)
-    return Closure(False, False, tuple(sorted(applied)), state.tests, state)
+    return Closure(ExtensionWitness(tuple(sorted(applied))), state.tests, state)
 
 
 def _fixpoint_engine(
     problem: str,
     theory: DefaultTheory,
     goal: Formula | None,
-    stats: Stats,
     mode: str | None = None,
-) -> tuple[bool, ExtensionWitness | None]:
+) -> tuple[bool, ExtensionWitness | None, int]:
     """Least fixpoint of rule firing for monotone or 1-reproducing
     signatures (monotone_iterative, r1_unique, poly_fragment and
     reachability): the theory's one candidate extension, its unique stable
@@ -686,30 +696,26 @@ def _fixpoint_engine(
     the state's shape (``form(goal, False)``), or in table mode tabled in
     the decision's context (``_decision_context``), where a goal that adds
     a variable tables the facts and the fired consequents again instead of
-    firing."""
+    firing.  Returns (answer, the closure's witness or None, tests)."""
     if len(theory.D) > POLY_RULE_CAP:
         raise RuleCountTooLarge(f"more than {POLY_RULE_CAP} rules")
-    closure = theory.closure if mode is None else _least_fixpoint(theory, mode)
-    if closure.inconsistent:
-        return True, None if problem == "skep" else ExtensionWitness((), inconsistent=True)
-    stats.implication_calls += closure.tests
-    if closure.refuted:
-        return problem == "skep", None
-    witness = ExtensionWitness(closure.applied)
+    witness, tests, final = theory.closure if mode is None else _least_fixpoint(theory, mode)
+    if witness is None:
+        return problem == "skep", None, tests
+    if witness is _INCONSISTENT:
+        return True, None if problem == "skep" else witness, 0
     if problem == "ext":
-        return True, witness
-    stats.implication_calls += 1
-    final = closure.final
+        return True, witness, tests
     if final.__class__ is int:
         ctx = _decision_context(theory, goal)
         if len(ctx.order) > len(theory.variable_order):
-            final = ctx.and_of([*theory.W, *(theory.D[i].consequent for i in closure.applied)])
+            final = ctx.and_of([*theory.W, *(theory.D[i].consequent for i in witness.generating)])
         holds = final & ctx.table(goal) == final
     else:
         holds = final.entails(final.form(goal, False))
     if problem == "cred":
-        return holds, witness if holds else None
-    return holds, None if holds else witness
+        return holds, witness if holds else None, tests + 1
+    return holds, None if holds else witness, tests + 1
 
 
 def decide(
@@ -733,32 +739,33 @@ def decide(
         raise InputError(f"unknown problem {problem!r}")
     if engine not in ENGINES:
         raise InputError(f"unknown engine {engine!r}")
+    signature = theory.signature
     if problem == "ext":
         goal = None
     elif goal is None:
         raise InputError(f"{problem} needs a goal formula")
-    used = connectives(goal) if goal is not None else set()
-    narrow = used <= theory.signature
-    _, _, picks, state = route(theory.signature if narrow else theory.signature | used)
+    elif not (used := connectives(goal)) <= signature:
+        signature |= used
+    _, _, picks, state = route(signature)
     case, label = picks[problem]
     if engine == "generic":
         label = "generic"
-    stats = Stats()
+    subsets = 0
     try:
         if label in ("generic", "affine_guess"):
-            answer, witness = _enumerate_engine(problem, theory, goal, stats)
+            answer, witness, stats = _enumerate_engine(problem, theory, goal)
+            subsets, calls = stats.subsets_checked, stats.implication_calls
         elif label != "trivial_yes":
-            mode = None if narrow or state == route(theory.signature)[3] else state
-            answer, witness = _fixpoint_engine(problem, theory, goal, stats, mode)
+            mode = None if signature is theory.signature or state == route(theory.signature)[3] else state
+            answer, witness, calls = _fixpoint_engine(problem, theory, goal, mode)
         else:
             # every theory over a 1-reproducing signature has an extension;
-            # the fixpoint is run only to name its generating defaults
-            answer, witness = True, _fixpoint_engine("ext", theory, None, stats)[1] if want_witness else None
+            # the fixpoint (it answers yes) is run only to name its generating defaults
+            answer, witness, calls = _fixpoint_engine("ext", theory, None) if want_witness else (True, None, 0)
     except RecursionError:
         raise NestingTooDeep() from None
-    if not want_witness:
-        witness = None
-    return Decision(problem, answer, label, case, witness, stats)
+    # one C-level construction: NamedTuple's own __new__ is a Python function
+    return tuple.__new__(Decision, (problem, answer, label, case, witness if want_witness else None, subsets, calls))
 
 
 def ext(theory: DefaultTheory, engine: str = "auto", want_witness: bool = False) -> Decision:

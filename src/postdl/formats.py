@@ -3,17 +3,19 @@
 Theory file layout (lines; '#' starts a comment):
 
     defconn NAME ARITY BITSTRING     # optional custom connectives
+    uses: not imp                    # optional builtins no formula applies
     W:
     (and x y)                        # one formula per line
     D:
     (default PRE JUST CON)           # one rule per line
     goal: (or x y)                   # optional, at most once
 
-The signature of the parsed theory is the declared custom connectives
-plus the builtins actually used, collected while parsing; all formulas of
-a file share one Var per variable name.  Machine-written files may contain
-reserved "_"-prefixed variables (reductions generate them), so the reader
-parses with allow_reserved.
+The signature of the parsed theory is the declared custom connectives plus
+the builtins used or listed on a ``uses:`` line (``write_theory`` writes
+one for declared builtins no formula applies), collected while parsing;
+all formulas of a file share one Var per variable name.  Machine-written
+files may contain reserved "_"-prefixed variables (reductions generate
+them), so the reader parses with allow_reserved.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import re
 
 from .boolfun import BUILTINS, BoolFun
 from .errors import InputError, TheoryFormatError
-from .formula import _NAME_RE, Formula, Var, _parse, serialize
+from .formula import _NAME_RE, Formula, Var, _parse, connectives_of, serialize
 from .reductions import CnfFormula, Digraph, Hypergraph, SnsatInstance
 from .theory import DefaultRule, DefaultTheory
 
@@ -108,6 +110,12 @@ def read_theory(text: str, filename: str = "<input>"):
             if low == "d:":
                 section = "D"
                 continue
+            if low.startswith("uses:"):
+                for name in line[5:].split():
+                    if name not in BUILTINS:
+                        raise TheoryFormatError(f"uses: {name!r} is not a builtin connective", filename, lineno)
+                    used[name] = BUILTINS[name]
+                continue
             if low.startswith("goal:"):
                 if goal is not None:  # as with defconn: one per file (--goal still overrides it)
                     raise TheoryFormatError("goal: already given", filename, lineno)
@@ -134,11 +142,11 @@ def read_theory(text: str, filename: str = "<input>"):
 
 
 def write_theory(theory: DefaultTheory, goal: Formula | None = None) -> str:
-    lines: list[str] = []
-    for f in sorted(theory.signature, key=lambda f: f.name):
-        if f.name not in BUILTINS:
-            lines.append(f"defconn {f.name} {f.arity} {f.table}")
-    lines.append("W:")
+    signature = sorted(theory.signature, key=lambda f: f.name)
+    applied = connectives_of([*theory.all_formulas(), *([] if goal is None else [goal])])
+    unused = " ".join(f.name for f in signature if f.name in BUILTINS and f not in applied)
+    lines = [f"defconn {f.name} {f.arity} {f.table}" for f in signature if f.name not in BUILTINS]
+    lines += [f"uses: {unused}", "W:"] if unused else ["W:"]
     lines.extend(serialize(w) for w in theory.W)
     lines.append("D:")
     for d in theory.D:

@@ -227,12 +227,11 @@ def test_fragment_fixpoint_reads_a_bottom_consequent_like_table_mode():
         assert mode != "oracle"
         for problem in ("ext", "cred", "skep"):
             g = None if problem == "ext" else goal
-            stats = engine.Stats()
-            got = engine._fixpoint_engine(problem, t, g, stats, mode)
-            want = engine._fixpoint_engine(problem, t, g, engine.Stats(), "oracle")
-            assert got == want, (family, problem, t, goal)
+            got = engine._fixpoint_engine(problem, t, g, mode)
+            want = engine._fixpoint_engine(problem, t, g, "oracle")
+            assert got[:2] == want[:2], (family, problem, t, goal)
             refuted[family] += problem == "ext" and not got[0]
-            records.append([got[0], got[1] and list(got[1].generating), stats.implication_calls])
+            records.append([got[0], got[1] and list(got[1].generating), got[2]])
     assert refuted["E"] >= 10 and refuted["V"] >= 10 and refuted["L1"] == 0
     digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
     assert digest == "0a1f89aa6ec00fa6ac8748e0f4332d8cc4a485b4a45d076ce3d9fb649ba0e0df"
@@ -709,7 +708,7 @@ def test_warm_theory_facts_decide_as_cold_ones():
     # variables, so no goal was numbered into it
     for _, t, _, _ in fragment_queries[::3]:
         fresh = t._replace().closure
-        assert fresh[:4] == t.closure[:4]
+        assert fresh[:2] == t.closure[:2]
         assert getattr(fresh.final, "index", None) == getattr(t.closure.final, "index", None)
 
 
@@ -736,7 +735,7 @@ def test_goals_leave_a_theorys_normal_form_store_as_it_is():
     ]:
         decide("cred", t, t.W[0])
         closure, facts = t.closure, dict(vars(t))
-        assert closure.final.__class__ is kind and closure.applied and not closure.refuted
+        assert closure.final.__class__ is kind and closure.witness.generating
         final = closure.final if kind is int else copy.deepcopy(vars(closure.final))
         for k in range(50):
             q = Var(f"q{k}")
@@ -757,7 +756,10 @@ def test_a_warm_fixpoint_decision_rederives_nothing(monkeypatch):
     # state, normalizes no formula of the theory and evaluates none at
     # all-ones, nor derives its route.  Over E, V and L1 it tables nothing;
     # in table mode it tables only the goal, and a goal that adds a
-    # variable the facts and the fired consequents in its widened context
+    # variable the facts and the fired consequents in its widened context.
+    # It builds its record and nothing else: its witness is the closure's
+    # own object, and with ExtensionWitness and Stats unusable it answers
+    # as the cold decision did
     calls = []
     normal_form, ones, table, fire = implication.normal_form, engine._ones, TableContext.table, engine._fire
 
@@ -767,6 +769,9 @@ def test_a_warm_fixpoint_decision_rederives_nothing(monkeypatch):
             return fn(*args)
 
         return wrapper
+
+    def unusable(*args):
+        raise AssertionError("a warm decision built a witness or a Stats")
 
     monkeypatch.setattr(implication, "normal_form", counted("normal_form", normal_form))
     monkeypatch.setattr(engine, "_ones", counted("ones", ones))
@@ -789,12 +794,18 @@ def test_a_warm_fixpoint_decision_rederives_nothing(monkeypatch):
             seen["cold normalized"] += any(name == "normal_form" and id(phi) in own for name, phi in calls)
             seen["cold fired"] += any(name in ("fire", "add") for name, _ in calls)
             calls.clear()
-            assert decide(problem, t, g, want_witness=True) == cold
+            with monkeypatch.context() as m:
+                m.setattr(engine, "ExtensionWitness", unusable)
+                m.setattr(engine, "Stats", unusable)
+                warm = decide(problem, t, g, want_witness=True)
+            assert warm == cold
+            assert warm.witness is None or warm.witness is t.closure.witness, (problem, t, g)
+            seen["shared witness", problem] += warm.witness is not None
             assert not any(name in ("ones", "fire", "add", "watch", "family") for name, _ in calls), (problem, t, g)
             assert not any(name == "normal_form" and id(phi) in own for name, phi in calls)
             tabled = {id(phi) for name, phi in calls if name == "table"} - {id(g)}
             widens = g is not None and not variables_of([g]) <= t.variables()
-            fired = {id(t.D[i].consequent) for i in t.closure.applied}
+            fired = {id(t.D[i].consequent) for i in getattr(t.closure.witness, "generating", ())}
             assert tabled <= facts | fired if widens else not tabled, (problem, t, g)
             if in_fragment:
                 assert not any(name == "table" for name, _ in calls)
@@ -802,6 +813,7 @@ def test_a_warm_fixpoint_decision_rederives_nothing(monkeypatch):
                 seen["table mode, nothing of the theory tabled"] += 1
     assert seen["cold normalized"] >= 150 and seen["cold fired"] >= 100
     assert seen["table mode, nothing of the theory tabled"] >= 10
+    assert min(seen["shared witness", problem] for problem in ("ext", "cred", "skep")) >= 50, seen
 
 
 def test_decisions_table_only_the_rules_they_read(monkeypatch):

@@ -12,7 +12,7 @@ from postdl.formats import (
     read_theory,
     write_theory,
 )
-from postdl.formula import connectives, connectives_of, serialize
+from postdl.formula import App, Var, connectives, connectives_of, serialize
 from postdl.gen import FAMILIES, random_formula, random_goal, random_theory
 from postdl.reductions import (
     CnfFormula,
@@ -145,31 +145,51 @@ def test_roundtrip_plain():
     assert theory2.signature == theory.signature
 
 
-def _written_signature(theory, goal):
-    """The signature a theory file gives back: its declared connectives
-    and the builtins its formulas, the goal among them, use."""
-    used = connectives_of(theory.all_formulas()) | (connectives(goal) if goal is not None else set())
-    declared = {f for f in theory.signature if f.name not in BUILTINS}
-    return theory._replace(signature=frozenset(used | declared))
-
-
 def test_roundtrip_random_theories_of_every_family():
+    # a theory file keeps its signature, declared builtins that no formula
+    # applies included
     nand3 = BoolFun("nand3", 3, "11111110")
-    rng = random.Random("formats:roundtrip")
+    rng, extra = random.Random("formats:roundtrip"), sorted(B)
     for family in sorted(FAMILIES):
         for _ in range(30):
             theory = random_theory(rng, family)
+            declared = theory.signature | {B[n] for n in rng.sample(extra, rng.randint(0, 3))}
+            theory = theory._replace(signature=declared)
             goal = random_goal(rng, theory, family) if rng.random() < 0.7 else None
-            theory = _written_signature(theory, goal)
             assert read_theory(write_theory(theory, goal)) == (theory, goal), family
     # a declared connective, used or not, stays in the signature
     conns, pool = [nand3, BUILTINS["or"]], [f"v{i}" for i in range(1, 5)]
     for _ in range(30):
         w = [random_formula(rng, conns, pool, 2)]
         d = [DefaultRule(*(random_formula(rng, conns, pool, 2) for _ in range(3)))]
-        theory = _written_signature(DefaultTheory.make(w, d, conns), None)
+        theory = DefaultTheory.make(w, d, conns)
         assert nand3 in theory.signature
         assert read_theory(write_theory(theory)) == (theory, None)
+
+
+def test_a_theory_file_keeps_its_signature():
+    # a declared builtin that no formula applies is written on one uses:
+    # line and read back into the signature, so the case and the engine,
+    # which the declared signature picks, survive the round trip; a theory
+    # whose every builtin is applied is written with no uses: line, as
+    # before the line existed
+    from test_engine import _digest_corpus, _fragment_corpus
+
+    from postdl.clones import dispatch_case
+
+    x, y = Var("x"), Var("y")
+    lost = DefaultTheory.make([App(B["and"], (x, y))], [], [B["and"], B["not"]])
+    text = write_theory(lost)
+    assert text == "uses: not\nW:\n(and x y)\nD:\n"
+    assert read_theory(text) == (lost, None)
+    assert dispatch_case(read_theory(text)[0].signature).ext_case == dispatch_case(lost.signature).ext_case == "SigmaP2"
+    corpus = [(t, goal) for t, goal, _ in _digest_corpus()] + [(t, goal) for _, t, goal in _fragment_corpus()]
+    for theory, goal in corpus:
+        assert read_theory(write_theory(theory, goal)) == (theory, goal)
+        applied = connectives_of(theory.all_formulas()) | connectives(goal)
+        assert ("uses:" in write_theory(theory, goal)) == any(f not in applied for f in theory.signature if f.name in B)
+    with pytest.raises(TheoryFormatError, match="uses: 'nand3' is not a builtin"):
+        read_theory("defconn nand3 3 11111110\nuses: nand3\nW:\nx\n")
 
 
 def test_a_connective_only_the_goal_uses_joins_the_signature():

@@ -55,9 +55,11 @@ def test_decisions_agree_with_reiter_oracle():
     for t, goal in _corpus():
         theories += 1
         # the oracle's parser knows seven builtins, so every connective of
-        # the signature is declared before the theory's own text
+        # the signature is declared before the theory's own text; those
+        # lines also stand for the uses: line, which that parser does not read
         declared = sorted(t.signature, key=lambda c: c.name)
-        text = "".join(f"defconn {c.name} {c.arity} {c.table}\n" for c in declared) + write_theory(t, goal)
+        written = [line for line in write_theory(t, goal).splitlines(True) if not line.startswith("uses:")]
+        text = "".join(f"defconn {c.name} {c.arity} {c.table}\n" for c in declared) + "".join(written)
         th = oracles.parse_theory(text)
         logic = oracles.logic_for(th)
         expected = oracles.reiter_answers(th)
